@@ -24,7 +24,6 @@ import numpy as np
 
 from ._rng import make_rng
 from .tensor_ops import (
-    MAX_MODES,
     _as_tensor,
     frobenius_norm,
     khatri_rao_all,

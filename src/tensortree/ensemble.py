@@ -138,6 +138,7 @@ def fit_boosting(x, y, config: BoostingConfig) -> BoostedModel:
             tree = grow(x, residual, config.tree)
         if config.prune is not None:
             tree = prune(tree, config.prune)
+        tree.drop_training_data()
         trees.append(tree)
         current = current + config.learning_rate * tree.predict(x)
         mse_trace.append(float(np.mean((y - current) ** 2)))
@@ -166,7 +167,9 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
             kind="leverage", tau=config.tau, seed=derive_seed(config.seed, t_index, 1)
         )
         tree_cfg = replace(config.tree, strategy=strategy)
-        trees.append(grow(x[rows], y[rows], tree_cfg))
+        tree = grow(x[rows], y[rows], tree_cfg)
+        tree.drop_training_data()
+        trees.append(tree)
     return ForestModel(trees)
 
 

@@ -9,7 +9,9 @@ and documents are dumped with sorted keys and fixed separators so equal
 models produce byte-identical files.
 
 Restored trees carry no training data: they predict and apply, but
-cannot be pruned further.
+cannot be pruned further.  Loading rejects, with ``ValueError``, a
+document of another format version and a split rule whose coordinates
+do not index the tree's feature shape.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .ensemble import BoostedModel, ForestModel
 from .leaf_models import FittedLeafModel
 from .tensor_output import TensorOutputModel
 from .tree import LeafNode, SplitNode, TensorTree
-from .splitting import SplitRule
+from .splitting import SplitRule, _check_coords
 
 FORMAT = "tensortree-model"
 VERSION = 1
@@ -103,7 +105,7 @@ def _node_to_dict(node) -> dict:
     }
 
 
-def _node_from_dict(doc: dict):
+def _node_from_dict(doc: dict, feature_shape: tuple[int, ...]):
     if "leaf" in doc:
         leaf = doc["leaf"]
         return LeafNode(
@@ -117,7 +119,12 @@ def _node_from_dict(doc: dict):
         coords=tuple(int(c) for c in doc["rule"]["coords"]),
         threshold=float(doc["rule"]["threshold"]),
     )
-    return SplitNode(rule=rule, left=_node_from_dict(doc["left"]), right=_node_from_dict(doc["right"]))
+    _check_coords(rule.coords, feature_shape)
+    return SplitNode(
+        rule=rule,
+        left=_node_from_dict(doc["left"], feature_shape),
+        right=_node_from_dict(doc["right"], feature_shape),
+    )
 
 
 def _tree_to_dict(t: TensorTree) -> dict:
@@ -129,9 +136,10 @@ def _tree_to_dict(t: TensorTree) -> dict:
 
 
 def _tree_from_dict(doc: dict) -> TensorTree:
+    feature_shape = tuple(int(d) for d in doc["feature_shape"])
     return TensorTree(
-        root=_node_from_dict(doc["node"]),
-        feature_shape=tuple(doc["feature_shape"]),
+        root=_node_from_dict(doc["node"], feature_shape),
+        feature_shape=feature_shape,
         config=None,
     )
 
@@ -214,6 +222,9 @@ def model_from_dict(doc: dict):
     """Inverse of :func:`model_to_dict`."""
     if doc.get("format") != FORMAT:
         raise ValueError("not a tensortree model document")
+    if doc.get("version") != VERSION:
+        raise ValueError(f"unsupported model document version {doc.get('version')!r}; "
+                         f"expected {VERSION}")
     kind = doc["kind"]
     if kind == "tree":
         return _tree_from_dict(doc)

@@ -22,6 +22,20 @@ both reduce to the exhaustive result.
 
 Ties are broken toward the lexicographically smallest coordinates, then
 the smallest threshold, independent of evaluation order.
+
+Under ``lre`` most candidates are ruled out without fitting their two
+child regressions.  CP and Tucker regressions (with or without an
+intercept) and the mean fallback are all affine functions of
+``vec(X_i)``, so no child fit can leave a smaller residual than the
+unconstrained least-squares fit of the child's responses on
+``[1, vec(X_i)]``.  The sum of that residual over both children is a
+lower bound on the candidate's loss.  A child with at most
+``features + 1`` samples gets a bound of 0 and is not solved.  A
+candidate is skipped when its bound exceeds the best loss seen so far in
+the search by more than ``BOUND_MARGIN`` times the node's sum of squared
+responses; the margin absorbs roundoff between the bound and the fitted
+loss.  A skipped candidate could therefore never have won or tied, so
+every strategy returns the same rule and loss as without the bound.
 """
 
 from __future__ import annotations
@@ -35,6 +49,10 @@ import numpy as np
 from ._rng import make_rng
 from .decomposition import AlsConfig, approximation_error, cp_als, tucker_als
 from .leaf_models import LeafModelSpec, fit_leaf, predict_leaf
+
+# Relative slack on the least-squares bound of an ``lre`` candidate, as a
+# fraction of the node's sum of squared responses.
+BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,13 +131,17 @@ def _check_stacked(x: np.ndarray) -> tuple[int, ...]:
     return x.shape[1:]
 
 
-def _column(x: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
-    feature_shape = _check_stacked(x)
+def _check_coords(coords: tuple[int, ...], feature_shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``coords`` index one cell of ``feature_shape``."""
     if len(coords) != len(feature_shape):
         raise ValueError(f"coords {coords} do not index feature shape {feature_shape}")
     for c, d in zip(coords, feature_shape):
         if not 0 <= c < d:
             raise ValueError(f"coords {coords} out of range for feature shape {feature_shape}")
+
+
+def _column(x: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
+    _check_coords(coords, _check_stacked(x))
     return x[(slice(None),) + tuple(coords)]
 
 
@@ -223,6 +245,30 @@ def _lre_term(x_group: np.ndarray, y_group: np.ndarray, spec: LeafModelSpec) -> 
     return float(np.dot(resid, resid))
 
 
+def _affine_design(x: np.ndarray) -> np.ndarray:
+    """Rows ``[1, vec(x_i)]``: the linear family that contains every leaf model."""
+    n = x.shape[0]
+    return np.hstack([np.ones((n, 1)), x.reshape(n, -1)])
+
+
+def _lre_bound(design: np.ndarray, y: np.ndarray, mask: np.ndarray, limit: float = math.inf) -> float:
+    """Lower bound on the ``lre`` loss of the split ``mask``: summed child least-squares residuals.
+
+    A child with no more rows than ``design`` has columns contributes 0,
+    always a valid bound, without a solve.  Stops after the left child
+    when its residual alone already exceeds ``limit``.
+    """
+    bound = 0.0
+    for rows in (mask, ~mask):
+        d, t = design[rows], y[rows]
+        if d.shape[0] > d.shape[1]:
+            resid = t - d @ np.linalg.lstsq(d, t, rcond=None)[0]
+            bound += float(np.dot(resid, resid))
+        if bound > limit:
+            break
+    return bound
+
+
 def evaluate_lre(x, y, rule: SplitRule, criterion: SplitCriterion, leaf: LeafModelSpec | None = None) -> float:
     """Summed squared training residuals of per-child low-rank regressions."""
     if criterion.kind != "lre":
@@ -318,8 +364,15 @@ def _scan_sse_observed(col: np.ndarray, y: np.ndarray, min_child: int):
     return float(loss[j]), float(v[j]), int(k[j]), int(n - k[j])
 
 
-def _eval_coord(x, y, coords, criterion, leaf, min_child):
-    """Best admissible threshold at one coordinate, or None."""
+def _eval_coord(x, y, coords, criterion, leaf, min_child, best_loss):
+    """Best admissible threshold at one coordinate, or None.
+
+    ``best_loss`` is the best loss the search has found so far.  Under
+    ``lre``, thresholds whose least-squares bound exceeds it (or this
+    coordinate's own best) by more than the margin are not fitted; they
+    could not win, so the result is the same as an unbounded scan
+    whenever it can beat ``best_loss``.
+    """
     col = _column(x, coords)
     n = col.size
     if criterion.kind == "sse" and criterion.value_mode == "observed":
@@ -336,7 +389,10 @@ def _eval_coord(x, y, coords, criterion, leaf, min_child):
         return SplitEvaluation(SplitRule(coords, thr), float(loss), nl, nr)
 
     thresholds = candidate_thresholds(x, coords, criterion.value_mode)
-    spec = _lre_spec(criterion, leaf) if criterion.kind == "lre" else None
+    if criterion.kind == "lre":
+        spec = _lre_spec(criterion, leaf)
+        design = _affine_design(x)
+        margin = BOUND_MARGIN * float(np.dot(y, y))
     best = None
     for thr in thresholds:
         mask = col <= thr
@@ -344,6 +400,10 @@ def _eval_coord(x, y, coords, criterion, leaf, min_child):
         nr = n - nl
         if nl < min_child or nr < min_child:
             continue
+        if criterion.kind == "lre":
+            limit = min(best_loss, _loss(best)) + margin
+            if limit < math.inf and _lre_bound(design, y, mask, limit) > limit:
+                continue
         if criterion.kind == "sse":
             loss = _population_variance(y[mask]) + _population_variance(y[~mask])
         elif criterion.kind == "lae":
@@ -364,6 +424,10 @@ def _better(cand: SplitEvaluation, best: SplitEvaluation | None) -> bool:
     return (cand.rule.coords, cand.rule.threshold) < (best.rule.coords, best.rule.threshold)
 
 
+def _loss(best: SplitEvaluation | None) -> float:
+    return math.inf if best is None else best.loss
+
+
 def _prepare(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -382,7 +446,7 @@ def find_best_split_exhaustive(
     x, y, feature_shape = _prepare(x, y)
     best = None
     for coords in np.ndindex(*feature_shape):
-        cand = _eval_coord(x, y, coords, criterion, leaf, min_child)
+        cand = _eval_coord(x, y, coords, criterion, leaf, min_child, _loss(best))
         if cand is not None and _better(cand, best):
             best = cand
     return best
@@ -422,7 +486,7 @@ def find_best_split_leverage(
     )
     best = None
     for coords in coord_list:
-        cand = _eval_coord(x, y, coords, criterion, leaf, min_child)
+        cand = _eval_coord(x, y, coords, criterion, leaf, min_child, _loss(best))
         if cand is not None and _better(cand, best):
             best = cand
     return best
@@ -461,7 +525,7 @@ def find_best_split_bb(
         if mid in cache:
             cand = cache[mid]
         else:
-            cand = _eval_coord(x, y, mid, criterion, leaf, min_child)
+            cand = _eval_coord(x, y, mid, criterion, leaf, min_child, _loss(best))
             cache[mid] = cand
         if cand is not None and _better(cand, best):
             best = cand

@@ -111,16 +111,12 @@ def fit_entrywise(x, y, config: OutputConfig, n_threads: int = 1) -> TensorOutpu
     base_seed = config.boosting.seed
 
     def make_job(entry: int):
-        cfg = _reseed(config.boosting, derive_seed(base_seed, entry))
+        cfg = replace(config.boosting, seed=derive_seed(base_seed, entry))
         target = flat[:, entry]
         return lambda: fit_boosting(x, target, cfg)
 
     ensembles = _fit_many([make_job(e) for e in range(flat.shape[1])], n_threads)
     return TensorOutputModel("entrywise", output_shape, ensembles)
-
-
-def _reseed(cfg: BoostingConfig, seed: int) -> BoostingConfig:
-    return replace(cfg, seed=seed)
 
 
 def _output_ranks(config: OutputConfig, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -160,7 +156,7 @@ def fit_lowrank(x, y, config: OutputConfig, n_threads: int = 1) -> TensorOutputM
         weights, core = None, decomp.core
 
     def make_job(col: int):
-        cfg = _reseed(config.boosting, derive_seed(base_seed, col))
+        cfg = replace(config.boosting, seed=derive_seed(base_seed, col))
         target = obs_factor[:, col]
         return lambda: fit_boosting(x, target, cfg)
 

@@ -16,8 +16,8 @@ internal node collapses into a freshly refitted leaf whenever the
 collapsed complexity does not exceed the subtree's.
 
 Fitted trees keep a reference to their training arrays (needed for the
-collapse refits); trees restored from serialized form predict but cannot
-be pruned further.
+collapse refits); trees restored from serialized form, and trees inside
+ensembles, drop them, so they predict but cannot be pruned further.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .splitting import (
     SplitCriterion,
     SplitRule,
     _lae_term,
+    _lre_spec,
     find_best_split,
-    split_gain,
+    node_criterion_value,
 )
 
 GAIN_TOLERANCE = 1e-12
@@ -56,6 +57,11 @@ class GrowConfig:
             raise ValueError("max_depth must be >= 0")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        crit = self.criterion
+        if crit.kind != "sse":
+            family = _lre_spec(crit, self.leaf).kind if crit.kind == "lre" else crit.decomp
+            if family == "cp" and not isinstance(crit.split_rank, (int, np.integer)):
+                raise ValueError(f"a CP split rank must be an int, got {crit.split_rank!r}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,12 @@ class TensorTree:
 
         walk(self.root)
         return out
+
+    def drop_training_data(self) -> None:
+        """Forget the training arrays and leaf row indices; prediction needs neither."""
+        self._x = self._y = None
+        for leaf in self.leaves():
+            leaf.indices = None
 
     @property
     def n_leaves(self) -> int:
@@ -233,7 +245,8 @@ def grow(x, y, config: GrowConfig) -> TensorTree:
                 min_child=config.min_samples_leaf,
             )
             if best is not None:
-                gain = split_gain(xs, ys, best.rule, config.criterion, config.leaf)
+                # The search already scored the winning rule's children.
+                gain = node_criterion_value(xs, ys, config.criterion, config.leaf) - best.loss
                 if gain > GAIN_TOLERANCE:
                     col = xs[(slice(None),) + tuple(best.rule.coords)]
                     go_left = col <= best.rule.threshold

@@ -146,6 +146,28 @@ class TestPredict:
                       cwd=workdir)
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("edit", ["coords", "version"])
+    def test_invalid_model_document_exit_3(self, workdir, edit):
+        run_cli("synth", "--generator", "prune_fn", "--n", "60", "--seed", "6",
+                "--out", "data", cwd=workdir)
+        cfg = write_config(workdir / "cfg.json", {
+            "model": "tree", "data": {"x": "data/X.npy", "y": "data/y.npy"},
+            "max_depth": 1, "leaf_model": "mean",
+        })
+        assert run_cli("fit", "--config", cfg, "--out", "m.json", cwd=workdir).returncode == 0
+        doc = json.loads((workdir / "m.json").read_text())
+        if edit == "coords":
+            assert "rule" in doc["node"]
+            doc["node"]["rule"]["coords"] = [9, 9, 9]
+        else:
+            doc["version"] = 99
+        (workdir / "m.json").write_text(json.dumps(doc))
+        res = run_cli("predict", "--model", "m.json", "--x", "data/X.npy", "--out", "p.npy",
+                      cwd=workdir)
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert not (workdir / "p.npy").exists()
+
 
 class TestBench:
     def test_two_by_two_sweep(self, workdir):

@@ -13,7 +13,7 @@ from tensortree.ensemble import (
 )
 from tensortree.leaf_models import LeafModelSpec
 from tensortree.splitting import SplitCriterion
-from tensortree.tree import GrowConfig, grow
+from tensortree.tree import GrowConfig, PruneConfig, grow, prune
 
 
 def step_data(n, seed, sigma=0.2):
@@ -115,6 +115,31 @@ class TestForest:
         x, y = step_data(90, seed=10)
         fc = ForestConfig(n_trees=4, tree=mean_tree(), seed=6)
         assert np.array_equal(fit_forest(x, y, fc).predict(x), fit_forest(x, y, fc).predict(x))
+
+
+def assert_no_training_data(model):
+    for t in model.trees:
+        assert t._x is None and t._y is None
+        assert all(leaf.indices is None for leaf in t.leaves())
+
+
+class TestTrainingDataDropped:
+    def test_boosting_trees_keep_no_training_data(self):
+        x, y = step_data(80, seed=12)
+        prune_cfg = PruneConfig(alpha=0.1)
+        model = fit_boosting(x, y, BoostingConfig(n_estimators=1, learning_rate=0.5,
+                                                  tree=mean_tree(), prune=prune_cfg))
+        assert_no_training_data(model)
+        f0 = y.mean()
+        stage = prune(grow(x, y - f0, mean_tree()), prune_cfg)
+        assert np.array_equal(model.predict(x), f0 + 0.5 * stage.predict(x))
+
+    def test_forest_trees_keep_no_training_data(self):
+        x, y = step_data(80, seed=13)
+        base = mean_tree()
+        forest = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False, tau=1.0, tree=base))
+        assert_no_training_data(forest)
+        assert np.array_equal(forest.predict(x), grow(x, y, base).predict(x))
 
 
 class TestEnsemblePredict:

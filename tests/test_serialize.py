@@ -87,3 +87,21 @@ def test_rejects_foreign_documents():
         model_from_dict({"format": "something-else"})
     with pytest.raises(TypeError):
         model_to_dict(42)
+
+
+def test_rejects_other_versions():
+    x, y = sample_problem(7)
+    doc = model_to_dict(grow(x, y, tree_config(LeafModelSpec(kind="mean"))))
+    for version in (99, 0, None):
+        with pytest.raises(ValueError, match="version"):
+            model_from_dict({**doc, "version": version})
+
+
+@pytest.mark.parametrize("coords", [[9, 9], [9, 9, 9], [0], [-1, 0]])
+def test_rejects_rule_coords_outside_feature_shape(coords):
+    x, y = sample_problem(8)
+    doc = model_to_dict(grow(x, y, tree_config(LeafModelSpec(kind="mean"))))
+    assert "rule" in doc["node"]
+    doc["node"]["left"] = {**doc["node"], "rule": {**doc["node"]["rule"], "coords": coords}}
+    with pytest.raises(ValueError, match="coords"):
+        model_from_dict(doc)

@@ -91,6 +91,26 @@ class TestGrow:
         with pytest.raises(ValueError):
             grow(np.zeros((0, 2, 2)), np.zeros(0), mean_config(1))
 
+    def test_tuple_split_rank_rejected_for_cp_family(self):
+        lre = SplitCriterion(kind="lre", split_rank=(2, 2, 2))
+        with pytest.raises(ValueError, match="split rank"):
+            GrowConfig(criterion=lre)
+        with pytest.raises(ValueError, match="split rank"):
+            GrowConfig(criterion=lre, leaf=LeafModelSpec(kind="cp", rank=2))
+        with pytest.raises(ValueError, match="split rank"):
+            GrowConfig(criterion=SplitCriterion(kind="lae", split_rank=(2, 2, 2)))
+
+    def test_tuple_split_rank_with_tucker_leaves_grows(self):
+        x, y, _ = piecewise_data(40, seed=7)
+        als = AlsConfig(max_iterations=3)
+        cfg = GrowConfig(
+            max_depth=1,
+            min_samples_leaf=10,
+            criterion=SplitCriterion(kind="lre", split_rank=(2, 2, 2), value_mode="mean", als=als),
+            leaf=LeafModelSpec(kind="tucker", rank=2, als=als),
+        )
+        assert grow(x, y, cfg).predict(x).shape == (40,)
+
     def test_determinism(self):
         x, y, _ = piecewise_data(200, seed=6)
         cfg = GrowConfig(
