@@ -53,12 +53,9 @@ class DataError(Exception):
     """Missing or inconsistent data; maps to exit code 3."""
 
 
-def _as_rank(value, name: str):
-    if isinstance(value, int):
-        return value
-    if isinstance(value, list) and value and all(isinstance(v, int) for v in value):
-        return tuple(value)
-    raise ConfigError(f"{name} must be an int or a list of ints")
+def _as_rank(value):
+    # The config classes check the rank itself (a JSON list arrives as a list).
+    return tuple(value) if isinstance(value, list) else value
 
 
 _FIT_KEYS = {
@@ -92,98 +89,79 @@ def _expect(cfg: dict, key: str, types, default=None):
     return value
 
 
+# The builders below raise ValueError for a bad setting; _fit_model turns
+# it into a ConfigError (exit 2) before any data is touched.
+
+
 def _build_als(cfg: dict) -> AlsConfig:
     doc = cfg.get("als", {})
     if not isinstance(doc, dict):
         raise ConfigError("als must be an object")
     _check_keys(doc, {"max_iterations", "rel_tolerance", "seed"}, "als")
-    try:
-        return AlsConfig(
-            max_iterations=int(doc.get("max_iterations", 100)),
-            rel_tolerance=float(doc.get("rel_tolerance", 1e-6)),
-            seed=int(doc.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return AlsConfig(
+        max_iterations=int(doc.get("max_iterations", 100)),
+        rel_tolerance=float(doc.get("rel_tolerance", 1e-6)),
+        seed=int(doc.get("seed", 0)),
+    )
 
 
 def _build_leaf(cfg: dict, als: AlsConfig) -> LeafModelSpec:
     kind = _expect(cfg, "leaf_model", str, "mean")
     intercept = _expect(cfg, "intercept", bool, True)
-    try:
-        if kind == "mean":
-            return LeafModelSpec(kind="mean", als=als, intercept=intercept)
-        if kind == "cp":
-            rank = cfg.get("CP_reg_rank")
-            if rank is None:
-                raise ConfigError("cp leaves need CP_reg_rank")
-            return LeafModelSpec(kind="cp", rank=_as_rank(rank, "CP_reg_rank"), als=als,
-                                 intercept=intercept)
-        if kind == "tucker":
-            rank = cfg.get("Tucker_reg_rank")
-            if rank is None:
-                raise ConfigError("tucker leaves need Tucker_reg_rank")
-            return LeafModelSpec(kind="tucker", rank=_as_rank(rank, "Tucker_reg_rank"),
-                                 als=als, intercept=intercept)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown leaf_model {kind!r}")
+    if kind == "mean":
+        return LeafModelSpec(kind="mean", als=als, intercept=intercept)
+    if kind not in ("cp", "tucker"):
+        raise ConfigError(f"unknown leaf_model {kind!r}")
+    key = "CP_reg_rank" if kind == "cp" else "Tucker_reg_rank"
+    if cfg.get(key) is None:
+        raise ConfigError(f"{kind} leaves need {key}")
+    return LeafModelSpec(kind=kind, rank=_as_rank(cfg[key]), als=als, intercept=intercept)
 
 
 def _build_grow(cfg: dict, seed: int) -> GrowConfig:
     als = _build_als(cfg)
-    try:
-        criterion = SplitCriterion(
-            kind=_expect(cfg, "criterion", str, "sse"),
-            split_rank=None if "split_rank" not in cfg else _as_rank(cfg["split_rank"], "split_rank"),
-            decomp=_expect(cfg, "split_decomp", str, "cp"),
-            value_mode=_expect(cfg, "value_mode", str, "observed"),
-            als=als,
-        )
-        strategy = SearchStrategy(
-            kind=_expect(cfg, "strategy", str, "exhaustive"),
-            tau=float(cfg.get("tau", 1.0)),
-            xi=int(cfg.get("xi", 0)),
-            seed=seed,
-        )
-        return GrowConfig(
-            max_depth=int(cfg.get("max_depth", 3)),
-            min_samples_leaf=int(cfg.get("min_samples_leaf", 5)),
-            criterion=criterion,
-            strategy=strategy,
-            leaf=_build_leaf(cfg, als),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    criterion = SplitCriterion(
+        kind=_expect(cfg, "criterion", str, "sse"),
+        split_rank=None if "split_rank" not in cfg else _as_rank(cfg["split_rank"]),
+        decomp=_expect(cfg, "split_decomp", str, "cp"),
+        value_mode=_expect(cfg, "value_mode", str, "observed"),
+        als=als,
+    )
+    strategy = SearchStrategy(
+        kind=_expect(cfg, "strategy", str, "exhaustive"),
+        tau=float(cfg.get("tau", 1.0)),
+        xi=int(cfg.get("xi", 0)),
+        seed=seed,
+    )
+    return GrowConfig(
+        max_depth=int(cfg.get("max_depth", 3)),
+        min_samples_leaf=int(cfg.get("min_samples_leaf", 5)),
+        criterion=criterion,
+        strategy=strategy,
+        leaf=_build_leaf(cfg, als),
+    )
 
 
 def _build_prune(cfg: dict) -> PruneConfig | None:
     if cfg.get("alpha") is None:
         return None
-    try:
-        return PruneConfig(
-            alpha=float(cfg["alpha"]),
-            quality=_expect(cfg, "prune_quality", str, "variance"),
-            lae_rank=None if "prune_lae_rank" not in cfg
-            else _as_rank(cfg["prune_lae_rank"], "prune_lae_rank"),
-            als=_build_als(cfg),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return PruneConfig(
+        alpha=float(cfg["alpha"]),
+        quality=_expect(cfg, "prune_quality", str, "variance"),
+        lae_rank=None if "prune_lae_rank" not in cfg else _as_rank(cfg["prune_lae_rank"]),
+        als=_build_als(cfg),
+    )
 
 
 def _build_boosting(cfg: dict, seed: int) -> BoostingConfig:
-    try:
-        return BoostingConfig(
-            n_estimators=int(cfg.get("n_estimators", 10)),
-            learning_rate=float(cfg.get("learning_rate", 0.1)),
-            p_resample=float(cfg.get("p_resample", 0.0)),
-            tree=_build_grow(cfg, seed),
-            prune=_build_prune(cfg),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return BoostingConfig(
+        n_estimators=int(cfg.get("n_estimators", 10)),
+        learning_rate=float(cfg.get("learning_rate", 0.1)),
+        p_resample=float(cfg.get("p_resample", 0.0)),
+        tree=_build_grow(cfg, seed),
+        prune=_build_prune(cfg),
+        seed=seed,
+    )
 
 
 def _validate_fit_config(cfg: dict) -> None:
@@ -236,7 +214,7 @@ def _fit_model(cfg: dict, x: np.ndarray, y: np.ndarray, seed: int, threads: int)
                 approach=model_kind,
                 decomp=_expect(cfg, "output_decomp", str, "cp"),
                 rank=None if "output_rank" not in cfg
-                else _as_rank(cfg["output_rank"], "output_rank"),
+                else _as_rank(cfg["output_rank"]),
                 boosting=_build_boosting(cfg, seed),
                 als=_build_als(cfg),
             )

@@ -113,6 +113,44 @@ class TuckerDecomposition:
         return out
 
 
+def _check_rank(rank, family: str, name: str = "rank") -> None:
+    """Raise ``ValueError`` unless ``rank`` is a valid ``family`` rank config.
+
+    ``family`` is ``"cp"`` or ``"tucker"``.  A CP rank is an int >= 1; a
+    Tucker rank is an int >= 1 or a nonempty tuple of ints >= 1.  Extents
+    are checked later, by :func:`_resolve_ranks`.
+    """
+    if family not in ("cp", "tucker"):
+        raise ValueError(f"unknown decomposition {family!r}")
+    if rank is None:
+        raise ValueError(f"{family} needs a {name}")
+    if isinstance(rank, (int, np.integer)):
+        ok = rank >= 1
+    else:
+        ok = (family == "tucker" and isinstance(rank, (tuple, list)) and len(rank) > 0
+              and all(isinstance(r, (int, np.integer)) and r >= 1 for r in rank))
+    if not ok:
+        form = "an int >= 1" if family == "cp" else "an int >= 1 or a tuple of ints >= 1"
+        raise ValueError(f"{family} {name} must be {form}, got {rank!r}")
+
+
+def _resolve_ranks(rank, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-mode Tucker ranks for a tensor of ``shape``.
+
+    An int is clamped to each mode's extent; a tuple needs one entry per
+    mode, each in ``[1, extent]``, or ``ValueError`` is raised.
+    """
+    if isinstance(rank, (int, np.integer)):
+        return tuple(min(int(rank), d) for d in shape)
+    ranks = tuple(int(r) for r in rank)
+    if len(ranks) != len(shape):
+        raise ValueError(f"need {len(shape)} ranks, got {len(ranks)}")
+    for q, (r, d) in enumerate(zip(ranks, shape)):
+        if not 1 <= r <= d:
+            raise ValueError(f"rank {r} invalid for mode {q} with extent {d}")
+    return ranks
+
+
 def _check_finite(t: np.ndarray) -> None:
     if not np.all(np.isfinite(t)):
         raise ValueError("tensor contains non-finite entries")
@@ -187,8 +225,7 @@ def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomp
     """
     t = _as_tensor(tensor)
     _check_finite(t)
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    _check_rank(rank, "cp")
     cfg = config or AlsConfig()
 
     norm_t = frobenius_norm(t)
@@ -272,12 +309,7 @@ def tucker_als(
     """
     t = _as_tensor(tensor)
     _check_finite(t)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != t.ndim:
-        raise ValueError(f"need {t.ndim} ranks, got {len(ranks)}")
-    for q, r in enumerate(ranks):
-        if r < 1 or r > t.shape[q]:
-            raise ValueError(f"rank {r} invalid for mode {q} with extent {t.shape[q]}")
+    ranks = _resolve_ranks(tuple(ranks), t.shape)
     cfg = config or AlsConfig()
 
     norm_t = frobenius_norm(t)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rng import derive_seed, make_rng
+from .leaf_models import _check_stacked
 from .splitting import SearchStrategy
 from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
 
@@ -94,18 +95,6 @@ class ForestModel:
         return out / len(self.trees)
 
 
-def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.ndim < 3 or x.ndim > 4:
-        raise ValueError(f"stacked input must have 2 or 3 feature modes, got shape {x.shape}")
-    if y.size != x.shape[0]:
-        raise ValueError("response length does not match sample count")
-    if y.size == 0:
-        raise ValueError("need at least one sample")
-    return x, y
-
-
 def fit_boosting(x, y, config: BoostingConfig) -> BoostedModel:
     """Fit a gradient-boosted stack of tensor trees on plain residuals.
 
@@ -115,7 +104,7 @@ def fit_boosting(x, y, config: BoostingConfig) -> BoostedModel:
     every resampled stage.  Per-tree pruning is applied before the model
     update when a prune config is given.
     """
-    x, y = _check_data(x, y)
+    x, y = _check_stacked(x, y)
     n = y.size
     rng = make_rng(config.seed)
 
@@ -154,7 +143,7 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
     leverage-score strategy at fraction ``config.tau``, re-seeded per
     tree from the forest seed.
     """
-    x, y = _check_data(x, y)
+    x, y = _check_stacked(x, y)
     n = y.size
     trees: list[TensorTree] = []
     for t_index in range(config.n_trees):

@@ -23,8 +23,10 @@ from .decomposition import (
     AlsConfig,
     CPDecomposition,
     TuckerDecomposition,
+    _check_rank,
     _hosvd,
     _normalize_columns,
+    _resolve_ranks,
     _tucker_core,
 )
 from .tensor_ops import khatri_rao_all, mode_product
@@ -34,9 +36,9 @@ from .tensor_ops import khatri_rao_all, mode_product
 class LeafModelSpec:
     """Which leaf family to fit and how.
 
-    ``rank`` is an int for CP, an int or per-feature-mode tuple for
-    Tucker (an int is clamped to each mode extent), and must be None for
-    the mean model.
+    ``rank`` is an int >= 1 for CP, and an int >= 1 or a per-feature-mode
+    tuple for Tucker (an int is clamped to each mode extent, a tuple entry
+    must not exceed it); it must be None for the mean model.
     """
 
     kind: str = "mean"
@@ -49,8 +51,8 @@ class LeafModelSpec:
             raise ValueError(f"unknown leaf kind {self.kind!r}")
         if self.kind == "mean" and self.rank is not None:
             raise ValueError("mean leaves take no rank")
-        if self.kind != "mean" and self.rank is None:
-            raise ValueError(f"{self.kind} leaves need a rank")
+        if self.kind != "mean":
+            _check_rank(self.rank, self.kind)
 
 
 @dataclass
@@ -90,33 +92,40 @@ def contract(x, b):
     raise ValueError(f"shape mismatch: {x.shape} vs {b.shape}")
 
 
-def _check_xy(x: np.ndarray, y: np.ndarray) -> None:
+def _check_stacked(x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stacked inputs ``x`` (and responses ``y``, flattened) as float64, validated.
+
+    ``x`` needs 2 or 3 feature modes and at least one sample, ``y`` one
+    value per sample, and both only finite values.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 3 or x.ndim > 4:
         raise ValueError(f"stacked input must have 2 or 3 feature modes, got shape {x.shape}")
-    if y.ndim != 1 or y.size != x.shape[0]:
-        raise ValueError(f"response shape {y.shape} does not match {x.shape[0]} samples")
-    if y.size == 0:
+    if x.shape[0] == 0:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
+    if y is not None:
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if y.size != x.shape[0]:
+            raise ValueError(f"response length {y.size} does not match {x.shape[0]} samples")
+    if not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
         raise ValueError("inputs contain non-finite values")
+    return x, y
 
 
-def _resolve_tucker_ranks(rank, feature_shape: tuple[int, ...]) -> tuple[int, ...]:
-    if isinstance(rank, (int, np.integer)):
-        return tuple(min(int(rank), d) for d in feature_shape)
-    ranks = tuple(int(r) for r in rank)
-    if len(ranks) != len(feature_shape):
-        raise ValueError(f"need {len(feature_shape)} ranks, got {len(ranks)}")
-    for r, d in zip(ranks, feature_shape):
-        if r < 1 or r > d:
-            raise ValueError(f"rank {r} invalid for feature extent {d}")
-    return ranks
+def _check_features(x, feature_shape: tuple[int, ...]) -> np.ndarray:
+    """``x`` as float64, provided its feature modes have ``feature_shape``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1:] != feature_shape:
+        raise ValueError(
+            f"feature shape {x.shape[1:]} does not match training shape {feature_shape}"
+        )
+    return x
 
 
 def _parameter_count(spec: LeafModelSpec, feature_shape: tuple[int, ...]) -> int:
     if spec.kind == "cp":
         return int(spec.rank) * sum(feature_shape)
-    ranks = _resolve_tucker_ranks(spec.rank, feature_shape)
+    ranks = _resolve_ranks(spec.rank, feature_shape)
     return int(np.prod(ranks)) + sum(d * r for d, r in zip(feature_shape, ranks))
 
 
@@ -258,30 +267,24 @@ def fit_leaf(x, y, spec: LeafModelSpec) -> FittedLeafModel:
         is below :func:`min_viable_samples` the result is a mean model
         with ``fell_back=True``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    _check_xy(x, y)
+    x, y = _check_stacked(x, y)
     feature_shape = x.shape[1:]
     n = x.shape[0]
 
-    if spec.kind == "mean":
-        return FittedLeafModel(
-            kind="mean", feature_shape=feature_shape, n_samples=n, mean=float(y.mean())
-        )
-
-    if n < min_viable_samples(spec, feature_shape):
+    fell_back = spec.kind != "mean" and n < min_viable_samples(spec, feature_shape)
+    if spec.kind == "mean" or fell_back:
         return FittedLeafModel(
             kind="mean",
             feature_shape=feature_shape,
             n_samples=n,
             mean=float(y.mean()),
-            fell_back=True,
+            fell_back=fell_back,
         )
 
     if spec.kind == "cp":
         c, decomp, losses = _fit_cp_regression(x, y, int(spec.rank), spec.als, spec.intercept)
     else:
-        ranks = _resolve_tucker_ranks(spec.rank, feature_shape)
+        ranks = _resolve_ranks(spec.rank, feature_shape)
         c, decomp, losses = _fit_tucker_regression(x, y, ranks, spec.als, spec.intercept)
 
     return FittedLeafModel(
@@ -296,11 +299,7 @@ def fit_leaf(x, y, spec: LeafModelSpec) -> FittedLeafModel:
 
 def predict_leaf(model: FittedLeafModel, x) -> np.ndarray:
     """Evaluate a fitted leaf on stacked inputs, returning one value per row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != model.feature_shape:
-        raise ValueError(
-            f"feature shape {x.shape[1:]} does not match training shape {model.feature_shape}"
-        )
+    x = _check_features(x, model.feature_shape)
     n = x.shape[0]
     if model.kind == "mean":
         return np.full(n, model.mean, dtype=np.float64)

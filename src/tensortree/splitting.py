@@ -13,12 +13,16 @@ criteria score a candidate rule:
   of a low-rank regression fitted inside each child.
 
 Thresholds come either from the observed values of the coordinate or
-from its node-local mean (one candidate per coordinate).  Three search
-strategies scan the coordinate grid: exhaustive enumeration, variance-
-weighted leverage-score sampling of coordinates, and a branch-and-bound
-walk over index boxes.  With ``tau=1`` the sampler visits every useful
-coordinate and with ``xi=0`` the box walk visits every coordinate, so
-both reduce to the exhaustive result.
+from its node-local mean (one candidate per coordinate).
+
+Every entry point scores a rule through two helpers: one builds the
+rule's left-child mask, the other sums the criterion over the children
+of a mask.  The three search strategies are three coordinate orders fed
+to one scoring loop: every coordinate in row-major order (exhaustive), a
+variance-weighted sample in sorted order (leverage), or the distinct box
+midpoints of a FIFO bisection walk (branch-and-bound).  With ``tau=1``
+the sample holds every useful coordinate and with ``xi=0`` the walk
+reaches every coordinate, so both reduce to the exhaustive result.
 
 Ties are broken toward the lexicographically smallest coordinates, then
 the smallest threshold, independent of evaluation order.
@@ -47,8 +51,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import make_rng
-from .decomposition import AlsConfig, approximation_error, cp_als, tucker_als
-from .leaf_models import LeafModelSpec, fit_leaf, predict_leaf
+from .decomposition import (
+    AlsConfig,
+    _check_rank,
+    _resolve_ranks,
+    approximation_error,
+    cp_als,
+    tucker_als,
+)
+from .leaf_models import LeafModelSpec, _check_stacked, fit_leaf, predict_leaf
 
 # Relative slack on the least-squares bound of an ``lre`` candidate, as a
 # fraction of the node's sum of squared responses.
@@ -88,8 +99,10 @@ class SplitCriterion:
             raise ValueError(f"unknown value mode {self.value_mode!r}")
         if self.kind == "sse" and self.split_rank is not None:
             raise ValueError("sse takes no split_rank")
-        if self.kind != "sse" and self.split_rank is None:
-            raise ValueError(f"{self.kind} needs a split_rank")
+        if self.kind != "sse":
+            # An lre family follows the leaf spec, so only GrowConfig knows it.
+            family = self.decomp if self.kind == "lae" else "tucker"
+            _check_rank(self.split_rank, family, "split rank")
 
 
 @dataclass(frozen=True)
@@ -125,12 +138,6 @@ class SplitEvaluation:
     right_count: int
 
 
-def _check_stacked(x: np.ndarray) -> tuple[int, ...]:
-    if x.ndim < 3 or x.ndim > 4:
-        raise ValueError(f"stacked input must have 2 or 3 feature modes, got shape {x.shape}")
-    return x.shape[1:]
-
-
 def _check_coords(coords: tuple[int, ...], feature_shape: tuple[int, ...]) -> None:
     """Raise ``ValueError`` unless ``coords`` index one cell of ``feature_shape``."""
     if len(coords) != len(feature_shape):
@@ -141,12 +148,16 @@ def _check_coords(coords: tuple[int, ...], feature_shape: tuple[int, ...]) -> No
 
 
 def _column(x: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
-    _check_coords(coords, _check_stacked(x))
     return x[(slice(None),) + tuple(coords)]
 
 
-def _population_variance(y: np.ndarray) -> float:
-    return float(np.var(y))
+def _split_mask(x: np.ndarray, rule: SplitRule) -> np.ndarray:
+    """Rows of ``x`` that ``rule`` sends left."""
+    return _column(x, rule.coords) <= rule.threshold
+
+
+def _thresholds(col: np.ndarray, value_mode: str) -> np.ndarray:
+    return np.unique(col) if value_mode == "observed" else np.array([col.mean()])
 
 
 def candidate_thresholds(x, coords: tuple[int, ...], value_mode: str) -> np.ndarray:
@@ -155,94 +166,119 @@ def candidate_thresholds(x, coords: tuple[int, ...], value_mode: str) -> np.ndar
     Observed mode returns the sorted distinct values of the coordinate's
     column; mean mode returns the single node-local column mean.
     """
-    x = np.asarray(x, dtype=np.float64)
-    col = _column(x, tuple(coords))
-    if value_mode == "observed":
-        return np.unique(col)
-    if value_mode == "mean":
-        return np.array([col.mean()])
-    raise ValueError(f"unknown value mode {value_mode!r}")
-
-
-def evaluate_sse(x, y, rule: SplitRule) -> float:
-    """Sum of the two children's response variances; ``inf`` if a child is empty."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != x.shape[0]:
-        raise ValueError("response length does not match sample count")
-    mask = _column(x, tuple(rule.coords)) <= rule.threshold
-    n_left = int(mask.sum())
-    if n_left == 0 or n_left == y.size:
-        return math.inf
-    return _population_variance(y[mask]) + _population_variance(y[~mask])
-
-
-def _lae_ranks(crit: SplitCriterion, shape: tuple[int, ...]) -> tuple[int, ...]:
-    r = crit.split_rank
-    if isinstance(r, (int, np.integer)):
-        return tuple(min(int(r), d) for d in shape)
-    ranks = tuple(int(v) for v in r)
-    if len(ranks) != len(shape):
-        raise ValueError(f"need {len(shape)} split ranks, got {len(ranks)}")
-    return tuple(min(v, d) for v, d in zip(ranks, shape))
-
-
-def _lae_min_samples(crit: SplitCriterion) -> int:
-    r = crit.split_rank
-    return int(r) if isinstance(r, (int, np.integer)) else int(r[0])
+    if value_mode not in ("observed", "mean"):
+        raise ValueError(f"unknown value mode {value_mode!r}")
+    x, _ = _check_stacked(x)
+    _check_coords(tuple(coords), x.shape[1:])
+    return _thresholds(_column(x, coords), value_mode)
 
 
 def _lae_term(x_group: np.ndarray, crit: SplitCriterion) -> float:
     """One child's low-rank reconstruction error.
 
-    Groups too small to support the split rank fall back to the error of
-    the mean tensor, which keeps every candidate comparable and never
-    consults the responses.
+    Groups with fewer samples than the observation-mode rank fall back to
+    the error of the mean tensor, which keeps every candidate comparable
+    and never consults the responses.
     """
-    n = x_group.shape[0]
-    if n < max(1, _lae_min_samples(crit)):
+    rank = crit.split_rank
+    if x_group.shape[0] < (rank if isinstance(rank, (int, np.integer)) else rank[0]):
         diff = x_group - x_group.mean(axis=0)
         return float(np.dot(diff.ravel(), diff.ravel()))
     if crit.decomp == "cp":
-        decomp, _ = cp_als(x_group, int(crit.split_rank), crit.als)
+        decomp, _ = cp_als(x_group, int(rank), crit.als)
     else:
-        decomp, _ = tucker_als(x_group, _lae_ranks(crit, x_group.shape), crit.als)
+        decomp, _ = tucker_als(x_group, _resolve_ranks(rank, x_group.shape), crit.als)
     return approximation_error(x_group, decomp)
 
 
-def evaluate_lae(x, rule: SplitRule, criterion: SplitCriterion) -> float:
-    """Summed low-rank reconstruction error over the two children; ``inf`` if one is empty."""
-    if criterion.kind != "lae":
-        raise ValueError("criterion kind must be 'lae'")
-    x = np.asarray(x, dtype=np.float64)
-    mask = _column(x, tuple(rule.coords)) <= rule.threshold
-    n_left = int(mask.sum())
-    if n_left == 0 or n_left == x.shape[0]:
-        return math.inf
-    return _lae_term(x[mask], criterion) + _lae_term(x[~mask], criterion)
-
-
-def _lre_spec(criterion: SplitCriterion, leaf: LeafModelSpec | None) -> LeafModelSpec:
-    """Regression spec used inside the LRE criterion.
+def _lre_spec(criterion: SplitCriterion, leaf: LeafModelSpec | None) -> LeafModelSpec | None:
+    """Regression spec used inside the LRE criterion; None for the other criteria.
 
     The split rank comes from the criterion (it may differ from the leaf
     regression rank); family and intercept follow the leaf spec when one
     is given, otherwise the criterion's ``decomp``.
     """
+    if criterion.kind != "lre":
+        return None
     kind = criterion.decomp
     intercept = True
     if leaf is not None and leaf.kind != "mean":
         kind = leaf.kind
         intercept = leaf.intercept
+    _check_rank(criterion.split_rank, kind, "split rank")
     return LeafModelSpec(
         kind=kind, rank=criterion.split_rank, als=criterion.als, intercept=intercept
     )
+
+
+def _check_ranks(criterion: SplitCriterion, leaf: LeafModelSpec | None,
+                 feature_shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless the tuple ranks of a grow config fit ``feature_shape``.
+
+    Leaf and ``lre`` ranks cover the feature modes.  An ``lae`` Tucker
+    rank leads with the observation mode, whose extent is the node size
+    (a smaller node falls back to the mean), so only its length and
+    feature entries are checked here.
+    """
+    for spec in (leaf, _lre_spec(criterion, leaf)):
+        if spec is not None and spec.kind == "tucker":
+            _resolve_ranks(spec.rank, feature_shape)
+    rank = criterion.split_rank
+    if criterion.kind == "lae" and criterion.decomp == "tucker" and isinstance(rank, (tuple, list)):
+        _resolve_ranks(rank, (rank[0],) + tuple(feature_shape))
 
 
 def _lre_term(x_group: np.ndarray, y_group: np.ndarray, spec: LeafModelSpec) -> float:
     model = fit_leaf(x_group, y_group, spec)
     resid = y_group - predict_leaf(model, x_group)
     return float(np.dot(resid, resid))
+
+
+def _group_loss(x, y, criterion: SplitCriterion, spec, rows=slice(None)) -> float:
+    """The criterion on the node rows ``rows`` (default: all) taken as one group."""
+    if criterion.kind == "sse":
+        return float(np.var(y[rows]))
+    if criterion.kind == "lae":
+        return _lae_term(x[rows], criterion)
+    return _lre_term(x[rows], y[rows], spec)
+
+
+def _children_loss(x, y, mask: np.ndarray, criterion: SplitCriterion, spec) -> float:
+    """The criterion summed over the two children of the left-child ``mask``.
+
+    ``spec`` is :func:`_lre_spec` of the criterion.  Under ``sse`` this is
+    ``np.var(y[mask]) + np.var(y[~mask])``, the arithmetic every search
+    reports, so that rules inducing the same partition tie exactly.
+    """
+    return (_group_loss(x, y, criterion, spec, mask)
+            + _group_loss(x, y, criterion, spec, ~mask))
+
+
+def _checked_split(x, y, rule: SplitRule):
+    """Validated ``(x, y, mask)`` for ``rule``; ``mask`` is None when a child is empty."""
+    x, y = _check_stacked(x, y)
+    _check_coords(tuple(rule.coords), x.shape[1:])
+    mask = _split_mask(x, rule)
+    return x, y, mask if 0 < int(mask.sum()) < x.shape[0] else None
+
+
+def _evaluate(x, y, rule: SplitRule, criterion: SplitCriterion, kind: str, leaf=None) -> float:
+    if criterion.kind != kind:
+        raise ValueError(f"criterion kind must be {kind!r}")
+    x, y, mask = _checked_split(x, y, rule)
+    if mask is None:
+        return math.inf
+    return _children_loss(x, y, mask, criterion, _lre_spec(criterion, leaf))
+
+
+def evaluate_sse(x, y, rule: SplitRule) -> float:
+    """Sum of the two children's response variances; ``inf`` if a child is empty."""
+    return _evaluate(x, y, rule, SplitCriterion(kind="sse"), "sse")
+
+
+def evaluate_lae(x, rule: SplitRule, criterion: SplitCriterion) -> float:
+    """Summed low-rank reconstruction error over the two children; ``inf`` if one is empty."""
+    return _evaluate(x, None, rule, criterion, "lae")
 
 
 def _affine_design(x: np.ndarray) -> np.ndarray:
@@ -271,18 +307,7 @@ def _lre_bound(design: np.ndarray, y: np.ndarray, mask: np.ndarray, limit: float
 
 def evaluate_lre(x, y, rule: SplitRule, criterion: SplitCriterion, leaf: LeafModelSpec | None = None) -> float:
     """Summed squared training residuals of per-child low-rank regressions."""
-    if criterion.kind != "lre":
-        raise ValueError("criterion kind must be 'lre'")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != x.shape[0]:
-        raise ValueError("response length does not match sample count")
-    mask = _column(x, tuple(rule.coords)) <= rule.threshold
-    n_left = int(mask.sum())
-    if n_left == 0 or n_left == x.shape[0]:
-        return math.inf
-    spec = _lre_spec(criterion, leaf)
-    return _lre_term(x[mask], y[mask], spec) + _lre_term(x[~mask], y[~mask], spec)
+    return _evaluate(x, y, rule, criterion, "lre", leaf)
 
 
 def node_criterion_value(x, y, criterion: SplitCriterion, leaf: LeafModelSpec | None = None) -> float:
@@ -294,13 +319,8 @@ def node_criterion_value(x, y, criterion: SplitCriterion, leaf: LeafModelSpec | 
     directly comparable to a candidate split's loss, which is how tree
     growth decides whether a split actually improves on not splitting.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if criterion.kind == "sse":
-        return _population_variance(y)
-    if criterion.kind == "lae":
-        return _lae_term(x, criterion)
-    return _lre_term(x, y, _lre_spec(criterion, leaf))
+    x, y = _check_stacked(x, y)
+    return _group_loss(x, y, criterion, _lre_spec(criterion, leaf))
 
 
 def split_gain(x, y, rule: SplitRule, criterion: SplitCriterion, leaf: LeafModelSpec | None = None) -> float:
@@ -310,27 +330,16 @@ def split_gain(x, y, rule: SplitRule, criterion: SplitCriterion, leaf: LeafModel
     unsplit criterion value; constant responses and pure-noise regions
     therefore yield no admissible gain.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    mask = _column(x, tuple(rule.coords)) <= rule.threshold
-    n_left = int(mask.sum())
-    if n_left == 0 or n_left == x.shape[0]:
+    x, y, mask = _checked_split(x, y, rule)
+    if mask is None:
         return -math.inf
-    parent = node_criterion_value(x, y, criterion, leaf)
-    if criterion.kind == "sse":
-        children = _population_variance(y[mask]) + _population_variance(y[~mask])
-    elif criterion.kind == "lae":
-        children = _lae_term(x[mask], criterion) + _lae_term(x[~mask], criterion)
-    else:
-        spec = _lre_spec(criterion, leaf)
-        children = _lre_term(x[mask], y[mask], spec) + _lre_term(x[~mask], y[~mask], spec)
-    return parent - children
+    spec = _lre_spec(criterion, leaf)
+    return _group_loss(x, y, criterion, spec) - _children_loss(x, y, mask, criterion, spec)
 
 
 def variance_matrix(x) -> np.ndarray:
     """Per-coordinate population variance table over the observation mode."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_stacked(x)
+    x, _ = _check_stacked(x)
     return x.var(axis=0)
 
 
@@ -364,14 +373,15 @@ def _scan_sse_observed(col: np.ndarray, y: np.ndarray, min_child: int):
     return float(loss[j]), float(v[j]), int(k[j]), int(n - k[j])
 
 
-def _eval_coord(x, y, coords, criterion, leaf, min_child, best_loss):
+def _eval_coord(x, y, coords, criterion, spec, min_child, best_loss):
     """Best admissible threshold at one coordinate, or None.
 
-    ``best_loss`` is the best loss the search has found so far.  Under
-    ``lre``, thresholds whose least-squares bound exceeds it (or this
-    coordinate's own best) by more than the margin are not fitted; they
-    could not win, so the result is the same as an unbounded scan
-    whenever it can beat ``best_loss``.
+    ``spec`` is :func:`_lre_spec` of the criterion.  ``best_loss`` is the
+    best loss the search has found so far.  Under ``lre``, thresholds
+    whose least-squares bound exceeds it (or this coordinate's own best)
+    by more than the margin are not fitted; they could not win, so the
+    result is the same as an unbounded scan whenever it can beat
+    ``best_loss``.
     """
     col = _column(x, coords)
     n = col.size
@@ -380,38 +390,32 @@ def _eval_coord(x, y, coords, criterion, leaf, min_child, best_loss):
         if hit is None:
             return None
         # The prefix scan only locates the best threshold; the reported
-        # loss is recomputed with the same arithmetic as evaluate_sse so
-        # that rules inducing identical partitions from different
-        # coordinates compare exactly equal during tie-breaking.
+        # loss is recomputed by the shared child loss so that rules
+        # inducing identical partitions from different coordinates
+        # compare exactly equal during tie-breaking.
         _, thr, nl, nr = hit
-        mask = col <= thr
-        loss = _population_variance(y[mask]) + _population_variance(y[~mask])
-        return SplitEvaluation(SplitRule(coords, thr), float(loss), nl, nr)
+        rule = SplitRule(coords, thr)
+        loss = _children_loss(x, y, _split_mask(x, rule), criterion, spec)
+        return SplitEvaluation(rule, loss, nl, nr)
 
-    thresholds = candidate_thresholds(x, coords, criterion.value_mode)
     if criterion.kind == "lre":
-        spec = _lre_spec(criterion, leaf)
         design = _affine_design(x)
         margin = BOUND_MARGIN * float(np.dot(y, y))
     best = None
-    for thr in thresholds:
-        mask = col <= thr
+    for thr in _thresholds(col, criterion.value_mode):
+        rule = SplitRule(coords, float(thr))
+        mask = _split_mask(x, rule)
         nl = int(mask.sum())
         nr = n - nl
         if nl < min_child or nr < min_child:
             continue
         if criterion.kind == "lre":
-            limit = min(best_loss, _loss(best)) + margin
+            limit = min(best_loss, _best_loss(best)) + margin
             if limit < math.inf and _lre_bound(design, y, mask, limit) > limit:
                 continue
-        if criterion.kind == "sse":
-            loss = _population_variance(y[mask]) + _population_variance(y[~mask])
-        elif criterion.kind == "lae":
-            loss = _lae_term(x[mask], criterion) + _lae_term(x[~mask], criterion)
-        else:
-            loss = _lre_term(x[mask], y[mask], spec) + _lre_term(x[~mask], y[~mask], spec)
+        loss = _children_loss(x, y, mask, criterion, spec)
         if best is None or loss < best.loss:
-            best = SplitEvaluation(SplitRule(coords, float(thr)), float(loss), nl, nr)
+            best = SplitEvaluation(rule, loss, nl, nr)
     return best
 
 
@@ -424,32 +428,75 @@ def _better(cand: SplitEvaluation, best: SplitEvaluation | None) -> bool:
     return (cand.rule.coords, cand.rule.threshold) < (best.rule.coords, best.rule.threshold)
 
 
-def _loss(best: SplitEvaluation | None) -> float:
+def _best_loss(best: SplitEvaluation | None) -> float:
     return math.inf if best is None else best.loss
 
 
-def _prepare(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    feature_shape = _check_stacked(x)
-    if y.size != x.shape[0]:
-        raise ValueError("response length does not match sample count")
+# --- coordinate orders ------------------------------------------------------
+
+
+def _leverage_order(x: np.ndarray, strategy: SearchStrategy) -> list[tuple[int, ...]]:
+    """A variance-weighted sample of coordinates, sorted.
+
+    ``ceil(tau * grid size)`` coordinates are drawn without replacement
+    with probability proportional to their per-coordinate variance
+    (constant coordinates are never drawn), using a weighted reservoir
+    keyed by the strategy seed.
+    """
+    variances = x.var(axis=0).ravel()
+    nz = np.flatnonzero(variances > 0.0)
+    k = min(int(math.ceil(strategy.tau * variances.size)), int(nz.size))
+    keys = make_rng(strategy.seed).random(nz.size) ** (1.0 / variances[nz])
+    chosen = nz[np.argsort(keys, kind="stable")[nz.size - k:]]
+    return sorted(tuple(int(c) for c in np.unravel_index(flat, x.shape[1:])) for flat in chosen)
+
+
+def _bb_order(feature_shape: tuple[int, ...], xi: int) -> list[tuple[int, ...]]:
+    """Distinct box midpoints of a FIFO bisection walk, in first-visit order.
+
+    The queue starts from the full per-mode index box.  Each box's first
+    mode wider than ``xi`` is bisected and both halves are enqueued,
+    whatever the midpoint scores, so the order is fixed in advance.
+    """
+    queue = deque([tuple((0, d - 1) for d in feature_shape)])
+    mids: dict[tuple[int, ...], None] = {}
+    while queue:
+        box = queue.popleft()
+        mids.setdefault(tuple((lo + hi) // 2 for lo, hi in box))
+        for i, (lo, hi) in enumerate(box):
+            if hi - lo > xi:
+                m = (lo + hi) // 2
+                queue.append(box[:i] + ((lo, m),) + box[i + 1:])
+                queue.append(box[:i] + ((m + 1, hi),) + box[i + 1:])
+                break
+    return list(mids)
+
+
+def _search(x, y, criterion, strategy, leaf, min_child) -> SplitEvaluation | None:
+    """Score the strategy's coordinates in order, keeping the best under the tie-break."""
+    x, y = _check_stacked(x, y)
     if x.shape[0] < 2:
         raise ValueError("need at least two samples to split")
-    return x, y, feature_shape
+    if strategy.kind == "exhaustive":
+        order = np.ndindex(*x.shape[1:])
+    elif strategy.kind == "leverage":
+        order = _leverage_order(x, strategy)
+    else:
+        order = _bb_order(x.shape[1:], int(strategy.xi))
+    spec = _lre_spec(criterion, leaf)
+    best = None
+    for coords in order:
+        cand = _eval_coord(x, y, coords, criterion, spec, min_child, _best_loss(best))
+        if cand is not None and _better(cand, best):
+            best = cand
+    return best
 
 
 def find_best_split_exhaustive(
     x, y, criterion: SplitCriterion, leaf: LeafModelSpec | None = None, *, min_child: int = 1
 ) -> SplitEvaluation | None:
     """Scan every coordinate and candidate threshold; None if nothing is admissible."""
-    x, y, feature_shape = _prepare(x, y)
-    best = None
-    for coords in np.ndindex(*feature_shape):
-        cand = _eval_coord(x, y, coords, criterion, leaf, min_child, _loss(best))
-        if cand is not None and _better(cand, best):
-            best = cand
-    return best
+    return _search(x, y, criterion, SearchStrategy(), leaf, min_child)
 
 
 def find_best_split_leverage(
@@ -463,33 +510,12 @@ def find_best_split_leverage(
 ) -> SplitEvaluation | None:
     """Exhaust thresholds within a variance-weighted sample of coordinates.
 
-    ``ceil(tau * grid size)`` coordinates are drawn without replacement
-    with probability proportional to their per-coordinate variance
-    (constant coordinates are never drawn), using a weighted reservoir
-    keyed by the strategy seed.  With ``tau=1`` every non-constant
+    See :func:`_leverage_order`; with ``tau=1`` every non-constant
     coordinate is scanned, which reproduces the exhaustive result.
     """
-    x, y, feature_shape = _prepare(x, y)
     if strategy.kind != "leverage":
         raise ValueError("strategy kind must be 'leverage'")
-    variances = variance_matrix(x).ravel()
-    nz = np.flatnonzero(variances > 0.0)
-    if nz.size == 0:
-        return None
-    k = min(int(math.ceil(strategy.tau * variances.size)), int(nz.size))
-    rng = make_rng(strategy.seed)
-    u = rng.random(nz.size)
-    keys = u ** (1.0 / variances[nz])
-    chosen = nz[np.argsort(keys, kind="stable")[-k:]]
-    coord_list = sorted(
-        tuple(int(c) for c in np.unravel_index(flat, feature_shape)) for flat in chosen
-    )
-    best = None
-    for coords in coord_list:
-        cand = _eval_coord(x, y, coords, criterion, leaf, min_child, _loss(best))
-        if cand is not None and _better(cand, best):
-            best = cand
-    return best
+    return _search(x, y, criterion, strategy, leaf, min_child)
 
 
 def find_best_split_bb(
@@ -503,43 +529,15 @@ def find_best_split_bb(
 ) -> SplitEvaluation | None:
     """Branch-and-bound walk over index boxes of the coordinate grid.
 
-    A FIFO queue starts from the full per-mode index box.  Each box is
-    scored at its midpoint coordinates; the first mode whose index range
-    is wider than ``xi`` is bisected and both halves enqueued.  With
-    ``xi=0`` every coordinate is eventually a singleton box, so the walk
-    reproduces the exhaustive result; large ``xi`` stops at the global
-    midpoint.  The midpoint score itself is the box's bound (no
-    relaxation), so for ``xi > 0`` this is a structured search heuristic
-    rather than an exact method.
+    See :func:`_bb_order`.  With ``xi=0`` every coordinate is eventually a
+    singleton box, so the walk reproduces the exhaustive result; large
+    ``xi`` stops at the global midpoint.  The midpoint score itself is the
+    box's bound (no relaxation), so for ``xi > 0`` this is a structured
+    search heuristic rather than an exact method.
     """
-    x, y, feature_shape = _prepare(x, y)
     if strategy.kind != "bb":
         raise ValueError("strategy kind must be 'bb'")
-    xi = int(strategy.xi)
-    queue = deque([tuple((0, d - 1) for d in feature_shape)])
-    cache: dict[tuple[int, ...], SplitEvaluation | None] = {}
-    best = None
-    while queue:
-        box = queue.popleft()
-        mid = tuple((lo + hi) // 2 for lo, hi in box)
-        if mid in cache:
-            cand = cache[mid]
-        else:
-            cand = _eval_coord(x, y, mid, criterion, leaf, min_child, _loss(best))
-            cache[mid] = cand
-        if cand is not None and _better(cand, best):
-            best = cand
-        for i, (lo, hi) in enumerate(box):
-            if hi - lo > xi:
-                m = (lo + hi) // 2
-                left = list(box)
-                right = list(box)
-                left[i] = (lo, m)
-                right[i] = (m + 1, hi)
-                queue.append(tuple(left))
-                queue.append(tuple(right))
-                break
-    return best
+    return _search(x, y, criterion, strategy, leaf, min_child)
 
 
 def find_best_split(
@@ -551,9 +549,5 @@ def find_best_split(
     *,
     min_child: int = 1,
 ) -> SplitEvaluation | None:
-    """Dispatch to the search named by ``strategy.kind``."""
-    if strategy.kind == "exhaustive":
-        return find_best_split_exhaustive(x, y, criterion, leaf, min_child=min_child)
-    if strategy.kind == "leverage":
-        return find_best_split_leverage(x, y, criterion, strategy, leaf, min_child=min_child)
-    return find_best_split_bb(x, y, criterion, strategy, leaf, min_child=min_child)
+    """Best rule under the search named by ``strategy.kind``; None if nothing is admissible."""
+    return _search(x, y, criterion, strategy, leaf, min_child)

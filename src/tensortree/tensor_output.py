@@ -27,8 +27,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rng import derive_seed
-from .decomposition import AlsConfig, CPDecomposition, cp_als, tucker_als
+from .decomposition import (
+    AlsConfig,
+    CPDecomposition,
+    _check_rank,
+    _resolve_ranks,
+    cp_als,
+    tucker_als,
+)
 from .ensemble import BoostedModel, BoostingConfig, fit_boosting
+from .leaf_models import _check_stacked
 from .tensor_ops import mode_product
 
 
@@ -52,8 +60,8 @@ class OutputConfig:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.decomp not in ("cp", "tucker"):
             raise ValueError(f"unknown decomposition {self.decomp!r}")
-        if self.approach == "lowrank" and self.rank is None:
-            raise ValueError("lowrank approach needs a rank")
+        if self.approach == "lowrank":
+            _check_rank(self.rank, self.decomp, "output rank")
 
 
 class TensorOutputModel:
@@ -81,11 +89,10 @@ class TensorOutputModel:
         return predict_tensor(self, x)
 
 
-def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
+def _check_output(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Checked stacked inputs, and a stacked output with one or two modes per row."""
+    x, _ = _check_stacked(x)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim < 3 or x.ndim > 4:
-        raise ValueError(f"stacked input must have 2 or 3 feature modes, got shape {x.shape}")
     if y.ndim < 2 or y.ndim > 3:
         raise ValueError(f"stacked output must have 1 or 2 feature modes, got shape {y.shape}")
     if y.shape[0] != x.shape[0]:
@@ -95,7 +102,16 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _fit_many(jobs, n_threads: int) -> list[BoostedModel]:
+def _fit_columns(x, targets: np.ndarray, boosting: BoostingConfig,
+                 n_threads: int) -> list[BoostedModel]:
+    """One boosted ensemble per column of ``targets``, seeded by the column index."""
+
+    def make_job(col: int):
+        cfg = replace(boosting, seed=derive_seed(boosting.seed, col))
+        target = targets[:, col]
+        return lambda: fit_boosting(x, target, cfg)
+
+    jobs = [make_job(c) for c in range(targets.shape[1])]
     if n_threads <= 1:
         return [job() for job in jobs]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -105,28 +121,9 @@ def _fit_many(jobs, n_threads: int) -> list[BoostedModel]:
 
 def fit_entrywise(x, y, config: OutputConfig, n_threads: int = 1) -> TensorOutputModel:
     """One boosted ensemble per output entry, fitted independently."""
-    x, y = _check_xy(x, y)
-    output_shape = y.shape[1:]
-    flat = y.reshape(y.shape[0], -1)
-    base_seed = config.boosting.seed
-
-    def make_job(entry: int):
-        cfg = replace(config.boosting, seed=derive_seed(base_seed, entry))
-        target = flat[:, entry]
-        return lambda: fit_boosting(x, target, cfg)
-
-    ensembles = _fit_many([make_job(e) for e in range(flat.shape[1])], n_threads)
-    return TensorOutputModel("entrywise", output_shape, ensembles)
-
-
-def _output_ranks(config: OutputConfig, shape: tuple[int, ...]) -> tuple[int, ...]:
-    r = config.rank
-    if isinstance(r, (int, np.integer)):
-        return tuple(min(int(r), d) for d in shape)
-    ranks = tuple(int(v) for v in r)
-    if len(ranks) != len(shape):
-        raise ValueError(f"need {len(shape)} output ranks, got {len(ranks)}")
-    return tuple(min(v, d) for v, d in zip(ranks, shape))
+    x, y = _check_output(x, y)
+    ensembles = _fit_columns(x, y.reshape(y.shape[0], -1), config.boosting, n_threads)
+    return TensorOutputModel("entrywise", y.shape[1:], ensembles)
 
 
 def fit_lowrank(x, y, config: OutputConfig, n_threads: int = 1) -> TensorOutputModel:
@@ -137,38 +134,21 @@ def fit_lowrank(x, y, config: OutputConfig, n_threads: int = 1) -> TensorOutputM
     time; only the observation-mode factor is modeled as a function of
     the input.
     """
-    x, y = _check_xy(x, y)
-    output_shape = y.shape[1:]
-    base_seed = config.boosting.seed
-
+    x, y = _check_output(x, y)
     if config.decomp == "cp":
-        if not isinstance(config.rank, (int, np.integer)):
-            raise ValueError("cp output decomposition takes an integer rank")
         decomp, _ = cp_als(y, int(config.rank), config.als)
-        obs_factor = decomp.factors[0]
-        frozen = decomp.factors[1:]
         weights, core = decomp.weights, None
     else:
-        ranks = _output_ranks(config, y.shape)
-        decomp, _ = tucker_als(y, ranks, config.als)
-        obs_factor = decomp.factors[0]
-        frozen = decomp.factors[1:]
+        decomp, _ = tucker_als(y, _resolve_ranks(config.rank, y.shape), config.als)
         weights, core = None, decomp.core
-
-    def make_job(col: int):
-        cfg = replace(config.boosting, seed=derive_seed(base_seed, col))
-        target = obs_factor[:, col]
-        return lambda: fit_boosting(x, target, cfg)
-
-    ensembles = _fit_many([make_job(c) for c in range(obs_factor.shape[1])], n_threads)
     return TensorOutputModel(
         "lowrank",
-        output_shape,
-        ensembles,
+        y.shape[1:],
+        _fit_columns(x, decomp.factors[0], config.boosting, n_threads),
         decomp_kind=config.decomp,
         weights=weights,
         core=core,
-        output_factors=frozen,
+        output_factors=decomp.factors[1:],
     )
 
 
@@ -192,9 +172,7 @@ def reconstruct_from_observation_factor(model: TensorOutputModel, obs_factor: np
 def predict_tensor(model: TensorOutputModel, x) -> np.ndarray:
     """Predict a stacked output tensor of shape ``(n,) + output_shape``."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    columns = np.column_stack([ens.predict(x) for ens in model.ensembles])
     if model.kind == "entrywise":
-        columns = [ens.predict(x) for ens in model.ensembles]
-        return np.column_stack(columns).reshape((n,) + model.output_shape)
-    obs = np.column_stack([ens.predict(x) for ens in model.ensembles])
-    return reconstruct_from_observation_factor(model, obs)
+        return columns.reshape((x.shape[0],) + model.output_shape)
+    return reconstruct_from_observation_factor(model, columns)

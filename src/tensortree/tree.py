@@ -22,20 +22,29 @@ ensembles, drop them, so they predict but cannot be pruned further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomposition import AlsConfig
-from .leaf_models import FittedLeafModel, LeafModelSpec, fit_leaf, predict_leaf
+from .decomposition import AlsConfig, _check_rank
+from .leaf_models import (
+    FittedLeafModel,
+    LeafModelSpec,
+    _check_features,
+    _check_stacked,
+    fit_leaf,
+    predict_leaf,
+)
 from .splitting import (
     SearchStrategy,
     SplitCriterion,
     SplitRule,
+    _check_ranks,
+    _group_loss,
     _lae_term,
     _lre_spec,
+    _split_mask,
     find_best_split,
-    node_criterion_value,
 )
 
 GAIN_TOLERANCE = 1e-12
@@ -57,11 +66,8 @@ class GrowConfig:
             raise ValueError("max_depth must be >= 0")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        crit = self.criterion
-        if crit.kind != "sse":
-            family = _lre_spec(crit, self.leaf).kind if crit.kind == "lre" else crit.decomp
-            if family == "cp" and not isinstance(crit.split_rank, (int, np.integer)):
-                raise ValueError(f"a CP split rank must be an int, got {crit.split_rank!r}")
+        # Raises when the lre family, which follows the leaf, rejects the split rank.
+        _lre_spec(self.criterion, self.leaf)
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,8 @@ class PruneConfig:
             raise ValueError("alpha must be >= 0")
         if self.quality not in ("variance", "tensor_loss", "lae"):
             raise ValueError(f"unknown quality {self.quality!r}")
-        if self.quality == "lae" and self.lae_rank is None:
-            raise ValueError("lae quality needs lae_rank")
+        if self.quality == "lae" or self.lae_rank is not None:
+            _check_rank(self.lae_rank, self.lae_decomp, "lae_rank")
 
 
 @dataclass
@@ -106,6 +112,13 @@ class SplitNode:
     right: "LeafNode | SplitNode"
 
 
+def _leaves(node) -> list[LeafNode]:
+    """The leaves under ``node``, left to right."""
+    if isinstance(node, LeafNode):
+        return [node]
+    return _leaves(node.left) + _leaves(node.right)
+
+
 class TensorTree:
     """A fitted recursive partition with per-leaf models."""
 
@@ -122,24 +135,11 @@ class TensorTree:
         self.config = config
         self._x = x_train
         self._y = y_train
-        self._number_leaves()
-
-    def _number_leaves(self) -> None:
         for i, leaf in enumerate(self.leaves()):
             leaf.leaf_id = i
 
     def leaves(self) -> list[LeafNode]:
-        out: list[LeafNode] = []
-
-        def walk(node) -> None:
-            if isinstance(node, LeafNode):
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        return _leaves(self.root)
 
     def drop_training_data(self) -> None:
         """Forget the training arrays and leaf row indices; prediction needs neither."""
@@ -159,50 +159,41 @@ class TensorTree:
 
         return walk(self.root)
 
-    def _check_features(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[1:] != self.feature_shape:
-            raise ValueError(
-                f"feature shape {x.shape[1:]} does not match training shape {self.feature_shape}"
-            )
-        return x
+    def _route(self, x: np.ndarray):
+        """Yield ``(leaf, rows)`` for each leaf that rows of ``x`` reach.
+
+        Raises ``ValueError`` when a value that a split routes on is not
+        finite; values no split reads are not inspected.
+        """
+        stack = [(self.root, np.arange(x.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if rows.size == 0:
+                continue
+            if isinstance(node, LeafNode):
+                yield node, rows
+                continue
+            col = x[(rows,) + tuple(node.rule.coords)]
+            if not np.isfinite(col).all():
+                raise ValueError(f"non-finite input at split coords {tuple(node.rule.coords)}")
+            go_left = col <= node.rule.threshold
+            stack.append((node.right, rows[~go_left]))
+            stack.append((node.left, rows[go_left]))
 
     def predict(self, x) -> np.ndarray:
         """Route each row to its leaf and evaluate that leaf's model."""
-        x = self._check_features(x)
+        x = _check_features(x, self.feature_shape)
         out = np.empty(x.shape[0], dtype=np.float64)
-
-        def walk(node, rows: np.ndarray) -> None:
-            if rows.size == 0:
-                return
-            if isinstance(node, LeafNode):
-                out[rows] = predict_leaf(node.model, x[rows])
-                return
-            col = x[(rows,) + tuple(node.rule.coords)]
-            go_left = col <= node.rule.threshold
-            walk(node.left, rows[go_left])
-            walk(node.right, rows[~go_left])
-
-        walk(self.root, np.arange(x.shape[0]))
+        for leaf, rows in self._route(x):
+            out[rows] = predict_leaf(leaf.model, x[rows])
         return out
 
     def apply(self, x) -> np.ndarray:
         """Leaf id reached by each row (depth-first, left-to-right numbering)."""
-        x = self._check_features(x)
+        x = _check_features(x, self.feature_shape)
         out = np.empty(x.shape[0], dtype=np.int64)
-
-        def walk(node, rows: np.ndarray) -> None:
-            if rows.size == 0:
-                return
-            if isinstance(node, LeafNode):
-                out[rows] = node.leaf_id
-                return
-            col = x[(rows,) + tuple(node.rule.coords)]
-            go_left = col <= node.rule.threshold
-            walk(node.left, rows[go_left])
-            walk(node.right, rows[~go_left])
-
-        walk(self.root, np.arange(x.shape[0]))
+        for leaf, rows in self._route(x):
+            out[rows] = leaf.leaf_id
         return out
 
 
@@ -219,45 +210,42 @@ def _make_leaf(x: np.ndarray, y: np.ndarray, indices: np.ndarray, spec: LeafMode
     )
 
 
+def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec):
+    """The subtree grown on rows ``indices`` of checked inputs, ``depth`` levels down.
+
+    A module-level function rather than a closure in :func:`grow`: a
+    recursive closure is a reference cycle, which would keep each tree's
+    training arrays alive until the next garbage collection.
+    """
+    n = indices.size
+    if depth < config.max_depth and n >= max(2, 2 * config.min_samples_leaf):
+        xs, ys = x[indices], y[indices]
+        best = find_best_split(
+            xs,
+            ys,
+            config.criterion,
+            config.strategy,
+            config.leaf,
+            min_child=config.min_samples_leaf,
+        )
+        if best is not None:
+            # The search already scored the winning rule's children.
+            gain = _group_loss(xs, ys, config.criterion, spec) - best.loss
+            if gain > GAIN_TOLERANCE:
+                go_left = _split_mask(xs, best.rule)
+                return SplitNode(
+                    rule=best.rule,
+                    left=_build(x, y, indices[go_left], depth + 1, config, spec),
+                    right=_build(x, y, indices[~go_left], depth + 1, config, spec),
+                )
+    return _make_leaf(x, y, indices, config.leaf)
+
+
 def grow(x, y, config: GrowConfig) -> TensorTree:
     """Fit a tensor tree on stacked inputs ``x`` and responses ``y``."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.ndim < 3 or x.ndim > 4:
-        raise ValueError(f"stacked input must have 2 or 3 feature modes, got shape {x.shape}")
-    if y.size != x.shape[0]:
-        raise ValueError("response length does not match sample count")
-    if y.size == 0:
-        raise ValueError("need at least one sample")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("inputs contain non-finite values")
-
-    def build(indices: np.ndarray, depth: int):
-        n = indices.size
-        if depth < config.max_depth and n >= max(2, 2 * config.min_samples_leaf):
-            xs, ys = x[indices], y[indices]
-            best = find_best_split(
-                xs,
-                ys,
-                config.criterion,
-                config.strategy,
-                config.leaf,
-                min_child=config.min_samples_leaf,
-            )
-            if best is not None:
-                # The search already scored the winning rule's children.
-                gain = node_criterion_value(xs, ys, config.criterion, config.leaf) - best.loss
-                if gain > GAIN_TOLERANCE:
-                    col = xs[(slice(None),) + tuple(best.rule.coords)]
-                    go_left = col <= best.rule.threshold
-                    return SplitNode(
-                        rule=best.rule,
-                        left=build(indices[go_left], depth + 1),
-                        right=build(indices[~go_left], depth + 1),
-                    )
-        return _make_leaf(x, y, indices, config.leaf)
-
-    root = build(np.arange(x.shape[0]), 0)
+    x, y = _check_stacked(x, y)
+    _check_ranks(config.criterion, config.leaf, x.shape[1:])
+    root = _build(x, y, np.arange(x.shape[0]), 0, config, _lre_spec(config.criterion, config.leaf))
     return TensorTree(root, x.shape[1:], config, x_train=x, y_train=y)
 
 
@@ -268,9 +256,11 @@ def _leaf_quality(tree: TensorTree, leaf: LeafNode, p: PruneConfig) -> float:
         return leaf.model_mse
     if tree._x is None:
         raise ValueError("lae quality needs the training inputs retained on the tree")
-    xs = tree._x[leaf.indices]
-    crit = SplitCriterion(kind="lae", split_rank=p.lae_rank, decomp=p.lae_decomp, als=p.als)
-    return _lae_term(xs, crit) / leaf.n
+    return _lae_term(tree._x[leaf.indices], _lae_criterion(p)) / leaf.n
+
+
+def _lae_criterion(p: PruneConfig) -> SplitCriterion:
+    return SplitCriterion(kind="lae", split_rank=p.lae_rank, decomp=p.lae_decomp, als=p.als)
 
 
 def complexity(tree: TensorTree, p: PruneConfig) -> float:
@@ -289,6 +279,8 @@ def prune(tree: TensorTree, p: PruneConfig) -> TensorTree:
     """
     if tree._x is None or tree._y is None or tree.config is None:
         raise ValueError("pruning needs a tree fitted in this process with retained data")
+    if p.quality == "lae":
+        _check_ranks(_lae_criterion(p), None, tree.feature_shape)
     x, y = tree._x, tree._y
     spec = tree.config.leaf
 
@@ -299,17 +291,11 @@ def prune(tree: TensorTree, p: PruneConfig) -> TensorTree:
 
     def walk(node):
         if isinstance(node, LeafNode):
-            return LeafNode(
-                model=node.model,
-                indices=node.indices,
-                n=node.n,
-                response_variance=node.response_variance,
-                model_mse=node.model_mse,
-            )
+            return replace(node)
         left = walk(node.left)
         right = walk(node.right)
         kept = SplitNode(rule=node.rule, left=left, right=right)
-        indices = _collect_indices(kept)
+        indices = np.concatenate([leaf.indices for leaf in _leaves(kept)])
         collapsed = _make_leaf(x, y, indices, spec)
         collapsed_cost = collapsed.n * _leaf_quality(tree, collapsed, p) + p.alpha
         if collapsed_cost <= subtree_cost(kept):
@@ -318,9 +304,3 @@ def prune(tree: TensorTree, p: PruneConfig) -> TensorTree:
 
     new_root = walk(tree.root)
     return TensorTree(new_root, tree.feature_shape, tree.config, x_train=x, y_train=y)
-
-
-def _collect_indices(node) -> np.ndarray:
-    if isinstance(node, LeafNode):
-        return node.indices
-    return np.concatenate([_collect_indices(node.left), _collect_indices(node.right)])

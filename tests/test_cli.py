@@ -229,3 +229,32 @@ class TestThreads:
                        cwd=workdir)
         assert res2.returncode == 0
         assert (workdir / "m_env.json").read_bytes() == (workdir / "m_one.json").read_bytes()
+
+
+class TestRankAndRoutingErrors:
+    def test_tuple_cp_leaf_rank_exit_2(self, workdir):
+        run_cli("synth", "--generator", "fig5_interaction", "--n", "40", "--seed", "7",
+                "--out", "data", cwd=workdir)
+        cfg = write_config(workdir / "cfg.json", {
+            "model": "tree", "data": {"x": "data/X.npy", "y": "data/y.npy"},
+            "max_depth": 1, "leaf_model": "cp", "CP_reg_rank": [2, 2],
+        })
+        res = run_cli("fit", "--config", cfg, "--out", "m.json", cwd=workdir)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert not (workdir / "m.json").exists()
+
+    def test_non_finite_predict_input_exit_3(self, workdir):
+        run_cli("synth", "--generator", "prune_fn", "--n", "60", "--seed", "8",
+                "--out", "data", cwd=workdir)
+        cfg = write_config(workdir / "cfg.json", {
+            "model": "tree", "data": {"x": "data/X.npy", "y": "data/y.npy"},
+            "max_depth": 1, "leaf_model": "mean",
+        })
+        assert run_cli("fit", "--config", cfg, "--out", "m.json", cwd=workdir).returncode == 0
+        np.save(workdir / "nan.npy", np.full((5, 4, 4, 4), np.nan))
+        res = run_cli("predict", "--model", "m.json", "--x", "nan.npy", "--out", "p.npy",
+                      cwd=workdir)
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert not (workdir / "p.npy").exists()

@@ -176,3 +176,15 @@ class TestEnsemblePredict:
             BoostingConfig(p_resample=1.5)
         with pytest.raises(ValueError):
             ForestConfig(n_trees=0)
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("fit, config", [
+        (fit_forest, ForestConfig(n_trees=2, tree=mean_tree())),
+        (fit_boosting, BoostingConfig(n_estimators=2, tree=mean_tree())),
+    ], ids=["forest", "boosting"])
+    def test_nan_response_rejected(self, fit, config):
+        x, y = step_data(60, seed=3)
+        y[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(x, y, config)

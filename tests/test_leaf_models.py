@@ -194,3 +194,32 @@ class TestSpecValidation:
         model = fit_leaf(x, np.ones(4), LeafModelSpec(kind="mean"))
         with pytest.raises(ValueError):
             predict_leaf(model, np.zeros((4, 3, 2)))
+
+
+class TestRankConfig:
+    @pytest.mark.parametrize(
+        "kind, rank", [("cp", (2, 2)), ("cp", 0), ("tucker", 0), ("tucker", (2, 0)), ("tucker", ())]
+    )
+    def test_bad_rank_rejected_when_spec_is_built(self, kind, rank):
+        with pytest.raises(ValueError, match="rank"):
+            LeafModelSpec(kind=kind, rank=rank)
+
+    def test_tucker_tuple_above_extent_rejected(self):
+        x, y, _ = make_rank1_problem(30, (3, 3), seed=8)
+        with pytest.raises(ValueError, match="extent"):
+            fit_leaf(x, y, LeafModelSpec(kind="tucker", rank=(2, 4)))
+
+    def test_tucker_int_rank_clamped_to_extents(self):
+        x, y, _ = make_rank1_problem(40, (2, 3), seed=9)
+        model = fit_leaf(x, y, LeafModelSpec(kind="tucker", rank=9, als=AlsConfig(max_iterations=3)))
+        assert model.coefficient.ranks == (2, 3)
+
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_input_rejected(self, where):
+        x, y, _ = make_rank1_problem(20, (2, 2), seed=10)
+        if where == "x":
+            x[3, 1, 0] = np.inf
+        else:
+            y[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_leaf(x, y, LeafModelSpec(kind="mean"))

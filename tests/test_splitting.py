@@ -22,6 +22,7 @@ from tensortree.splitting import (
     evaluate_lae,
     evaluate_lre,
     evaluate_sse,
+    find_best_split,
     find_best_split_bb,
     find_best_split_exhaustive,
     find_best_split_leverage,
@@ -359,3 +360,33 @@ class TestCriterionValidation:
     def test_negative_xi(self):
         with pytest.raises(ValueError):
             SearchStrategy(kind="bb", xi=-1)
+
+
+class TestInputAndRankBoundary:
+    @pytest.mark.parametrize(
+        "strategy",
+        [SearchStrategy(), SearchStrategy(kind="leverage", tau=0.5), SearchStrategy(kind="bb", xi=1)],
+        ids=["exhaustive", "leverage", "bb"],
+    )
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_input_rejected(self, strategy, where):
+        rng = np.random.default_rng(30)
+        x, y = rng.uniform(size=(30, 3, 3)), rng.normal(size=30)
+        if where == "x":
+            x[4, 2, 1] = np.nan
+        else:
+            y[4] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            find_best_split(x, y, SplitCriterion(kind="sse"), strategy)
+
+    @pytest.mark.parametrize(
+        "kind, decomp, rank",
+        [("lae", "cp", (2, 2, 2)), ("lae", "cp", 0), ("lae", "tucker", (2, 0, 2)), ("lre", "cp", 0)],
+    )
+    def test_bad_split_rank_rejected_when_criterion_is_built(self, kind, decomp, rank):
+        with pytest.raises(ValueError, match="split rank"):
+            SplitCriterion(kind=kind, decomp=decomp, split_rank=rank)
+
+    def test_lre_tuple_rank_left_to_the_leaf_family(self):
+        # The lre family follows the leaf spec, so the criterion alone accepts a tuple.
+        assert SplitCriterion(kind="lre", split_rank=(2, 2)).split_rank == (2, 2)

@@ -201,3 +201,31 @@ class TestMetricsContract:
         y = rng.normal(size=(30, 2, 2))
         model = fit_entrywise(x, y, OutputConfig(boosting=small_boosting()))
         assert predict_tensor(model, x[:9]).shape == (9, 2, 2)
+
+
+class TestOutputRanks:
+    @pytest.mark.parametrize("decomp, rank", [("cp", (2, 2)), ("cp", 0), ("tucker", (0, 2, 2))])
+    def test_bad_rank_rejected_when_config_is_built(self, decomp, rank):
+        with pytest.raises(ValueError, match="output rank"):
+            OutputConfig(approach="lowrank", decomp=decomp, rank=rank)
+
+    def test_tucker_tuple_rank_above_extent_rejected_before_any_fit(self, monkeypatch):
+        from tensortree import tensor_output
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a fit started before the rank was rejected")
+
+        monkeypatch.setattr(tensor_output, "tucker_als", fail)
+        monkeypatch.setattr(tensor_output, "fit_boosting", fail)
+        rng = make_rng(14)
+        x, y = rng.uniform(size=(60, 3, 3)), rng.normal(size=(60, 3, 5))
+        cfg = OutputConfig(approach="lowrank", decomp="tucker", rank=(9, 9, 9),
+                           boosting=small_boosting())
+        with pytest.raises(ValueError, match="extent"):
+            fit_lowrank(x, y, cfg)
+
+    def test_tucker_int_rank_clamped_to_extents(self):
+        rng = make_rng(15)
+        x, y = rng.uniform(size=(60, 3, 3)), rng.normal(size=(60, 3, 5))
+        cfg = OutputConfig(approach="lowrank", decomp="tucker", rank=9, boosting=small_boosting())
+        assert fit_lowrank(x, y, cfg).core.shape == (9, 3, 5)

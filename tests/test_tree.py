@@ -281,3 +281,77 @@ class TestPrune:
         restored = loads(dumps(tree))
         with pytest.raises(ValueError):
             prune(restored, PruneConfig(alpha=0.1))
+
+
+def forbid_fits(monkeypatch):
+    """Make every decomposition or leaf fit that grow or prune could start fail the test."""
+    from tensortree import splitting, tree
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a fit started before the config was rejected")
+
+    for module, name in [(splitting, "cp_als"), (splitting, "tucker_als"),
+                         (splitting, "fit_leaf"), (tree, "fit_leaf")]:
+        monkeypatch.setattr(module, name, fail)
+
+
+class TestRankChecks:
+    @pytest.mark.parametrize(
+        "rank, decomp", [((2, 2), "cp"), (0, "cp"), (0, "tucker"), ((2, 0, 1), "tucker")]
+    )
+    def test_bad_prune_lae_rank_rejected_when_config_is_built(self, rank, decomp):
+        with pytest.raises(ValueError, match="lae_rank"):
+            PruneConfig(alpha=0.1, quality="lae", lae_rank=rank, lae_decomp=decomp)
+
+    @pytest.mark.parametrize(
+        "criterion, leaf",
+        [
+            (SplitCriterion(kind="lae", decomp="tucker", split_rank=(9, 9, 9)), LeafModelSpec()),
+            (SplitCriterion(kind="lae", decomp="tucker", split_rank=(2, 2)), LeafModelSpec()),
+            (SplitCriterion(kind="sse"), LeafModelSpec(kind="tucker", rank=(2, 5))),
+            (SplitCriterion(kind="lre", split_rank=(2, 9)), LeafModelSpec(kind="tucker", rank=2)),
+        ],
+        ids=["lae-above-extent", "lae-wrong-length", "leaf-above-extent", "lre-above-extent"],
+    )
+    def test_grow_rejects_tuple_ranks_before_any_fit(self, criterion, leaf, monkeypatch):
+        rng = make_rng(20)
+        x, y = rng.uniform(size=(40, 4, 4)), rng.normal(size=40)
+        forbid_fits(monkeypatch)
+        with pytest.raises(ValueError, match="rank"):
+            grow(x, y, GrowConfig(max_depth=1, criterion=criterion, leaf=leaf))
+
+    def test_lae_observation_rank_above_node_size_falls_back_to_mean(self):
+        rng = make_rng(21)
+        x, y = rng.uniform(size=(40, 4, 4)), rng.normal(size=40)
+        crit = SplitCriterion(kind="lae", decomp="tucker", split_rank=(100, 2, 2), value_mode="mean")
+        tree = grow(x, y, GrowConfig(max_depth=1, criterion=crit))
+        assert tree.n_leaves >= 1
+
+    def test_prune_rejects_lae_rank_above_extent(self, monkeypatch):
+        x, y, _ = piecewise_data(60, seed=22)
+        tree = grow(x, y, mean_config(max_depth=1))
+        cfg = PruneConfig(alpha=0.1, quality="lae", lae_rank=(2, 9, 2, 2), lae_decomp="tucker")
+        forbid_fits(monkeypatch)
+        with pytest.raises(ValueError, match="rank"):
+            prune(tree, cfg)
+
+
+class TestNonFiniteRouting:
+    @pytest.mark.parametrize("method", ["predict", "apply"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_routed_value_rejected(self, method, bad):
+        x, y, _ = piecewise_data(100, seed=23)
+        tree = grow(x, y, mean_config(max_depth=2))
+        x_new = x[:10].copy()
+        x_new[(3,) + tuple(tree.root.rule.coords)] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            getattr(tree, method)(x_new)
+
+    def test_values_no_split_reads_are_not_inspected(self):
+        x, y, _ = piecewise_data(100, seed=24)
+        tree = grow(x, y, mean_config(max_depth=1))
+        root = tuple(tree.root.rule.coords)
+        other = next(c for c in np.ndindex(*x.shape[1:]) if c != root)
+        x_new = x[:10].copy()
+        x_new[(slice(None),) + other] = np.nan
+        assert np.array_equal(tree.predict(x_new), tree.predict(x[:10]))
