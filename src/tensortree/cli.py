@@ -80,6 +80,14 @@ def _check_keys(cfg: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _parse(convert, value, name: str):
+    """``convert(value)``; a value it rejects is a ConfigError naming setting ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} has the wrong type or value: {value!r}") from None
+
+
 def _expect(cfg: dict, key: str, types, default=None):
     value = cfg.get(key, default)
     if value is None:
@@ -89,8 +97,8 @@ def _expect(cfg: dict, key: str, types, default=None):
     return value
 
 
-# The builders below raise ValueError for a bad setting; _fit_model turns
-# it into a ConfigError (exit 2) before any data is touched.
+# The builders below raise ValueError or TypeError for a bad setting; _fit_model
+# turns it into a ConfigError (exit 2) before any data is touched.
 
 
 def _build_als(cfg: dict) -> AlsConfig:
@@ -168,12 +176,8 @@ def _validate_fit_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("run config must be a JSON object")
     _check_keys(cfg, _FIT_KEYS, "config")
-    model = cfg.get("model")
-    if model not in _MODELS:
+    if cfg.get("model") not in _MODELS:
         raise ConfigError(f"model must be one of {_MODELS}")
-    data = cfg.get("data")
-    if not isinstance(data, dict) or "x" not in data or "y" not in data:
-        raise ConfigError("data must be an object with 'x' and 'y' paths")
 
 
 def _load_array(path: str) -> np.ndarray:
@@ -182,6 +186,13 @@ def _load_array(path: str) -> np.ndarray:
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     return np.ascontiguousarray(arr, dtype=np.float64)
+
+
+def _load_data(data) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays at the ``x`` and ``y`` paths of a config's ``data`` object."""
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), str) for k in ("x", "y")):
+        raise ConfigError("data must be an object with 'x' and 'y' paths")
+    return _load_array(data["x"]), _load_array(data["y"])
 
 
 def _save_array(path: str, arr: np.ndarray) -> None:
@@ -218,7 +229,7 @@ def _fit_model(cfg: dict, x: np.ndarray, y: np.ndarray, seed: int, threads: int)
                 boosting=_build_boosting(cfg, seed),
                 als=_build_als(cfg),
             )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
     # problems with the arrays themselves surface here (exit 3)
@@ -253,10 +264,7 @@ def _resolve_threads(value: int | None) -> int:
         return max(1, value)
     env = os.environ.get("TT_THREADS")
     if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"TT_THREADS is not an integer: {env!r}") from None
+        return max(1, _parse(int, env, "TT_THREADS"))
     return max(1, os.cpu_count() or 1)
 
 
@@ -297,10 +305,9 @@ def _cmd_synth(args) -> int:
 def _cmd_fit(args) -> int:
     cfg = _read_json(args.config)
     _validate_fit_config(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _parse(int, cfg.get("seed", 0), "seed")
     threads = _resolve_threads(args.threads)
-    x = _load_array(cfg["data"]["x"])
-    y = _load_array(cfg["data"]["y"])
+    x, y = _load_data(cfg.get("data"))
     model = _fit_model(cfg, x, y, seed, threads)
     save_model(model, args.out)
     print(_metrics_json(y, _predict_model(model, x)))
@@ -312,7 +319,7 @@ def _cmd_predict(args) -> int:
         model = load_model(args.model)
     except OSError as exc:
         raise DataError(f"cannot read {args.model}: {exc}") from None
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise DataError(f"bad model file {args.model}: {exc}") from None
     x = _load_array(args.x)
     pred = _predict_model(model, x)
@@ -330,10 +337,10 @@ _BENCH_KEYS = {"synthetic", "data", "test_fraction", "base", "sweep"}
 
 def _bench_dataset(cfg: dict, cell: dict):
     if "synthetic" in cfg:
-        doc = dict(cfg["synthetic"])
-        if "n" in cell:
-            doc["n"] = cell["n"]
         try:
+            doc = dict(cfg["synthetic"])
+            if "n" in cell:
+                doc["n"] = cell["n"]
             spec = SyntheticSpec(
                 generator=doc.get("generator", ""),
                 n=int(doc.get("n", 0)),
@@ -342,10 +349,10 @@ def _bench_dataset(cfg: dict, cell: dict):
                 seed=int(doc.get("seed", 0)),
             )
             return generate(spec)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
     if "data" in cfg:
-        return _load_array(cfg["data"]["x"]), _load_array(cfg["data"]["y"])
+        return _load_data(cfg["data"])
     raise ConfigError("bench config needs 'synthetic' or 'data'")
 
 
@@ -360,7 +367,9 @@ def _cmd_bench(args) -> int:
     base = cfg.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError("base must be an object")
-    fraction = float(cfg.get("test_fraction", 0.25))
+    fraction = _parse(float, cfg.get("test_fraction", 0.25), "test_fraction")
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError("test_fraction must be in (0, 1)")
     threads = _resolve_threads(args.threads)
 
     keys = sorted(sweep)
@@ -378,7 +387,7 @@ def _cmd_bench(args) -> int:
         if run["model"] not in _MODELS:
             raise ConfigError(f"model must be one of {_MODELS}")
         x, y = _bench_dataset(cfg, cell)
-        seed = int(run.get("seed", 0))
+        seed = _parse(int, run.get("seed", 0), "seed")
         x_train, y_train, x_test, y_test = train_test_split(x, y, 1.0 - fraction, seed)
         t0 = time.perf_counter()
         model = _fit_model(run, x_train, y_train, seed, threads)

@@ -212,12 +212,6 @@ def _fit_tucker_regression(
     core = rng.standard_normal(ranks)
     unfoldings = [_mode_unfold_stacked(x, q) for q in range(n_modes)]
 
-    def dense() -> np.ndarray:
-        b = core
-        for q, f in enumerate(factors):
-            b = mode_product(b, f, q)
-        return b
-
     c = 0.0
     losses: list[float] = []
     for _ in range(cfg.max_iterations):
@@ -235,15 +229,15 @@ def _fit_tucker_regression(
             z = np.moveaxis(np.tensordot(z, factors[p], axes=([p + 1], [0])), -1, p + 1)
         c, coef = _solve_block(z.reshape(n, -1), y, intercept)
         core = coef.reshape(ranks)
-        resid = y - c - contract(x, dense())
+        b = TuckerDecomposition(core=core, factors=tuple(factors)).to_tensor()
+        resid = y - c - contract(x, b)
         losses.append(float(np.dot(resid, resid)))
         if _converged(losses, cfg.rel_tolerance):
             break
 
-    # Re-express the fitted coefficient with orthonormal factors; the
-    # truncated HOSVD is exact here because the multilinear rank of the
-    # fitted tensor cannot exceed the requested ranks.
-    b = dense()
+    # Re-express the last sweep's coefficient ``b`` with orthonormal
+    # factors; the truncated HOSVD is exact here because the multilinear
+    # rank of the fitted tensor cannot exceed the requested ranks.
     ortho = _hosvd(b, ranks)
     decomp = TuckerDecomposition(core=_tucker_core(b, ortho), factors=tuple(ortho))
     return c, decomp, tuple(losses)

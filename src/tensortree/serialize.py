@@ -9,9 +9,9 @@ and documents are dumped with sorted keys and fixed separators so equal
 models produce byte-identical files.
 
 Restored trees carry no training data: they predict and apply, but
-cannot be pruned further.  Loading rejects, with ``ValueError``, a
-document of another format version and a split rule whose coordinates
-do not index the tree's feature shape.
+cannot be pruned further.  Loading raises ``ValueError`` for a malformed
+document: not a JSON object, another format version, split coordinates
+outside the feature shape, or a missing key or wrongly typed value.
 """
 
 from __future__ import annotations
@@ -219,21 +219,24 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict):
-    """Inverse of :func:`model_to_dict`."""
-    if doc.get("format") != FORMAT:
+    """Inverse of :func:`model_to_dict`; a malformed document raises ``ValueError``."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError("not a tensortree model document")
     if doc.get("version") != VERSION:
         raise ValueError(f"unsupported model document version {doc.get('version')!r}; "
                          f"expected {VERSION}")
-    kind = doc["kind"]
-    if kind == "tree":
-        return _tree_from_dict(doc)
-    if kind == "boosting":
-        return _boosting_from_dict(doc)
-    if kind == "forest":
-        return _forest_from_dict(doc)
-    if kind == "tensor_output":
-        return _output_from_dict(doc)
+    kind = doc.get("kind")
+    try:
+        if kind == "tree":
+            return _tree_from_dict(doc)
+        if kind == "boosting":
+            return _boosting_from_dict(doc)
+        if kind == "forest":
+            return _forest_from_dict(doc)
+        if kind == "tensor_output":
+            return _output_from_dict(doc)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"malformed model document: {type(exc).__name__}: {exc}") from None
     raise ValueError(f"unknown model kind {kind!r}")
 
 

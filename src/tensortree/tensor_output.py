@@ -30,6 +30,7 @@ from ._rng import derive_seed
 from .decomposition import (
     AlsConfig,
     CPDecomposition,
+    TuckerDecomposition,
     _check_rank,
     _resolve_ranks,
     cp_als,
@@ -37,7 +38,6 @@ from .decomposition import (
 )
 from .ensemble import BoostedModel, BoostingConfig, fit_boosting
 from .leaf_models import _check_stacked
-from .tensor_ops import mode_product
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,12 @@ def reconstruct_from_observation_factor(model: TensorOutputModel, obs_factor: np
     """Rebuild stacked outputs from observation-factor rows and the frozen pieces."""
     if model.kind != "lowrank":
         raise ValueError("only lowrank models reconstruct from a factor")
+    factors = (obs_factor,) + model.output_factors
     if model.decomp_kind == "cp":
-        decomp = CPDecomposition(
-            weights=model.weights, factors=(obs_factor,) + model.output_factors
-        )
         # Reconstruction only multiplies through, so non-unit-norm rows
         # of the predicted observation factor are fine here.
-        return decomp.to_tensor()
-    out = mode_product(model.core, obs_factor, 0)
-    for q, f in enumerate(model.output_factors):
-        out = mode_product(out, f, q + 1)
-    return out
+        return CPDecomposition(weights=model.weights, factors=factors).to_tensor()
+    return TuckerDecomposition(core=model.core, factors=factors).to_tensor()
 
 
 def predict_tensor(model: TensorOutputModel, x) -> np.ndarray:

@@ -8,12 +8,12 @@ if it strictly reduces the node's criterion value (by more than 1e-12)
 and leaves both children with at least ``min_samples_leaf`` samples.
 Zero-gain splits are rejected so constant responses yield a single leaf.
 
-Pruning is a bottom-up recursive pass (no swap or rotate moves) driven
-by the complexity measure ``sum_m N_m * Q_m + alpha * n_leaves``, where
-``Q_m`` is the leaf's response variance, its model's mean squared
-training residual, or a per-leaf low-rank reconstruction error.  An
-internal node collapses into a freshly refitted leaf whenever the
-collapsed complexity does not exceed the subtree's.
+Pruning is one post-order pass driven by the complexity measure
+``sum_m N_m * Q_m + alpha * n_leaves``, where ``Q_m`` is the leaf's
+response variance, its model's mean squared training residual, or a
+per-leaf low-rank reconstruction error; each leaf's term is computed
+once.  An internal node collapses into a freshly refitted leaf whenever
+the collapsed complexity does not exceed its children's summed cost.
 
 Fitted trees keep a reference to their training arrays (needed for the
 collapse refits); trees restored from serialized form, and trees inside
@@ -119,6 +119,12 @@ def _leaves(node) -> list[LeafNode]:
     return _leaves(node.left) + _leaves(node.right)
 
 
+def _depth(node) -> int:
+    if isinstance(node, LeafNode):
+        return 0
+    return 1 + max(_depth(node.left), _depth(node.right))
+
+
 class TensorTree:
     """A fitted recursive partition with per-leaf models."""
 
@@ -152,12 +158,7 @@ class TensorTree:
         return len(self.leaves())
 
     def depth(self) -> int:
-        def walk(node) -> int:
-            if isinstance(node, LeafNode):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        return _depth(self.root)
 
     def _route(self, x: np.ndarray):
         """Yield ``(leaf, rows)`` for each leaf that rows of ``x`` reach.
@@ -185,7 +186,9 @@ class TensorTree:
         x = _check_features(x, self.feature_shape)
         out = np.empty(x.shape[0], dtype=np.float64)
         for leaf, rows in self._route(x):
-            out[rows] = predict_leaf(leaf.model, x[rows])
+            # A mean leaf reads no features, so its rows are not gathered.
+            model = leaf.model
+            out[rows] = model.mean if model.kind == "mean" else predict_leaf(model, x[rows])
         return out
 
     def apply(self, x) -> np.ndarray:
@@ -249,14 +252,14 @@ def grow(x, y, config: GrowConfig) -> TensorTree:
     return TensorTree(root, x.shape[1:], config, x_train=x, y_train=y)
 
 
-def _leaf_quality(tree: TensorTree, leaf: LeafNode, p: PruneConfig) -> float:
+def _leaf_quality(x: np.ndarray | None, leaf: LeafNode, p: PruneConfig) -> float:
     if p.quality == "variance":
         return leaf.response_variance
     if p.quality == "tensor_loss":
         return leaf.model_mse
-    if tree._x is None:
+    if x is None:
         raise ValueError("lae quality needs the training inputs retained on the tree")
-    return _lae_term(tree._x[leaf.indices], _lae_criterion(p)) / leaf.n
+    return _lae_term(x[leaf.indices], _lae_criterion(p)) / leaf.n
 
 
 def _lae_criterion(p: PruneConfig) -> SplitCriterion:
@@ -266,8 +269,24 @@ def _lae_criterion(p: PruneConfig) -> SplitCriterion:
 def complexity(tree: TensorTree, p: PruneConfig) -> float:
     """``sum_m N_m * Q_m + alpha * n_leaves`` for the tree's current leaves."""
     leaves = tree.leaves()
-    total = sum(leaf.n * _leaf_quality(tree, leaf, p) for leaf in leaves)
+    total = sum(leaf.n * _leaf_quality(tree._x, leaf, p) for leaf in leaves)
     return float(total + p.alpha * len(leaves))
+
+
+def _prune(node, x: np.ndarray, y: np.ndarray, spec: LeafModelSpec, p: PruneConfig):
+    """``(pruned node, its cost, its training rows)`` for the subtree at ``node``."""
+    if isinstance(node, LeafNode):
+        leaf = replace(node)
+        return leaf, leaf.n * _leaf_quality(x, leaf, p) + p.alpha, leaf.indices
+    left, left_cost, left_rows = _prune(node.left, x, y, spec, p)
+    right, right_cost, right_rows = _prune(node.right, x, y, spec, p)
+    rows = np.concatenate([left_rows, right_rows])
+    collapsed = _make_leaf(x, y, rows, spec)
+    collapsed_cost = collapsed.n * _leaf_quality(x, collapsed, p) + p.alpha
+    kept_cost = left_cost + right_cost
+    if collapsed_cost <= kept_cost:
+        return collapsed, collapsed_cost, rows
+    return SplitNode(rule=node.rule, left=left, right=right), kept_cost, rows
 
 
 def prune(tree: TensorTree, p: PruneConfig) -> TensorTree:
@@ -281,26 +300,5 @@ def prune(tree: TensorTree, p: PruneConfig) -> TensorTree:
         raise ValueError("pruning needs a tree fitted in this process with retained data")
     if p.quality == "lae":
         _check_ranks(_lae_criterion(p), None, tree.feature_shape)
-    x, y = tree._x, tree._y
-    spec = tree.config.leaf
-
-    def subtree_cost(node) -> float:
-        if isinstance(node, LeafNode):
-            return node.n * _leaf_quality(tree, node, p) + p.alpha
-        return subtree_cost(node.left) + subtree_cost(node.right)
-
-    def walk(node):
-        if isinstance(node, LeafNode):
-            return replace(node)
-        left = walk(node.left)
-        right = walk(node.right)
-        kept = SplitNode(rule=node.rule, left=left, right=right)
-        indices = np.concatenate([leaf.indices for leaf in _leaves(kept)])
-        collapsed = _make_leaf(x, y, indices, spec)
-        collapsed_cost = collapsed.n * _leaf_quality(tree, collapsed, p) + p.alpha
-        if collapsed_cost <= subtree_cost(kept):
-            return collapsed
-        return kept
-
-    new_root = walk(tree.root)
-    return TensorTree(new_root, tree.feature_shape, tree.config, x_train=x, y_train=y)
+    root, _, _ = _prune(tree.root, tree._x, tree._y, tree.config.leaf, p)
+    return TensorTree(root, tree.feature_shape, tree.config, x_train=tree._x, y_train=tree._y)

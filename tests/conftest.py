@@ -2,3 +2,27 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+import numpy as np
+import pytest
+
+from tensortree._rng import make_rng
+from tensortree.serialize import model_to_dict
+from tensortree.tree import GrowConfig, grow
+
+
+@pytest.fixture(params=["coords", "threshold", "leaf_n", "feature_shape", "top_level_list"])
+def malformed_tree_doc(request):
+    """A valid one-split tree document with one value made malformed."""
+    x = make_rng(0).uniform(size=(30, 2, 2))
+    doc = model_to_dict(grow(x, (x[:, 0, 0] > 0.5).astype(float), GrowConfig(max_depth=1)))
+    node = doc["node"]
+    if request.param in ("coords", "threshold"):
+        node["rule"][request.param] = None
+    elif request.param == "leaf_n":
+        node["left"]["leaf"]["n"] = None
+    elif request.param == "feature_shape":
+        doc["feature_shape"] = 4
+    else:
+        return [doc]
+    return doc

@@ -168,6 +168,15 @@ class TestPredict:
         assert "Traceback" not in res.stderr
         assert not (workdir / "p.npy").exists()
 
+    def test_malformed_model_document_exit_3(self, workdir, malformed_tree_doc):
+        (workdir / "m.json").write_text(json.dumps(malformed_tree_doc))
+        np.save(workdir / "X.npy", np.zeros((5, 2, 2)))
+        res = run_cli("predict", "--model", "m.json", "--x", "X.npy", "--out", "p.npy",
+                      cwd=workdir)
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert not (workdir / "p.npy").exists()
+
 
 class TestBench:
     def test_two_by_two_sweep(self, workdir):
@@ -258,3 +267,30 @@ class TestRankAndRoutingErrors:
         assert res.returncode == 3
         assert "Traceback" not in res.stderr
         assert not (workdir / "p.npy").exists()
+
+
+FIT_BASE = {"model": "tree", "data": {"x": "X.npy", "y": "y.npy"}, "max_depth": 1}
+BENCH_BASE = {"synthetic": {"generator": "prune_fn", "n": 30}, "sweep": {"max_depth": [1]}}
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("fit", {"max_depth": None}),
+    ("fit", {"max_depth": [1]}),
+    ("fit", {"als": {"max_iterations": None}}),
+    ("fit", {"seed": None}),
+    ("fit", {"alpha": [0.1]}),
+    ("fit", {"data": {"x": 5, "y": "y.npy"}}),
+    ("bench", {"synthetic": {"generator": "prune_fn", "n": None}}),
+    ("bench", {"sweep": {"max_depth": [None]}}),
+    ("bench", {"test_fraction": None}),
+    ("bench", {"test_fraction": 2}),
+], ids=["max_depth-null", "max_depth-list", "als-null", "seed-null", "alpha-list", "data-int",
+        "synthetic-n-null", "sweep-null", "test_fraction-null", "test_fraction-2"])
+def test_bad_config_value_exit_2(workdir, command, edit):
+    np.save(workdir / "X.npy", np.zeros((20, 2, 2)))
+    np.save(workdir / "y.npy", np.zeros(20))
+    cfg = write_config(workdir / "cfg.json", {**(FIT_BASE if command == "fit" else BENCH_BASE),
+                                              **edit})
+    res = run_cli(command, "--config", cfg, "--out", "out", cwd=workdir)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr

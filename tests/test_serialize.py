@@ -105,3 +105,8 @@ def test_rejects_rule_coords_outside_feature_shape(coords):
     doc["node"]["left"] = {**doc["node"], "rule": {**doc["node"]["rule"], "coords": coords}}
     with pytest.raises(ValueError, match="coords"):
         model_from_dict(doc)
+
+
+def test_malformed_document_raises_value_error(malformed_tree_doc):
+    with pytest.raises(ValueError):
+        model_from_dict(malformed_tree_doc)

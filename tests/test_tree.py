@@ -1,10 +1,14 @@
 """Growing, predicting, complexity and pruning of single trees."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from tensortree import tree as tree_module
 from tensortree._rng import make_rng
 from tensortree.decomposition import AlsConfig
+from tensortree.ensemble import BoostingConfig, fit_boosting
 from tensortree.leaf_models import LeafModelSpec, fit_leaf, predict_leaf
 from tensortree.splitting import SearchStrategy, SplitCriterion
 from tensortree.tree import GrowConfig, PruneConfig, complexity, grow, prune
@@ -355,3 +359,41 @@ class TestNonFiniteRouting:
         x_new = x[:10].copy()
         x_new[(slice(None),) + other] = np.nan
         assert np.array_equal(tree.predict(x_new), tree.predict(x[:10]))
+
+
+class TestSinglePassWalks:
+    def test_tree_passes_leave_no_cyclic_garbage(self):
+        x, y, _ = piecewise_data(200, seed=25)
+        gc.collect()
+        gc.disable()
+        try:
+            tree = grow(x, y, mean_config(max_depth=3))
+            tree.depth()
+            pruned = prune(tree, PruneConfig(alpha=0.5))
+            pruned.predict(x)
+            pruned.apply(x)
+            fit_boosting(x, y, BoostingConfig(n_estimators=3, tree=mean_config(max_depth=3),
+                                              prune=PruneConfig(alpha=0.5)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_lae_prune_scores_each_node_once(self, monkeypatch):
+        x = make_rng(26).uniform(size=(80, 3, 3))
+        y = 4.0 * (x[:, 0, 0] > 0.5) + 2.0 * (x[:, 1, 1] > 0.5)
+        tree = grow(x, y, mean_config(max_depth=2))
+        assert tree.n_leaves == 4
+        calls = []
+        real = tree_module._lae_term
+        monkeypatch.setattr(tree_module, "_lae_term", lambda *a: calls.append(a) or real(*a))
+        cfg = PruneConfig(alpha=0.1, quality="lae", lae_rank=2, lae_decomp="tucker",
+                          als=AlsConfig(max_iterations=5))
+        prune(tree, cfg)
+        assert len(calls) == 4 + 3
+
+    def test_mean_leaf_predict_reads_no_features(self, monkeypatch):
+        x, y, _ = piecewise_data(100, seed=27)
+        tree = grow(x, y, mean_config(max_depth=2))
+        expect = np.array([tree.leaves()[i].model.mean for i in tree.apply(x)])
+        monkeypatch.setattr(tree_module, "predict_leaf", None)
+        assert np.array_equal(tree.predict(x), expect)
