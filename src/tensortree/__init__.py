@@ -76,7 +76,6 @@ from .tensor_output import (
     predict_tensor,
 )
 from .tree import (
-    PRUNE_ALPHA_PRESETS,
     GrowConfig,
     PruneConfig,
     TensorTree,

@@ -16,6 +16,14 @@ bench
     and write one CSV row per cell with train/test metrics and wall-clock
     fit/predict times.
 
+A run config is a JSON object with ``model`` and ``data`` and any of the
+keys of ``_SETTINGS``, each of which sets one field of a library config
+object; a key left out takes the library default.  Integer keys take a
+JSON integer, number keys an integer or a float, string keys a string
+and boolean keys ``true``/``false``; rank keys take an integer or a list
+of integers.  ``null`` is rejected for every key, as is any unknown key,
+here and in a bench config's ``synthetic`` object.
+
 Exit codes: 0 success, 2 config or usage error, 3 data error.  Arrays
 are exchanged as NPY files (little-endian float64, C order).  The
 ``--threads`` flag (fallback: ``TT_THREADS`` environment variable)
@@ -53,22 +61,77 @@ class DataError(Exception):
     """Missing or inconsistent data; maps to exit code 3."""
 
 
-def _as_rank(value):
-    # The config classes check the rank itself (a JSON list arrives as a list).
-    return tuple(value) if isinstance(value, list) else value
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
-_FIT_KEYS = {
-    "model", "data", "seed",
-    "max_depth", "min_samples_leaf",
-    "criterion", "value_mode", "split_rank", "split_decomp",
-    "strategy", "tau", "xi",
-    "leaf_model", "CP_reg_rank", "Tucker_reg_rank", "intercept",
-    "als",
-    "n_estimators", "learning_rate", "p_resample",
-    "n_trees", "bootstrap", "forest_tau",
-    "alpha", "prune_quality", "prune_lae_rank",
-    "output_decomp", "output_rank",
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _boolean(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _rank(value, key: str):
+    # A list arrives as a tuple; the config classes check its entries.
+    return tuple(value) if isinstance(value, list) else _integer(value, key)
+
+
+# Run-config key -> (config object, field, parser).  A key left out of the
+# config leaves the field to the library default.  "run" is the seed shared
+# by the search strategy, the ensembles and the bench train/test split;
+# "cp leaf"/"tucker leaf" is read only for that leaf kind; "als.<key>" is a
+# key of the nested "als" object.
+_SETTINGS = {
+    "seed": ("run", "seed", _integer),
+    "max_depth": ("grow", "max_depth", _integer),
+    "min_samples_leaf": ("grow", "min_samples_leaf", _integer),
+    "criterion": ("criterion", "kind", _string),
+    "value_mode": ("criterion", "value_mode", _string),
+    "split_rank": ("criterion", "split_rank", _rank),
+    "split_decomp": ("criterion", "decomp", _string),
+    "strategy": ("strategy", "kind", _string),
+    "tau": ("strategy", "tau", _number),
+    "xi": ("strategy", "xi", _integer),
+    "leaf_model": ("leaf", "kind", _string),
+    "CP_reg_rank": ("cp leaf", "rank", _rank),
+    "Tucker_reg_rank": ("tucker leaf", "rank", _rank),
+    "intercept": ("leaf", "intercept", _boolean),
+    "als.max_iterations": ("als", "max_iterations", _integer),
+    "als.rel_tolerance": ("als", "rel_tolerance", _number),
+    "als.seed": ("als", "seed", _integer),
+    "n_estimators": ("boosting", "n_estimators", _integer),
+    "learning_rate": ("boosting", "learning_rate", _number),
+    "p_resample": ("boosting", "p_resample", _number),
+    "n_trees": ("forest", "n_trees", _integer),
+    "bootstrap": ("forest", "bootstrap", _boolean),
+    "forest_tau": ("forest", "tau", _number),
+    "alpha": ("prune", "alpha", _number),
+    "prune_quality": ("prune", "quality", _string),
+    "prune_lae_rank": ("prune", "lae_rank", _rank),
+    "output_decomp": ("output", "decomp", _string),
+    "output_rank": ("output", "rank", _rank),
+}
+
+_RUN_KEYS = {"model", "data"} | {key.split(".")[0] for key in _SETTINGS}
+_ALS_KEYS = {key.split(".")[1] for key in _SETTINGS if key.startswith("als.")}
+
+_SYNTHETIC = {
+    "generator": _string, "n": _integer, "noise_sigma": _number, "noise_scale": _number,
+    "seed": _integer,
 }
 
 _MODELS = ("tree", "boosting", "forest", "entrywise", "lowrank")
@@ -88,94 +151,26 @@ def _parse(convert, value, name: str):
         raise ConfigError(f"{name} has the wrong type or value: {value!r}") from None
 
 
-def _expect(cfg: dict, key: str, types, default=None):
-    value = cfg.get(key, default)
-    if value is None:
-        return None
-    if not isinstance(value, types):
-        raise ConfigError(f"{key} has the wrong type")
-    return value
+def _fields(cfg: dict, obj: str) -> dict:
+    """The fields of config object ``obj`` that ``cfg`` sets, parsed."""
+    return {field: parse(cfg[key], key)
+            for key, (target, field, parse) in _SETTINGS.items()
+            if target == obj and key in cfg}
 
 
-# The builders below raise ValueError or TypeError for a bad setting; _fit_model
-# turns it into a ConfigError (exit 2) before any data is touched.
-
-
-def _build_als(cfg: dict) -> AlsConfig:
-    doc = cfg.get("als", {})
-    if not isinstance(doc, dict):
+def _flatten_als(cfg: dict) -> dict:
+    """``cfg`` with each key of its ``als`` object also present as ``als.<key>``."""
+    als = cfg.get("als", {})
+    if not isinstance(als, dict):
         raise ConfigError("als must be an object")
-    _check_keys(doc, {"max_iterations", "rel_tolerance", "seed"}, "als")
-    return AlsConfig(
-        max_iterations=int(doc.get("max_iterations", 100)),
-        rel_tolerance=float(doc.get("rel_tolerance", 1e-6)),
-        seed=int(doc.get("seed", 0)),
-    )
+    _check_keys(als, _ALS_KEYS, "als")
+    return {**cfg, **{f"als.{key}": value for key, value in als.items()}}
 
 
-def _build_leaf(cfg: dict, als: AlsConfig) -> LeafModelSpec:
-    kind = _expect(cfg, "leaf_model", str, "mean")
-    intercept = _expect(cfg, "intercept", bool, True)
-    if kind == "mean":
-        return LeafModelSpec(kind="mean", als=als, intercept=intercept)
-    if kind not in ("cp", "tucker"):
-        raise ConfigError(f"unknown leaf_model {kind!r}")
-    key = "CP_reg_rank" if kind == "cp" else "Tucker_reg_rank"
-    if cfg.get(key) is None:
-        raise ConfigError(f"{kind} leaves need {key}")
-    return LeafModelSpec(kind=kind, rank=_as_rank(cfg[key]), als=als, intercept=intercept)
-
-
-def _build_grow(cfg: dict, seed: int) -> GrowConfig:
-    als = _build_als(cfg)
-    criterion = SplitCriterion(
-        kind=_expect(cfg, "criterion", str, "sse"),
-        split_rank=None if "split_rank" not in cfg else _as_rank(cfg["split_rank"]),
-        decomp=_expect(cfg, "split_decomp", str, "cp"),
-        value_mode=_expect(cfg, "value_mode", str, "observed"),
-        als=als,
-    )
-    strategy = SearchStrategy(
-        kind=_expect(cfg, "strategy", str, "exhaustive"),
-        tau=float(cfg.get("tau", 1.0)),
-        xi=int(cfg.get("xi", 0)),
-        seed=seed,
-    )
-    return GrowConfig(
-        max_depth=int(cfg.get("max_depth", 3)),
-        min_samples_leaf=int(cfg.get("min_samples_leaf", 5)),
-        criterion=criterion,
-        strategy=strategy,
-        leaf=_build_leaf(cfg, als),
-    )
-
-
-def _build_prune(cfg: dict) -> PruneConfig | None:
-    if cfg.get("alpha") is None:
-        return None
-    return PruneConfig(
-        alpha=float(cfg["alpha"]),
-        quality=_expect(cfg, "prune_quality", str, "variance"),
-        lae_rank=None if "prune_lae_rank" not in cfg else _as_rank(cfg["prune_lae_rank"]),
-        als=_build_als(cfg),
-    )
-
-
-def _build_boosting(cfg: dict, seed: int) -> BoostingConfig:
-    return BoostingConfig(
-        n_estimators=int(cfg.get("n_estimators", 10)),
-        learning_rate=float(cfg.get("learning_rate", 0.1)),
-        p_resample=float(cfg.get("p_resample", 0.0)),
-        tree=_build_grow(cfg, seed),
-        prune=_build_prune(cfg),
-        seed=seed,
-    )
-
-
-def _validate_fit_config(cfg: dict) -> None:
+def _validate_fit_config(cfg: dict, allowed: set = _RUN_KEYS) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("run config must be a JSON object")
-    _check_keys(cfg, _FIT_KEYS, "config")
+    _check_keys(cfg, allowed, "config")
     if cfg.get("model") not in _MODELS:
         raise ConfigError(f"model must be one of {_MODELS}")
 
@@ -199,36 +194,37 @@ def _save_array(path: str, arr: np.ndarray) -> None:
     np.save(path, np.ascontiguousarray(arr, dtype=np.float64))
 
 
-def _fit_model(cfg: dict, x: np.ndarray, y: np.ndarray, seed: int, threads: int):
+def _fit_model(cfg: dict, x: np.ndarray, y: np.ndarray, seed: dict, threads: int):
+    """Fit ``cfg``'s model; ``seed`` is ``_fields(cfg, "run")`` or the ``--seed`` override."""
     model_kind = cfg["model"]
     if model_kind in ("tree", "boosting", "forest") and y.ndim != 1:
         raise DataError(f"model {model_kind!r} needs a scalar response, got shape {y.shape}")
     if model_kind in ("entrywise", "lowrank") and y.ndim < 2:
         raise DataError(f"model {model_kind!r} needs a stacked tensor response")
 
-    # configuration problems surface here (exit 2), before any fitting
+    # configuration problems surface here (exit 2), before any fitting; only
+    # the config objects this model kind uses are built
     try:
-        if model_kind == "tree":
-            grow_cfg, prune_cfg = _build_grow(cfg, seed), _build_prune(cfg)
-        elif model_kind == "boosting":
-            boost_cfg = _build_boosting(cfg, seed)
-        elif model_kind == "forest":
-            forest_cfg = ForestConfig(
-                n_trees=int(cfg.get("n_trees", 10)),
-                bootstrap=_expect(cfg, "bootstrap", bool, True),
-                tau=float(cfg.get("forest_tau", 1.0 / 3.0)),
-                tree=_build_grow(cfg, seed),
-                seed=seed,
-            )
+        cfg = _flatten_als(cfg)
+        als = AlsConfig(**_fields(cfg, "als"))
+        leaf = _fields(cfg, "leaf")
+        grow_cfg = GrowConfig(
+            **_fields(cfg, "grow"),
+            criterion=SplitCriterion(**_fields(cfg, "criterion"), als=als),
+            strategy=SearchStrategy(**_fields(cfg, "strategy"), **seed),
+            leaf=LeafModelSpec(**leaf, **_fields(cfg, f"{leaf.get('kind')} leaf"), als=als),
+        )
+        if model_kind == "forest":
+            forest_cfg = ForestConfig(**_fields(cfg, "forest"), tree=grow_cfg, **seed)
         else:
+            # a config without alpha does not prune
+            prune_cfg = PruneConfig(**_fields(cfg, "prune"), als=als) if "alpha" in cfg else None
+        if model_kind in ("boosting", "entrywise", "lowrank"):
+            boost_cfg = BoostingConfig(
+                **_fields(cfg, "boosting"), tree=grow_cfg, prune=prune_cfg, **seed)
+        if model_kind in ("entrywise", "lowrank"):
             out_cfg = OutputConfig(
-                approach=model_kind,
-                decomp=_expect(cfg, "output_decomp", str, "cp"),
-                rank=None if "output_rank" not in cfg
-                else _as_rank(cfg["output_rank"]),
-                boosting=_build_boosting(cfg, seed),
-                als=_build_als(cfg),
-            )
+                approach=model_kind, **_fields(cfg, "output"), boosting=boost_cfg, als=als)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -305,7 +301,7 @@ def _cmd_synth(args) -> int:
 def _cmd_fit(args) -> int:
     cfg = _read_json(args.config)
     _validate_fit_config(cfg)
-    seed = args.seed if args.seed is not None else _parse(int, cfg.get("seed", 0), "seed")
+    seed = {"seed": args.seed} if args.seed is not None else _fields(cfg, "run")
     threads = _resolve_threads(args.threads)
     x, y = _load_data(cfg.get("data"))
     model = _fit_model(cfg, x, y, seed, threads)
@@ -337,18 +333,14 @@ _BENCH_KEYS = {"synthetic", "data", "test_fraction", "base", "sweep"}
 
 def _bench_dataset(cfg: dict, cell: dict):
     if "synthetic" in cfg:
+        doc = cfg["synthetic"]
+        if not isinstance(doc, dict):
+            raise ConfigError("synthetic must be an object")
+        _check_keys(doc, set(_SYNTHETIC), "synthetic")
+        if "n" in cell:
+            doc = {**doc, "n": cell["n"]}
         try:
-            doc = dict(cfg["synthetic"])
-            if "n" in cell:
-                doc["n"] = cell["n"]
-            spec = SyntheticSpec(
-                generator=doc.get("generator", ""),
-                n=int(doc.get("n", 0)),
-                noise_sigma=doc.get("noise_sigma"),
-                noise_scale=doc.get("noise_scale"),
-                seed=int(doc.get("seed", 0)),
-            )
-            return generate(spec)
+            return generate(SyntheticSpec(**{k: _SYNTHETIC[k](v, k) for k, v in doc.items()}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
     if "data" in cfg:
@@ -383,12 +375,11 @@ def _cmd_bench(args) -> int:
         cell = dict(zip(keys, values))
         run = {**base, **{k: v for k, v in cell.items() if k != "n"}}
         run.setdefault("model", "tree")
-        _check_keys(run, _FIT_KEYS - {"data"}, "config")
-        if run["model"] not in _MODELS:
-            raise ConfigError(f"model must be one of {_MODELS}")
+        # a bench run reads its data from the bench config's own dataset
+        _validate_fit_config(run, _RUN_KEYS - {"data"})
         x, y = _bench_dataset(cfg, cell)
-        seed = _parse(int, run.get("seed", 0), "seed")
-        x_train, y_train, x_test, y_test = train_test_split(x, y, 1.0 - fraction, seed)
+        seed = _fields(run, "run")
+        x_train, y_train, x_test, y_test = train_test_split(x, y, 1.0 - fraction, **seed)
         t0 = time.perf_counter()
         model = _fit_model(run, x_train, y_train, seed, threads)
         fit_seconds = time.perf_counter() - t0

@@ -117,18 +117,21 @@ def _check_rank(rank, family: str, name: str = "rank") -> None:
     """Raise ``ValueError`` unless ``rank`` is a valid ``family`` rank config.
 
     ``family`` is ``"cp"`` or ``"tucker"``.  A CP rank is an int >= 1; a
-    Tucker rank is an int >= 1 or a nonempty tuple of ints >= 1.  Extents
-    are checked later, by :func:`_resolve_ranks`.
+    Tucker rank is an int >= 1 or a nonempty tuple of ints >= 1.  A bool
+    is not an int here.  Extents are checked later, by :func:`_resolve_ranks`.
     """
     if family not in ("cp", "tucker"):
         raise ValueError(f"unknown decomposition {family!r}")
     if rank is None:
         raise ValueError(f"{family} needs a {name}")
-    if isinstance(rank, (int, np.integer)):
-        ok = rank >= 1
+
+    def positive_int(r) -> bool:
+        return isinstance(r, (int, np.integer)) and not isinstance(r, bool) and r >= 1
+
+    if isinstance(rank, (tuple, list)):
+        ok = family == "tucker" and len(rank) > 0 and all(positive_int(r) for r in rank)
     else:
-        ok = (family == "tucker" and isinstance(rank, (tuple, list)) and len(rank) > 0
-              and all(isinstance(r, (int, np.integer)) and r >= 1 for r in rank))
+        ok = positive_int(rank)
     if not ok:
         form = "an int >= 1" if family == "cp" else "an int >= 1 or a tuple of ints >= 1"
         raise ValueError(f"{family} {name} must be {form}, got {rank!r}")
@@ -323,23 +326,20 @@ def tucker_als(
     factors = _hosvd(t, ranks)
     errors: list[float] = []
     converged = False
-    for _ in range(cfg.max_iterations):
+    for _ in range(cfg.max_iterations):  # at least one sweep: AlsConfig checks the budget
         for q in range(t.ndim):
             partial = t
             for p in range(t.ndim):
                 if p != q:
                     partial = mode_product(partial, factors[p].T, p)
             factors[q] = _leading_left_singular(unfold(partial, q), ranks[q])
-        core = _tucker_core(t, factors)
-        recon = TuckerDecomposition(core=core, factors=tuple(factors)).to_tensor()
-        err = float(frobenius_norm(t - recon) / norm_t)
+        decomp = TuckerDecomposition(core=_tucker_core(t, factors), factors=tuple(factors))
+        err = float(frobenius_norm(t - decomp.to_tensor()) / norm_t)
         errors.append(err)
         if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < cfg.rel_tolerance:
             converged = True
             break
 
-    core = _tucker_core(t, factors)
-    decomp = TuckerDecomposition(core=core, factors=tuple(factors))
     return decomp, AlsInfo(converged=converged, errors=tuple(errors))
 
 

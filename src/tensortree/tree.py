@@ -49,9 +49,6 @@ from .splitting import (
 
 GAIN_TOLERANCE = 1e-12
 
-# Pruning strengths used in the reference experiments.
-PRUNE_ALPHA_PRESETS = (0.01, 0.1, 0.5)
-
 
 @dataclass(frozen=True)
 class GrowConfig:
@@ -281,10 +278,21 @@ def _prune(node, x: np.ndarray, y: np.ndarray, spec: LeafModelSpec, p: PruneConf
     left, left_cost, left_rows = _prune(node.left, x, y, spec, p)
     right, right_cost, right_rows = _prune(node.right, x, y, spec, p)
     rows = np.concatenate([left_rows, right_rows])
-    collapsed = _make_leaf(x, y, rows, spec)
-    collapsed_cost = collapsed.n * _leaf_quality(x, collapsed, p) + p.alpha
+    n = int(rows.size)
+    # Only tensor_loss needs the collapsed leaf's fit to price it; otherwise the leaf
+    # is fitted only when the node collapses.
+    collapsed = _make_leaf(x, y, rows, spec) if p.quality == "tensor_loss" else None
+    if p.quality == "variance":
+        quality = float(np.var(y[rows]))
+    elif p.quality == "lae":
+        quality = _lae_term(x[rows], _lae_criterion(p)) / n
+    else:
+        quality = collapsed.model_mse
+    collapsed_cost = n * quality + p.alpha
     kept_cost = left_cost + right_cost
     if collapsed_cost <= kept_cost:
+        if collapsed is None:
+            collapsed = _make_leaf(x, y, rows, spec)
         return collapsed, collapsed_cost, rows
     return SplitNode(rule=node.rule, left=left, right=right), kept_cost, rows
 

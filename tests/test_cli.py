@@ -8,6 +8,15 @@ import sys
 import numpy as np
 import pytest
 
+from tensortree import cli, serialize
+from tensortree._rng import make_rng
+from tensortree.decomposition import AlsConfig
+from tensortree.ensemble import BoostingConfig, ForestConfig
+from tensortree.leaf_models import LeafModelSpec
+from tensortree.splitting import SearchStrategy, SplitCriterion
+from tensortree.tensor_output import OutputConfig
+from tensortree.tree import GrowConfig, PruneConfig, grow, prune
+
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
@@ -284,8 +293,18 @@ BENCH_BASE = {"synthetic": {"generator": "prune_fn", "n": 30}, "sweep": {"max_de
     ("bench", {"sweep": {"max_depth": [None]}}),
     ("bench", {"test_fraction": None}),
     ("bench", {"test_fraction": 2}),
+    ("fit", {"intercept": None}),
+    ("fit", {"model": "forest", "bootstrap": None}),
+    ("fit", {"max_depth": 1.9}),
+    ("fit", {"max_depth": True}),
+    ("fit", {"alpha": None}),
+    ("fit", {"seed": 1.5}),
+    ("fit", {"leaf_model": "cp", "CP_reg_rank": True}),
+    ("bench", {"synthetic": {"generator": "prune_fn", "n": 30, "sed": 3}}),
 ], ids=["max_depth-null", "max_depth-list", "als-null", "seed-null", "alpha-list", "data-int",
-        "synthetic-n-null", "sweep-null", "test_fraction-null", "test_fraction-2"])
+        "synthetic-n-null", "sweep-null", "test_fraction-null", "test_fraction-2",
+        "intercept-null", "bootstrap-null", "max_depth-float", "max_depth-bool", "alpha-null",
+        "seed-float", "cp-rank-bool", "synthetic-misspelled-key"])
 def test_bad_config_value_exit_2(workdir, command, edit):
     np.save(workdir / "X.npy", np.zeros((20, 2, 2)))
     np.save(workdir / "y.npy", np.zeros(20))
@@ -294,3 +313,143 @@ def test_bad_config_value_exit_2(workdir, command, edit):
     res = run_cli(command, "--config", cfg, "--out", "out", cwd=workdir)
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
+
+
+def _library_configs():
+    """Per model kind: a run config setting every key that kind reads, and the
+    library config objects (by fitter name) that the keys must build."""
+    als = AlsConfig(max_iterations=3, rel_tolerance=1e-4, seed=2)
+    als_doc = {"max_iterations": 3, "rel_tolerance": 1e-4, "seed": 2}
+    tree_keys = {
+        "seed": 4, "max_depth": 2, "min_samples_leaf": 6, "criterion": "lae",
+        "value_mode": "mean", "split_rank": [3, 2, 2], "split_decomp": "tucker",
+        "strategy": "leverage", "tau": 0.5, "xi": 1, "leaf_model": "cp", "CP_reg_rank": 1,
+        "Tucker_reg_rank": 9, "intercept": False, "als": als_doc,
+        "alpha": 0.05, "prune_quality": "lae", "prune_lae_rank": 2,
+    }
+    tree_grow = GrowConfig(
+        max_depth=2, min_samples_leaf=6,
+        criterion=SplitCriterion(kind="lae", split_rank=(3, 2, 2), decomp="tucker",
+                                 value_mode="mean", als=als),
+        strategy=SearchStrategy(kind="leverage", tau=0.5, xi=1, seed=4),
+        leaf=LeafModelSpec(kind="cp", rank=1, als=als, intercept=False),
+    )
+    tree_prune = PruneConfig(alpha=0.05, quality="lae", lae_rank=2, als=als)
+
+    boost_keys = {
+        "seed": 7, "n_estimators": 3, "learning_rate": 0.5, "p_resample": 0.5,
+        "max_depth": 2, "min_samples_leaf": 4, "criterion": "lre", "value_mode": "mean",
+        "split_rank": 1, "split_decomp": "cp", "strategy": "bb", "tau": 1, "xi": 1,
+        "leaf_model": "tucker", "CP_reg_rank": 5, "Tucker_reg_rank": [1, 2], "intercept": True,
+        "als": als_doc, "alpha": 0.2, "prune_quality": "tensor_loss", "prune_lae_rank": 1,
+    }
+    boost = BoostingConfig(
+        n_estimators=3, learning_rate=0.5, p_resample=0.5, seed=7,
+        tree=GrowConfig(
+            max_depth=2, min_samples_leaf=4,
+            criterion=SplitCriterion(kind="lre", split_rank=1, decomp="cp", value_mode="mean",
+                                     als=als),
+            strategy=SearchStrategy(kind="bb", tau=1.0, xi=1, seed=7),
+            leaf=LeafModelSpec(kind="tucker", rank=(1, 2), als=als, intercept=True),
+        ),
+        prune=PruneConfig(alpha=0.2, quality="tensor_loss", lae_rank=1, als=als),
+    )
+
+    forest_keys = {
+        "seed": 8, "n_trees": 3, "bootstrap": False, "forest_tau": 0.5, "max_depth": 2,
+        "min_samples_leaf": 4, "criterion": "sse", "value_mode": "observed",
+        "strategy": "exhaustive", "leaf_model": "mean", "intercept": False, "als": als_doc,
+    }
+    forest = ForestConfig(
+        n_trees=3, bootstrap=False, tau=0.5, seed=8,
+        tree=GrowConfig(max_depth=2, min_samples_leaf=4,
+                        criterion=SplitCriterion(kind="sse", value_mode="observed", als=als),
+                        strategy=SearchStrategy(kind="exhaustive", seed=8),
+                        leaf=LeafModelSpec(kind="mean", als=als, intercept=False)),
+    )
+
+    output_keys = {
+        "seed": 2, "n_estimators": 2, "learning_rate": 0.5, "p_resample": 0.25,
+        "max_depth": 1, "min_samples_leaf": 3, "leaf_model": "mean", "alpha": 0.1,
+        "prune_quality": "variance", "als": als_doc,
+    }
+
+    def output(approach, decomp, rank):
+        grow_cfg = GrowConfig(max_depth=1, min_samples_leaf=3,
+                              criterion=SplitCriterion(als=als),
+                              strategy=SearchStrategy(seed=2), leaf=LeafModelSpec(als=als))
+        boosting = BoostingConfig(n_estimators=2, learning_rate=0.5, p_resample=0.25, seed=2,
+                                  tree=grow_cfg, prune=PruneConfig(alpha=0.1, als=als))
+        return OutputConfig(approach=approach, decomp=decomp, rank=rank, boosting=boosting,
+                            als=als)
+
+    return {
+        "tree": (tree_keys, {"grow": tree_grow, "prune": tree_prune}),
+        "boosting": (boost_keys, {"fit_boosting": boost}),
+        "forest": (forest_keys, {"fit_forest": forest}),
+        "entrywise": ({**output_keys, "output_decomp": "tucker", "output_rank": 2},
+                      {"fit_entrywise": output("entrywise", "tucker", 2)}),
+        "lowrank": ({**output_keys, "output_decomp": "tucker", "output_rank": [3, 2, 2]},
+                    {"fit_lowrank": output("lowrank", "tucker", (3, 2, 2))}),
+    }
+
+
+def _library_fit(x, y, configs):
+    if "grow" in configs:
+        tree = grow(x, y, configs["grow"])
+        return prune(tree, configs["prune"]) if "prune" in configs else tree
+    (name, config), = configs.items()
+    return getattr(cli, name)(x, y, config)
+
+
+LIBRARY_DEFAULTS = {
+    "tree": {"grow": GrowConfig()},
+    "boosting": {"fit_boosting": BoostingConfig()},
+    "forest": {"fit_forest": ForestConfig()},
+    "entrywise": {"fit_entrywise": OutputConfig()},
+}
+
+
+@pytest.mark.parametrize("model", ["tree", "boosting", "forest", "entrywise", "lowrank"])
+@pytest.mark.parametrize("keys", ["every", "none"])
+def test_fit_config_builds_library_configs(tmp_path, monkeypatch, capsys, model, keys):
+    rng = make_rng(30)
+    x = rng.uniform(size=(60, 3, 3))
+    if model in ("entrywise", "lowrank"):
+        y = np.stack([x[:, 0, 0] > 0.5, x[:, 1, 1], x[:, 2, 0] * x[:, 0, 2], x[:, 1, 2] > 0.3],
+                     axis=1).reshape(60, 2, 2).astype(float)
+    else:
+        y = 3.0 * (x[:, 0, 1] > 0.5) + x[:, 2, 2] + rng.normal(0.0, 0.1, 60)
+    np.save(tmp_path / "X.npy", x)
+    np.save(tmp_path / "y.npy", y)
+    run = {"model": model, "data": {"x": str(tmp_path / "X.npy"), "y": str(tmp_path / "y.npy")}}
+    if keys == "every":
+        doc, expected = _library_configs()[model]
+        run.update(doc)
+    elif model == "lowrank":
+        # the library has no default output rank, so a bare low-rank config is refused
+        with pytest.raises(ValueError, match="rank"):
+            OutputConfig(approach="lowrank")
+        cfg = write_config(tmp_path / "cfg.json", run)
+        assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+        return
+    else:
+        expected = LIBRARY_DEFAULTS[model]
+
+    seen = {}
+
+    def spy(name, fitter):
+        def call(*args, **kwargs):
+            seen[name] = args[-1]  # every fitter takes its config last
+            return fitter(*args, **kwargs)
+        return call
+
+    for name in expected:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    cfg = write_config(tmp_path / "cfg.json", run)
+    out = tmp_path / "m.json"
+    assert cli.main(["fit", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert seen == expected
+    monkeypatch.undo()
+    assert out.read_text() == serialize.dumps(_library_fit(x, y, expected))

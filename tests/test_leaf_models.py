@@ -198,7 +198,8 @@ class TestSpecValidation:
 
 class TestRankConfig:
     @pytest.mark.parametrize(
-        "kind, rank", [("cp", (2, 2)), ("cp", 0), ("tucker", 0), ("tucker", (2, 0)), ("tucker", ())]
+        "kind, rank", [("cp", (2, 2)), ("cp", 0), ("tucker", 0), ("tucker", (2, 0)), ("tucker", ()),
+                       ("cp", True), ("tucker", (True, 2))]
     )
     def test_bad_rank_rejected_when_spec_is_built(self, kind, rank):
         with pytest.raises(ValueError, match="rank"):

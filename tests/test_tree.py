@@ -391,6 +391,18 @@ class TestSinglePassWalks:
         prune(tree, cfg)
         assert len(calls) == 4 + 3
 
+    def test_variance_prune_fits_no_leaf_for_a_kept_split(self, monkeypatch):
+        x = make_rng(28).uniform(size=(300, 4, 4))
+        y = (4.0 * (x[:, 0, 0] > 0.5) + 2.0 * (x[:, 1, 1] > 0.5) + (x[:, 2, 2] > 0.5)
+             + make_rng(29).normal(0.0, 0.1, 300))
+        leaf = LeafModelSpec(kind="cp", rank=1, als=AlsConfig(max_iterations=5))
+        tree = grow(x, y, GrowConfig(max_depth=3, leaf=leaf))
+        assert tree.n_leaves == 8
+        calls = []
+        monkeypatch.setattr(tree_module, "fit_leaf", lambda *a: calls.append(a) or fit_leaf(*a))
+        assert prune(tree, PruneConfig(alpha=0.01)).n_leaves == 8
+        assert len(calls) == 0
+
     def test_mean_leaf_predict_reads_no_features(self, monkeypatch):
         x, y, _ = piecewise_data(100, seed=27)
         tree = grow(x, y, mean_config(max_depth=2))
