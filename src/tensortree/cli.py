@@ -24,11 +24,11 @@ and boolean keys ``true``/``false``; rank keys take an integer or a list
 of integers.  ``null`` is rejected for every key, as is any unknown key,
 here and in a bench config's ``synthetic`` object.
 
-Exit codes: 0 success, 2 config or usage error, 3 data error.  Arrays
-are exchanged as NPY files (little-endian float64, C order).  The
-``--threads`` flag (fallback: ``TT_THREADS`` environment variable)
-bounds the worker pool used for per-entry ensemble fitting; results are
-identical for every thread count.
+Exit codes: 0 success, 2 config or usage error, 3 data error (a response
+that cannot be scored included).  Arrays are exchanged as NPY files
+(little-endian float64, C order).  The ``--threads`` flag (fallback:
+``TT_THREADS`` environment variable) bounds the worker pool used for
+per-entry ensemble fitting; results are identical for every thread count.
 """
 
 from __future__ import annotations
@@ -250,9 +250,13 @@ def _predict_model(model, x: np.ndarray) -> np.ndarray:
         raise DataError(str(exc)) from None
 
 
-def _metrics_json(y: np.ndarray, pred: np.ndarray) -> str:
-    m = evaluate(y, pred)
-    return json.dumps({"mse": m.mse, "rmse": m.rmse, "rpe": m.rpe}, sort_keys=True)
+def _score(y: np.ndarray, pred: np.ndarray) -> dict:
+    """MSE, RMSE and RPE of ``pred``; a response ``evaluate`` cannot score is a DataError."""
+    try:
+        m = evaluate(y, pred)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    return {"mse": m.mse, "rmse": m.rmse, "rpe": m.rpe}
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -305,8 +309,9 @@ def _cmd_fit(args) -> int:
     threads = _resolve_threads(args.threads)
     x, y = _load_data(cfg.get("data"))
     model = _fit_model(cfg, x, y, seed, threads)
+    metrics = json.dumps(_score(y, _predict_model(model, x)), sort_keys=True)
     save_model(model, args.out)
-    print(_metrics_json(y, _predict_model(model, x)))
+    print(metrics)
     return 0
 
 
@@ -324,28 +329,34 @@ def _cmd_predict(args) -> int:
         y = _load_array(args.y)
         if y.shape != pred.shape:
             raise DataError(f"reference shape {y.shape} does not match predictions {pred.shape}")
-        print(_metrics_json(y, pred))
+        print(json.dumps(_score(y, pred), sort_keys=True))
     return 0
 
 
 _BENCH_KEYS = {"synthetic", "data", "test_fraction", "base", "sweep"}
 
 
-def _bench_dataset(cfg: dict, cell: dict):
-    if "synthetic" in cfg:
-        doc = cfg["synthetic"]
-        if not isinstance(doc, dict):
-            raise ConfigError("synthetic must be an object")
-        _check_keys(doc, set(_SYNTHETIC), "synthetic")
-        if "n" in cell:
-            doc = {**doc, "n": cell["n"]}
-        try:
-            return generate(SyntheticSpec(**{k: _SYNTHETIC[k](v, k) for k, v in doc.items()}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-    if "data" in cfg:
+def _synthetic_fields(cfg: dict) -> dict | None:
+    """The parsed ``synthetic`` object of a bench config; None when it reads ``data``."""
+    if "synthetic" not in cfg:
+        if "data" not in cfg:
+            raise ConfigError("bench config needs 'synthetic' or 'data'")
+        return None
+    doc = cfg["synthetic"]
+    if not isinstance(doc, dict):
+        raise ConfigError("synthetic must be an object")
+    _check_keys(doc, set(_SYNTHETIC), "synthetic")
+    return {k: _SYNTHETIC[k](v, k) for k, v in doc.items()}
+
+
+def _bench_dataset(cfg: dict, fields: dict | None):
+    """``cfg``'s ``data`` arrays, or the dataset that synthetic ``fields`` describe."""
+    if fields is None:
         return _load_data(cfg["data"])
-    raise ConfigError("bench config needs 'synthetic' or 'data'")
+    try:
+        return generate(SyntheticSpec(**fields))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_bench(args) -> int:
@@ -363,13 +374,10 @@ def _cmd_bench(args) -> int:
     if not 0.0 < fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     threads = _resolve_threads(args.threads)
+    fields = _synthetic_fields(cfg)
+    datasets = {}  # swept n (None when n is not swept or data is read) -> (x, y)
 
     keys = sorted(sweep)
-    metric_cols = [
-        "train_mse", "train_rmse", "train_rpe",
-        "test_mse", "test_rmse", "test_rpe",
-        "fit_seconds", "predict_seconds",
-    ]
     rows = []
     for values in itertools.product(*(sweep[k] for k in keys)):
         cell = dict(zip(keys, values))
@@ -377,7 +385,10 @@ def _cmd_bench(args) -> int:
         run.setdefault("model", "tree")
         # a bench run reads its data from the bench config's own dataset
         _validate_fit_config(run, _RUN_KEYS - {"data"})
-        x, y = _bench_dataset(cfg, cell)
+        n = _integer(cell["n"], "n") if fields is not None and "n" in cell else None
+        if n not in datasets:
+            datasets[n] = _bench_dataset(cfg, fields if n is None else {**fields, "n": n})
+        x, y = datasets[n]
         seed = _fields(run, "run")
         x_train, y_train, x_test, y_test = train_test_split(x, y, 1.0 - fraction, **seed)
         t0 = time.perf_counter()
@@ -387,17 +398,16 @@ def _cmd_bench(args) -> int:
         pred_train = _predict_model(model, x_train)
         pred_test = _predict_model(model, x_test)
         predict_seconds = time.perf_counter() - t0
-        mt = evaluate(y_train, pred_train)
-        me = evaluate(y_test, pred_test)
         rows.append(
             {**{k: json.dumps(cell[k]) if isinstance(cell[k], list) else cell[k] for k in keys},
-             "train_mse": mt.mse, "train_rmse": mt.rmse, "train_rpe": mt.rpe,
-             "test_mse": me.mse, "test_rmse": me.rmse, "test_rpe": me.rpe,
+             **{f"train_{k}": v for k, v in _score(y_train, pred_train).items()},
+             **{f"test_{k}": v for k, v in _score(y_test, pred_test).items()},
              "fit_seconds": fit_seconds, "predict_seconds": predict_seconds}
         )
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys + metric_cols)
+        # the sweep has at least one cell, and every row has the same columns
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     print(json.dumps({"rows": len(rows), "out": args.out}, sort_keys=True))

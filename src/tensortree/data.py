@@ -117,7 +117,7 @@ def _gen_table2_nonlinear(spec: SyntheticSpec):
     return x, y + _uniform_noise(rng, spec, y.shape)
 
 
-def _exact_response(x: np.ndarray, x_recon: np.ndarray, n: int):
+def _exact_response(x: np.ndarray, x_recon: np.ndarray):
     p = 7
     base = x_recon[:, 0, 1] ** 2 - x[:, 0, 0]
     return np.tile(base[:, None], (1, p))
@@ -127,7 +127,7 @@ def _gen_table2_exact_cp(spec: SyntheticSpec):
     rng = make_rng(spec.seed)
     x = rng.uniform(0.0, 1.0, size=(spec.n, 12, 6))
     decomp, _ = cp_als(x, 4)
-    y = _exact_response(x, decomp.to_tensor(), spec.n)
+    y = _exact_response(x, decomp.to_tensor())
     return x, y + _uniform_noise(rng, spec, y.shape)
 
 
@@ -136,7 +136,7 @@ def _gen_table2_exact_tucker(spec: SyntheticSpec):
     x = rng.uniform(0.0, 1.0, size=(spec.n, 12, 6))
     ranks = (min(4, spec.n), 4, 4)
     decomp, _ = tucker_als(x, ranks)
-    y = _exact_response(x, decomp.to_tensor(), spec.n)
+    y = _exact_response(x, decomp.to_tensor())
     return x, y + _uniform_noise(rng, spec, y.shape)
 
 

@@ -6,13 +6,15 @@ Tucker decomposition (small dense core multiplied by orthonormal factor
 matrices) fitted by orthogonal iteration (HOOI) from an HOSVD start.
 
 Both solvers are deterministic for a fixed input and
-:class:`AlsConfig`: initialization is SVD-based whenever the requested
-rank fits the mode extent and seeded-uniform otherwise, every
-least-squares step adds a tiny ridge so rank-deficient systems (small
-sample groups) stay solvable, and the per-iteration relative
-reconstruction errors are recorded so callers can verify the descent.
-Non-convergence within the iteration budget is reported through the
-returned flag, never raised.
+:class:`AlsConfig`, record the per-iteration relative reconstruction
+errors so callers can verify the descent, and report non-convergence
+within the iteration budget through the returned flag, never raised.
+CP starts from SVD-based factors whenever the requested rank fits the
+mode extent and from seeded-uniform ones otherwise, and each of its
+least-squares steps adds a tiny ridge so rank-deficient systems (small
+sample groups) stay solvable.  Tucker starts from the truncated HOSVD
+and solves no least-squares system: each factor is a leading singular
+subspace.
 """
 
 from __future__ import annotations
@@ -107,10 +109,14 @@ class TuckerDecomposition:
         return tuple(f.shape[0] for f in self.factors)
 
     def to_tensor(self) -> np.ndarray:
-        out = self.core
-        for q, f in enumerate(self.factors):
-            out = mode_product(out, f, q)
-        return out
+        return _multiply(self.core, self.factors, range(len(self.factors)))
+
+
+def _multiply(t: np.ndarray, factors: Sequence[np.ndarray], modes, transpose: bool = False):
+    """``t`` times ``factors[q]`` (or its transpose) along each mode ``q`` in ``modes``, in turn."""
+    for q in modes:
+        t = mode_product(t, factors[q].T if transpose else factors[q], q)
+    return t
 
 
 def _check_rank(rank, family: str, name: str = "rank") -> None:
@@ -191,15 +197,6 @@ def _normalize_columns(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.n
     return weights, out
 
 
-def _zero_cp(shape: tuple[int, ...], rank: int) -> CPDecomposition:
-    factors = []
-    for d in shape:
-        f = np.zeros((d, rank))
-        f[0, :] = 1.0
-        factors.append(f)
-    return CPDecomposition(weights=np.zeros(rank), factors=tuple(factors))
-
-
 def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomposition, AlsInfo]:
     """Fit a rank-``rank`` CP decomposition of ``tensor`` by ALS.
 
@@ -233,7 +230,9 @@ def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomp
 
     norm_t = frobenius_norm(t)
     if norm_t == 0.0:
-        return _zero_cp(t.shape, rank), AlsInfo(converged=True, errors=(0.0,))
+        weights, unit_factors = _normalize_columns([np.zeros((d, rank)) for d in t.shape])
+        decomp = CPDecomposition(weights=weights, factors=tuple(unit_factors))
+        return decomp, AlsInfo(converged=True, errors=(0.0,))
 
     rng = make_rng(cfg.seed)
     factors: list[np.ndarray] = []
@@ -278,13 +277,6 @@ def _hosvd(t: np.ndarray, ranks: Sequence[int]) -> list[np.ndarray]:
     return [_leading_left_singular(unfold(t, q), r) for q, r in enumerate(ranks)]
 
 
-def _tucker_core(t: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    core = t
-    for q, f in enumerate(factors):
-        core = mode_product(core, f.T, q)
-    return core
-
-
 def tucker_als(
     tensor, ranks: Sequence[int], config: AlsConfig | None = None
 ) -> tuple[TuckerDecomposition, AlsInfo]:
@@ -308,7 +300,10 @@ def tucker_als(
     Starts from the truncated HOSVD, then repeatedly re-extracts each
     factor as the leading singular subspace of the tensor contracted by
     all other factors.  Factors stay orthonormal by construction and the
-    recorded error sequence is non-increasing.
+    recorded error sequence is non-increasing.  A sweep carries the
+    tensor projected on the modes it has already updated, so mode ``q``
+    multiplies only by the factors after ``q``; once the last mode is
+    updated that projection is the sweep's core.
     """
     t = _as_tensor(tensor)
     _check_finite(t)
@@ -327,13 +322,12 @@ def tucker_als(
     errors: list[float] = []
     converged = False
     for _ in range(cfg.max_iterations):  # at least one sweep: AlsConfig checks the budget
+        projected = t  # t times the transposes of the factors updated so far
         for q in range(t.ndim):
-            partial = t
-            for p in range(t.ndim):
-                if p != q:
-                    partial = mode_product(partial, factors[p].T, p)
+            partial = _multiply(projected, factors, range(q + 1, t.ndim), transpose=True)
             factors[q] = _leading_left_singular(unfold(partial, q), ranks[q])
-        decomp = TuckerDecomposition(core=_tucker_core(t, factors), factors=tuple(factors))
+            projected = _multiply(projected, factors, (q,), transpose=True)
+        decomp = TuckerDecomposition(core=projected, factors=tuple(factors))
         err = float(frobenius_norm(t - decomp.to_tensor()) / norm_t)
         errors.append(err)
         if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < cfg.rel_tolerance:

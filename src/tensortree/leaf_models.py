@@ -25,11 +25,11 @@ from .decomposition import (
     TuckerDecomposition,
     _check_rank,
     _hosvd,
+    _multiply,
     _normalize_columns,
     _resolve_ranks,
-    _tucker_core,
 )
-from .tensor_ops import khatri_rao_all, mode_product
+from .tensor_ops import khatri_rao_all
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,9 @@ class FittedLeafModel:
     coefficient: CPDecomposition | TuckerDecomposition | None = None
     fell_back: bool = False
     losses: tuple[float, ...] = ()
-    _dense: np.ndarray | None = None
 
     def coefficient_tensor(self) -> np.ndarray | None:
-        if self.coefficient is None:
-            return None
-        if self._dense is None:
-            self._dense = self.coefficient.to_tensor()
-        return self._dense
+        return None if self.coefficient is None else self.coefficient.to_tensor()
 
 
 def contract(x, b):
@@ -216,10 +211,7 @@ def _fit_tucker_regression(
     losses: list[float] = []
     for _ in range(cfg.max_iterations):
         for q in range(n_modes):
-            h = core
-            for p in range(n_modes):
-                if p != q:
-                    h = mode_product(h, factors[p], p)
+            h = _multiply(core, factors, [p for p in range(n_modes) if p != q])
             h_q = np.moveaxis(h, q, 0).reshape(ranks[q], -1)
             phi = (unfoldings[q] @ h_q.T).reshape(n, -1)
             c, coef = _solve_block(phi, y, intercept)
@@ -239,8 +231,8 @@ def _fit_tucker_regression(
     # factors; the truncated HOSVD is exact here because the multilinear
     # rank of the fitted tensor cannot exceed the requested ranks.
     ortho = _hosvd(b, ranks)
-    decomp = TuckerDecomposition(core=_tucker_core(b, ortho), factors=tuple(ortho))
-    return c, decomp, tuple(losses)
+    core = _multiply(b, ortho, range(n_modes), transpose=True)
+    return c, TuckerDecomposition(core=core, factors=tuple(ortho)), tuple(losses)
 
 
 def fit_leaf(x, y, spec: LeafModelSpec) -> FittedLeafModel:

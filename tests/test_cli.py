@@ -453,3 +453,54 @@ def test_fit_config_builds_library_configs(tmp_path, monkeypatch, capsys, model,
     assert seen == expected
     monkeypatch.undo()
     assert out.read_text() == serialize.dumps(_library_fit(x, y, expected))
+
+
+@pytest.mark.parametrize("command", ["fit", "bench", "predict"])
+def test_unscorable_response_exit_3(workdir, command):
+    # fit and predict --y score an all-zero response (RPE undefined); bench with
+    # n=3 at test_fraction 0.25 leaves no test row to score
+    np.save(workdir / "X.npy", np.zeros((20, 2, 2)))
+    np.save(workdir / "y.npy", np.zeros(20))
+    if command == "bench":
+        cfg = write_config(workdir / "cfg.json", {**BENCH_BASE,
+                                                  "synthetic": {"generator": "prune_fn", "n": 3}})
+        res = run_cli("bench", "--config", cfg, "--out", "out", cwd=workdir)
+    elif command == "fit":
+        cfg = write_config(workdir / "cfg.json", FIT_BASE)
+        res = run_cli("fit", "--config", cfg, "--out", "out", cwd=workdir)
+    else:
+        np.save(workdir / "ones.npy", np.ones(20))
+        cfg = write_config(workdir / "cfg.json", {**FIT_BASE, "data": {"x": "X.npy",
+                                                                       "y": "ones.npy"}})
+        assert run_cli("fit", "--config", cfg, "--out", "m.json", cwd=workdir).returncode == 0
+        res = run_cli("predict", "--model", "m.json", "--x", "X.npy", "--y", "y.npy",
+                      "--out", "out.npy", cwd=workdir)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    # fit scores before it writes the model; predict writes its predictions first
+    assert not (workdir / "out").exists()
+    assert (workdir / "out.npy").exists() == (command == "predict")
+
+
+@pytest.mark.parametrize("sweep, rows, builds", [
+    ({"max_depth": [1, 2], "seed": [0, 1, 2]}, 6, 1),
+    ({"max_depth": [1, 2], "n": [40, 50]}, 4, 2),
+])
+def test_bench_builds_each_dataset_once(tmp_path, monkeypatch, capsys, sweep, rows, builds):
+    calls = []
+    real = cli.generate
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "generate", counted)
+    cfg = write_config(tmp_path / "bench.json", {
+        "synthetic": {"generator": "prune_fn", "n": 40, "seed": 2},
+        "base": {"criterion": "sse", "leaf_model": "mean"},
+        "sweep": sweep,
+    })
+    assert cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert len(calls) == builds
+    assert len((tmp_path / "s.csv").read_text().strip().splitlines()) == 1 + rows

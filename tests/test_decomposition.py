@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tensortree import decomposition
 from tensortree.decomposition import (
     AlsConfig,
     CPDecomposition,
@@ -135,6 +136,69 @@ class TestTuckerAls:
         assert np.array_equal(d1.core, d2.core)
         for a, b in zip(d1.factors, d2.factors):
             assert np.array_equal(a, b)
+
+
+def _leading_subspace(m, r):
+    u = np.linalg.svd(m, full_matrices=r > min(m.shape))[0]
+    return u[:, :r]
+
+
+def naive_hooi(t, ranks, cfg):
+    """HOOI written out in full: each mode multiplies by every other factor's
+    transpose, and each sweep forms its core from all factors."""
+    unfold = lambda a, q: np.moveaxis(a, q, 0).reshape(a.shape[q], -1)  # noqa: E731
+    factors = [_leading_subspace(unfold(t, q), r) for q, r in enumerate(ranks)]
+    norm_t = frobenius_norm(t)
+    errors, converged = [], False
+    for _ in range(cfg.max_iterations):
+        for q in range(t.ndim):
+            partial = t
+            for p in range(t.ndim):
+                if p != q:
+                    partial = mode_product(partial, factors[p].T, p)
+            factors[q] = _leading_subspace(unfold(partial, q), ranks[q])
+        core = t
+        for q in range(t.ndim):
+            core = mode_product(core, factors[q].T, q)
+        recon = core
+        for q in range(t.ndim):
+            recon = mode_product(recon, factors[q], q)
+        errors.append(float(frobenius_norm(t - recon) / norm_t))
+        if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < cfg.rel_tolerance:
+            converged = True
+            break
+    return core, factors, errors, converged
+
+
+class TestTuckerPartialProducts:
+    @pytest.mark.parametrize("shape", [(6, 5), (5, 4, 3), (4, 3, 5, 3)])
+    @pytest.mark.parametrize("ranks", ["uniform", "per-mode"])
+    @pytest.mark.parametrize("budget", [1, 3, 50])
+    def test_matches_naive_hooi_bitwise(self, shape, ranks, budget):
+        t = np.random.default_rng(len(shape) * 100 + budget).normal(size=shape)
+        ranks = (2,) * len(shape) if ranks == "uniform" else tuple(max(1, d - 2) for d in shape)
+        cfg = AlsConfig(max_iterations=budget)
+        decomp, info = tucker_als(t, ranks, cfg)
+        core, factors, errors, converged = naive_hooi(t, ranks, cfg)
+        assert np.array_equal(decomp.core, core)
+        assert all(np.array_equal(a, b) for a, b in zip(decomp.factors, factors))
+        assert info.errors == tuple(errors)
+        assert info.converged == converged
+
+    @pytest.mark.parametrize("shape, products", [((4, 3, 5), 9), ((4, 3, 5, 3), 14)])
+    def test_one_sweep_mode_products(self, monkeypatch, shape, products):
+        # per mode: the products after it plus one to extend the projection,
+        # then one per mode to reconstruct; no separate core
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return mode_product(*args)
+
+        monkeypatch.setattr(decomposition, "mode_product", counted)
+        t = np.random.default_rng(26).normal(size=shape)
+        tucker_als(t, (2,) * len(shape), AlsConfig(max_iterations=1, rel_tolerance=0.0))
+        assert len(calls) == products
 
 
 class TestReconstructAndError:
