@@ -278,7 +278,7 @@ def _hosvd(t: np.ndarray, ranks: Sequence[int]) -> list[np.ndarray]:
 
 
 def tucker_als(
-    tensor, ranks: Sequence[int], config: AlsConfig | None = None
+    tensor, ranks: int | Sequence[int], config: AlsConfig | None = None
 ) -> tuple[TuckerDecomposition, AlsInfo]:
     """Fit a Tucker decomposition of ``tensor`` at per-mode ``ranks`` by HOOI.
 
@@ -286,8 +286,9 @@ def tucker_als(
     ----------
     tensor : ndarray
         2- to 4-mode array of finite floats.
-    ranks : sequence of int
-        One rank per mode, each in ``[1, extent(mode)]``.
+    ranks : int or sequence of int
+        One rank per mode, each in ``[1, extent(mode)]``; an int ``>= 1``
+        is clamped to each mode's extent.
     config : AlsConfig, optional
         Same stopping contract as :func:`cp_als`.
 
@@ -307,7 +308,10 @@ def tucker_als(
     """
     t = _as_tensor(tensor)
     _check_finite(t)
-    ranks = _resolve_ranks(tuple(ranks), t.shape)
+    if not isinstance(ranks, (int, np.integer)):
+        ranks = tuple(ranks)
+    _check_rank(ranks, "tucker", "rank")
+    ranks = _resolve_ranks(ranks, t.shape)
     cfg = config or AlsConfig()
 
     norm_t = frobenius_norm(t)

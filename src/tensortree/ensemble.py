@@ -113,6 +113,7 @@ def fit_boosting(x, y, config: BoostingConfig) -> BoostedModel:
     weights = np.full(n, 1.0 / n, dtype=np.float64)
     trees: list[TensorTree] = []
     mse_trace: list[float] = []
+    orders: dict = {}  # sorted columns of x, shared by the stages that grow on all of it
 
     for _ in range(config.n_estimators):
         residual = y - current
@@ -124,7 +125,7 @@ def fit_boosting(x, y, config: BoostingConfig) -> BoostedModel:
             weights = np.minimum(weights, WEIGHT_CAP)
             weights = weights / weights.sum()
         else:
-            tree = grow(x, residual, config.tree)
+            tree = grow(x, residual, config.tree, _orders=orders)
         if config.prune is not None:
             tree = prune(tree, config.prune)
         tree.drop_training_data()
@@ -147,16 +148,15 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
     n = y.size
     trees: list[TensorTree] = []
     for t_index in range(config.n_trees):
-        rng = make_rng(derive_seed(config.seed, t_index))
-        if config.bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
         strategy = SearchStrategy(
             kind="leverage", tau=config.tau, seed=derive_seed(config.seed, t_index, 1)
         )
         tree_cfg = replace(config.tree, strategy=strategy)
-        tree = grow(x[rows], y[rows], tree_cfg)
+        if config.bootstrap:
+            rows = make_rng(derive_seed(config.seed, t_index)).integers(0, n, size=n)
+            tree = grow(x[rows], y[rows], tree_cfg)
+        else:
+            tree = grow(x, y, tree_cfg)
         tree.drop_training_data()
         trees.append(tree)
     return ForestModel(trees)

@@ -4,8 +4,8 @@ A split is an axis-aligned rule on one feature coordinate: rows with
 ``X[:, j1, j2] <= threshold`` go left, the rest go right.  Three
 criteria score a candidate rule:
 
-* ``sse`` - sum over the two children of the population variance of the
-  responses (scale-free in the child sizes).
+* ``sse`` - unweighted sum over the two children of the population
+  variance of the responses (scale-free in the child sizes).
 * ``lae`` - sum over the two children of the squared reconstruction
   error of a low-rank (CP or Tucker) decomposition of the child's
   stacked input tensor.  Does not look at the responses.
@@ -40,6 +40,19 @@ the search by more than ``BOUND_MARGIN`` times the node's sum of squared
 responses; the margin absorbs roundoff between the bound and the fitted
 loss.  A skipped candidate could therefore never have won or tied, so
 every strategy returns the same rule and loss as without the bound.
+
+The observed-value ``sse`` scan reads each coordinate's rows in value
+order from a sorted-order cache: a dict from coordinate to the stable
+argsort of the node's column (int32 positions), filled the first time
+the node scans that coordinate.  After a split each child's cache is the
+parent's filtered to the child's rows (:func:`_child_orders`), which is
+exactly the child's own stable argsort.  So a column is sorted at most
+once on each path from the root, and an exhaustive search sorts it once
+per tree, or once per fit when boosting stages share one input.
+Only a coordinate whose prefix-scan loss lies within a rounding margin
+(``SSE_MARGIN``, derived in :func:`_eval_coord`) of the best loss so far
+is rescored exactly; the others could not win or tie.  The other
+criteria and mean thresholds never use the cache.
 """
 
 from __future__ import annotations
@@ -64,6 +77,11 @@ from .leaf_models import LeafModelSpec, _check_stacked, fit_leaf, predict_leaf
 # Relative slack on the least-squares bound of an ``lre`` candidate, as a
 # fraction of the node's sum of squared responses.
 BOUND_MARGIN = 1e-9
+
+# Slack between an ``sse`` coordinate's prefix-scan loss and its exact
+# child loss, in units of ``(n + 3) * (2 + sqrt(n))`` times the node's sum
+# of squared responses (derived in :func:`_eval_coord`).
+SSE_MARGIN = 3 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -346,15 +364,16 @@ def variance_matrix(x) -> np.ndarray:
 # --- per-coordinate threshold scans ---------------------------------------
 
 
-def _scan_sse_observed(col: np.ndarray, y: np.ndarray, min_child: int):
+def _scan_sse_observed(col: np.ndarray, y: np.ndarray, order: np.ndarray, min_child: int):
     """Best observed-value SSE threshold on one coordinate via prefix sums.
 
-    Returns ``(loss, threshold, n_left, n_right)`` or None when no
-    admissible boundary exists.  Losses tie toward the smallest
-    threshold because candidates are scanned in ascending value order.
+    ``order`` is the stable argsort of ``col``.  Returns ``(loss,
+    threshold, n_left, n_right)`` or None when no admissible boundary
+    exists.  Losses tie toward the smallest threshold because candidates
+    are scanned in ascending value order.
     """
     n = col.size
-    order = np.argsort(col, kind="stable")
+    order = order.astype(np.intp, copy=False)  # one index conversion for both gathers
     v = col[order]
     ys = y[order]
     cum = np.cumsum(ys)
@@ -373,34 +392,75 @@ def _scan_sse_observed(col: np.ndarray, y: np.ndarray, min_child: int):
     return float(loss[j]), float(v[j]), int(k[j]), int(n - k[j])
 
 
-def _eval_coord(x, y, coords, criterion, spec, min_child, best_loss):
+def _order_dtype(n: int):
+    """Index type of a sorted-order cache over ``n`` rows: int32 whenever it can hold them."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.intp
+
+
+def _child_orders(orders: dict, side: np.ndarray) -> dict:
+    """The sorted-order cache of the child holding the node's rows where ``side`` is True.
+
+    A child keeps its rows in node order, so the node order of a column
+    restricted to the child's rows, renumbered to child positions, is
+    exactly the stable argsort of the child's column.
+    """
+    position = np.cumsum(side, dtype=_order_dtype(side.size)) - 1
+    return {c: position.take(o.compress(side.take(o))) for c, o in orders.items()}
+
+
+def _eval_coord(x, y, coords, criterion, spec, min_child, best_loss, orders, sum_sq):
     """Best admissible threshold at one coordinate, or None.
 
-    ``spec`` is :func:`_lre_spec` of the criterion.  ``best_loss`` is the
-    best loss the search has found so far.  Under ``lre``, thresholds
-    whose least-squares bound exceeds it (or this coordinate's own best)
-    by more than the margin are not fitted; they could not win, so the
-    result is the same as an unbounded scan whenever it can beat
-    ``best_loss``.
+    ``spec`` is :func:`_lre_spec` of the criterion, ``orders`` the node's
+    sorted-order cache and ``sum_sq`` the node's ``sum(y**2)``.
+    ``best_loss`` is the best loss the search has found so far.  Under ``sse`` a coordinate whose prefix-scan loss
+    exceeds it by more than the rounding margin is not rescored; under
+    ``lre``, thresholds whose least-squares bound exceeds it (or this
+    coordinate's own best) by more than the margin are not fitted.  Either
+    way the skipped rules could not win or tie, so the result is the same
+    as an unbounded scan whenever it can beat ``best_loss``.
     """
     col = _column(x, coords)
     n = col.size
     if criterion.kind == "sse" and criterion.value_mode == "observed":
-        hit = _scan_sse_observed(col, y, min_child)
+        order = orders.get(coords)
+        if order is None:
+            order = np.argsort(col, kind="stable").astype(_order_dtype(n), copy=False)
+            orders[coords] = order
+        hit = _scan_sse_observed(col, y, order, min_child)
         if hit is None:
             return None
+        scan_loss, thr, nl, nr = hit
         # The prefix scan only locates the best threshold; the reported
         # loss is recomputed by the shared child loss so that rules
         # inducing identical partitions from different coordinates
-        # compare exactly equal during tie-breaking.
-        _, thr, nl, nr = hit
+        # compare exactly equal during tie-breaking.  The recompute is
+        # skipped when the scan loss lies farther above ``best_loss`` than
+        # rounding can move it.  Write u for the unit roundoff,
+        # S = sum(y**2), A = sum(|y|) <= sqrt(n S) and g = 1.01 (n+3) u.
+        # The sequential prefix sums of y and y**2 are off by at most g A
+        # and g S.  The left variance q/k - (s/k)**2 is then off by at
+        # most 3.6 g S, since (s/k)**2 <= q/k <= S.  The right child
+        # subtracts two prefixes, so with r >= 1 rows its q/r is off by
+        # 2.6 g S and its mean by 2.6 g A / r; as A_r <= sqrt(r S), the
+        # squared mean is off by at most 5.3 g sqrt(n) S + 0.6 g S, and
+        # the subtraction rounds by 0.6 g S.  The two-pass ``np.var`` of
+        # the exact loss and their sum are off by 2.6 g S, and the scan's
+        # sum rounds by 0.6 g S.  So scan and exact loss differ by less
+        # than g S (10.6 + 5.3 sqrt(n)) <= eps (n+3)(5.4 + 2.7 sqrt(n)) S.
+        # The margin eps (n+3)(6 + 3 sqrt(n)) S exceeds that by more than
+        # the rounding of ``best_loss + margin``, so a skipped coordinate
+        # loses strictly: it can neither win nor tie.
+        margin = SSE_MARGIN * (n + 3) * (2 + math.sqrt(n)) * sum_sq
+        if scan_loss > best_loss + margin:
+            return None
         rule = SplitRule(coords, thr)
         loss = _children_loss(x, y, _split_mask(x, rule), criterion, spec)
         return SplitEvaluation(rule, loss, nl, nr)
 
     if criterion.kind == "lre":
         design = _affine_design(x)
-        margin = BOUND_MARGIN * float(np.dot(y, y))
+        margin = BOUND_MARGIN * sum_sq
     best = None
     for thr in _thresholds(col, criterion.value_mode):
         rule = SplitRule(coords, float(thr))
@@ -472,11 +532,17 @@ def _bb_order(feature_shape: tuple[int, ...], xi: int) -> list[tuple[int, ...]]:
     return list(mids)
 
 
-def _search(x, y, criterion, strategy, leaf, min_child) -> SplitEvaluation | None:
-    """Score the strategy's coordinates in order, keeping the best under the tie-break."""
+def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEvaluation | None:
+    """Score the strategy's coordinates in order, keeping the best under the tie-break.
+
+    ``orders`` is the node's sorted-order cache (see :func:`find_best_split`),
+    or None to start an empty one.
+    """
     x, y = _check_stacked(x, y)
     if x.shape[0] < 2:
         raise ValueError("need at least two samples to split")
+    if orders is None:
+        orders = {}
     if strategy.kind == "exhaustive":
         order = np.ndindex(*x.shape[1:])
     elif strategy.kind == "leverage":
@@ -484,9 +550,10 @@ def _search(x, y, criterion, strategy, leaf, min_child) -> SplitEvaluation | Non
     else:
         order = _bb_order(x.shape[1:], int(strategy.xi))
     spec = _lre_spec(criterion, leaf)
+    sum_sq = float(np.dot(y, y))
     best = None
     for coords in order:
-        cand = _eval_coord(x, y, coords, criterion, spec, min_child, _best_loss(best))
+        cand = _eval_coord(x, y, coords, criterion, spec, min_child, _best_loss(best), orders, sum_sq)
         if cand is not None and _better(cand, best):
             best = cand
     return best
@@ -548,6 +615,12 @@ def find_best_split(
     leaf: LeafModelSpec | None = None,
     *,
     min_child: int = 1,
+    _orders: dict | None = None,
 ) -> SplitEvaluation | None:
-    """Best rule under the search named by ``strategy.kind``; None if nothing is admissible."""
-    return _search(x, y, criterion, strategy, leaf, min_child)
+    """Best rule under the search named by ``strategy.kind``; None if nothing is admissible.
+
+    ``_orders`` is a sorted-order cache for exactly this ``x`` (an empty
+    dict to start one); without it the call starts its own.  It saves
+    sorts only and never changes the result.
+    """
+    return _search(x, y, criterion, strategy, leaf, min_child, _orders)

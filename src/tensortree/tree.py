@@ -40,6 +40,7 @@ from .splitting import (
     SplitCriterion,
     SplitRule,
     _check_ranks,
+    _child_orders,
     _group_loss,
     _lae_term,
     _lre_spec,
@@ -210,42 +211,77 @@ def _make_leaf(x: np.ndarray, y: np.ndarray, indices: np.ndarray, spec: LeafMode
     )
 
 
-def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec):
+def _searches(n: int, depth: int, config: GrowConfig) -> bool:
+    """Whether a node of ``n`` rows, ``depth`` levels down, looks for a split."""
+    return depth < config.max_depth and n >= max(2, 2 * config.min_samples_leaf)
+
+
+def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, orders: dict):
+    """The rule that splits rows ``indices`` and its left-row mask, or None for a leaf.
+
+    A function of its own so that the node's row copies are freed before
+    its subtrees are grown.
+    """
+    xs, ys = x[indices], y[indices]
+    best = find_best_split(
+        xs,
+        ys,
+        config.criterion,
+        config.strategy,
+        config.leaf,
+        min_child=config.min_samples_leaf,
+        _orders=orders,
+    )
+    if best is None:
+        return None
+    # The search already scored the winning rule's children.
+    gain = _group_loss(xs, ys, config.criterion, spec) - best.loss
+    if gain <= GAIN_TOLERANCE:
+        return None
+    return best.rule, _split_mask(xs, best.rule)
+
+
+def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec, orders=None):
     """The subtree grown on rows ``indices`` of checked inputs, ``depth`` levels down.
 
-    A module-level function rather than a closure in :func:`grow`: a
-    recursive closure is a reference cycle, which would keep each tree's
-    training arrays alive until the next garbage collection.
+    ``orders`` is the node's sorted-order cache (see
+    :func:`~tensortree.splitting.find_best_split`), or None to start an
+    empty one.  Each child that will search inherits the columns its
+    parent sorted; a child that will not gets no cache, and each cache is
+    released once the subtrees that read it are built.  A module-level
+    function rather than a closure in :func:`grow`: a recursive closure is
+    a reference cycle, which would keep each tree's training arrays alive
+    until the next garbage collection.
     """
-    n = indices.size
-    if depth < config.max_depth and n >= max(2, 2 * config.min_samples_leaf):
-        xs, ys = x[indices], y[indices]
-        best = find_best_split(
-            xs,
-            ys,
-            config.criterion,
-            config.strategy,
-            config.leaf,
-            min_child=config.min_samples_leaf,
-        )
-        if best is not None:
-            # The search already scored the winning rule's children.
-            gain = _group_loss(xs, ys, config.criterion, spec) - best.loss
-            if gain > GAIN_TOLERANCE:
-                go_left = _split_mask(xs, best.rule)
-                return SplitNode(
-                    rule=best.rule,
-                    left=_build(x, y, indices[go_left], depth + 1, config, spec),
-                    right=_build(x, y, indices[~go_left], depth + 1, config, spec),
-                )
+    if _searches(indices.size, depth, config):
+        if orders is None:
+            orders = {}
+        split = _split(x, y, indices, config, spec, orders)
+        if split is not None:
+            rule, go_left = split
+            caches = [
+                _child_orders(orders, side) if _searches(int(side.sum()), depth + 1, config) else None
+                for side in (go_left, ~go_left)
+            ]
+            del orders  # still alive only where the caller shares it
+            return SplitNode(
+                rule=rule,
+                left=_build(x, y, indices[go_left], depth + 1, config, spec, caches.pop(0)),
+                right=_build(x, y, indices[~go_left], depth + 1, config, spec, caches.pop()),
+            )
     return _make_leaf(x, y, indices, config.leaf)
 
 
-def grow(x, y, config: GrowConfig) -> TensorTree:
-    """Fit a tensor tree on stacked inputs ``x`` and responses ``y``."""
+def grow(x, y, config: GrowConfig, *, _orders: dict | None = None) -> TensorTree:
+    """Fit a tensor tree on stacked inputs ``x`` and responses ``y``.
+
+    ``_orders`` is a sorted-order cache for exactly this ``x``, shared by
+    fits on the same input; it saves sorts only and never changes the tree.
+    """
     x, y = _check_stacked(x, y)
     _check_ranks(config.criterion, config.leaf, x.shape[1:])
-    root = _build(x, y, np.arange(x.shape[0]), 0, config, _lre_spec(config.criterion, config.leaf))
+    spec = _lre_spec(config.criterion, config.leaf)
+    root = _build(x, y, np.arange(x.shape[0]), 0, config, spec, _orders)
     return TensorTree(root, x.shape[1:], config, x_train=x, y_train=y)
 
 

@@ -128,6 +128,22 @@ class TestTuckerAls:
         with pytest.raises(ValueError):
             tucker_als(np.ones((2, 3)), (3, 2))
 
+    @pytest.mark.parametrize("rank, ranks", [
+        (2, (2, 2, 2)), (4, (4, 3, 4)), (np.int64(3), (3, 3, 3)), (np.array([2, 3, 2]), (2, 3, 2)),
+        (range(1, 4), (1, 2, 3)),
+    ])
+    def test_int_rank_is_the_clamped_tuple(self, rank, ranks):
+        t = np.random.default_rng(26).normal(size=(5, 3, 4))
+        (d_int, info_int), (d_tuple, info_tuple) = tucker_als(t, rank), tucker_als(t, ranks)
+        assert np.array_equal(d_int.core, d_tuple.core)
+        assert all(np.array_equal(a, b) for a, b in zip(d_int.factors, d_tuple.factors))
+        assert info_int == info_tuple
+
+    @pytest.mark.parametrize("rank", [0, -1, (2, 0, 2), True])
+    def test_non_positive_rank_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            tucker_als(np.ones((3, 3, 3)), rank)
+
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(25)
         t = rng.normal(size=(5, 4, 3))

@@ -1,18 +1,23 @@
 """Boosting and forest ensembles: update identities and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tensortree._rng import make_rng
+from tensortree import ensemble, splitting
+from tensortree._rng import derive_seed, make_rng
 from tensortree.ensemble import (
     BoostingConfig,
     ForestConfig,
+    ForestModel,
     ensemble_predict,
     fit_boosting,
     fit_forest,
 )
 from tensortree.leaf_models import LeafModelSpec
-from tensortree.splitting import SplitCriterion
+from tensortree.serialize import dumps
+from tensortree.splitting import SearchStrategy, SplitCriterion
 from tensortree.tree import GrowConfig, PruneConfig, grow, prune
 
 
@@ -188,3 +193,40 @@ class TestInputBoundary:
         y[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             fit(x, y, config)
+
+
+class TestForestWithoutBootstrap:
+    def config(self, n_trees):
+        return ForestConfig(n_trees=n_trees, bootstrap=False, tau=1.0, tree=mean_tree(max_depth=3), seed=4)
+
+    def test_bytes_match_trees_grown_one_by_one(self):
+        x, y = step_data(120, seed=9)
+        cfg = replace(self.config(4), tau=0.5)
+        trees = []
+        for t_index in range(cfg.n_trees):
+            strategy = SearchStrategy(kind="leverage", tau=cfg.tau, seed=derive_seed(cfg.seed, t_index, 1))
+            tree = grow(x.copy(), y.copy(), replace(cfg.tree, strategy=strategy))
+            tree.drop_training_data()
+            trees.append(tree)
+        assert dumps(fit_forest(x, y, cfg)) == dumps(ForestModel(trees))
+
+    def test_trees_grow_on_x_and_sort_each_column_once(self, monkeypatch):
+        x, y = step_data(120, seed=10)
+        grown_on_x, root_sorts = [], []
+        grow_tree, argsort = ensemble.grow, np.argsort
+
+        def recording_grow(a, b, config, **kwargs):
+            grown_on_x.append(a is x and np.shares_memory(b, y))
+            return grow_tree(a, b, config, **kwargs)
+
+        def counting_argsort(a, *args, **kwargs):
+            if np.shape(a) == (x.shape[0],):  # a root column, not the leverage sample keys
+                root_sorts.append(np.asarray(a).tobytes())
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "grow", recording_grow)
+        monkeypatch.setattr(splitting.np, "argsort", counting_argsort)
+        fit_forest(x, y, self.config(5))
+        assert grown_on_x == [True] * 5
+        columns = [x[:, i, j].tobytes() for i in range(3) for j in range(3)]
+        assert sorted(root_sorts) == sorted(5 * columns)

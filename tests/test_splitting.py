@@ -12,12 +12,18 @@ import math
 import numpy as np
 import pytest
 
+from tensortree import splitting
+from tensortree.data import SyntheticSpec, generate
 from tensortree.decomposition import AlsConfig
+from tensortree.ensemble import BoostingConfig, ForestConfig, fit_boosting, fit_forest
 from tensortree.leaf_models import LeafModelSpec
+from tensortree.serialize import dumps
 from tensortree.splitting import (
     SearchStrategy,
     SplitCriterion,
+    SplitEvaluation,
     SplitRule,
+    _child_orders,
     candidate_thresholds,
     evaluate_lae,
     evaluate_lre,
@@ -30,6 +36,7 @@ from tensortree.splitting import (
     split_gain,
     variance_matrix,
 )
+from tensortree.tree import GrowConfig, grow
 
 FAST_ALS = AlsConfig(max_iterations=6, rel_tolerance=1e-7, seed=0)
 
@@ -390,3 +397,163 @@ class TestInputAndRankBoundary:
     def test_lre_tuple_rank_left_to_the_leaf_family(self):
         # The lre family follows the leaf spec, so the criterion alone accepts a tuple.
         assert SplitCriterion(kind="lre", split_rank=(2, 2)).split_rank == (2, 2)
+
+
+# --- the presorted sse scan against a per-node sort ----------------------
+
+
+def reference_sse_coord(x, y, coords, min_child):
+    """One coordinate scored the plain way: a fresh stable sort, a prefix
+    scan for the threshold, and an exact rescore of that threshold."""
+    col = x[(slice(None),) + tuple(coords)]
+    n = col.size
+    order = np.argsort(col, kind="stable")
+    v, ys = col[order], y[order]
+    cum, cumsq = np.cumsum(ys), np.cumsum(ys * ys)
+    k = np.arange(1, n)
+    ok = (v[:-1] < v[1:]) & (k >= min_child) & (n - k >= min_child)
+    if not ok.any():
+        return None
+    var_l = np.maximum(cumsq[:-1] / k - (cum[:-1] / k) ** 2, 0.0)
+    var_r = np.maximum((cumsq[-1] - cumsq[:-1]) / (n - k) - ((cum[-1] - cum[:-1]) / (n - k)) ** 2, 0.0)
+    j = int(np.argmin(np.where(ok, var_l + var_r, np.inf)))
+    mask = col <= v[j]
+    loss = float(np.var(y[mask])) + float(np.var(y[~mask]))
+    return SplitEvaluation(SplitRule(tuple(coords), float(v[j])), loss, int(k[j]), int(n - k[j]))
+
+
+def reference_sse_search(x, y, min_child):
+    """Every coordinate sorted and rescored, best under the library's tie-break."""
+    best = None
+    for coords in np.ndindex(*x.shape[1:]):
+        cand = reference_sse_coord(x, y, coords, min_child)
+        if cand is not None and (best is None or (cand.loss, cand.rule.coords, cand.rule.threshold)
+                                 < (best.loss, best.rule.coords, best.rule.threshold)):
+            best = cand
+    return best
+
+
+def sse_instance(kind, seed, n=40):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 3, 2))
+    y = rng.normal(size=n)
+    if kind == "tied":
+        x = np.round(x * 3) / 3
+        y = np.round(y)
+    elif kind == "constant_column":
+        x[:, 1, 0] = 0.25
+    elif kind == "offset":
+        y = y + 1e6
+    elif kind == "duplicate_columns":
+        # Coordinates that induce the same partitions tie exactly.  The
+        # mirrored copy sorts its rows the other way, so its prefix scan
+        # rounds differently; the branch-and-bound walk visits it first.
+        x[:, 1, 0] = -x[:, 0, 0]
+        x[:, 2, 1] = 2 * x[:, 0, 1]
+        y = y + 1e3
+    return x, y
+
+
+class TestPresortedSse:
+    KINDS = ["plain", "tied", "constant_column", "offset", "duplicate_columns"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("min_child", [1, 2, 4, 20, 21])
+    @pytest.mark.parametrize(
+        "strategy", [SearchStrategy(), SearchStrategy(kind="bb", xi=0)], ids=["exhaustive", "bb"])
+    def test_matches_per_node_sort_and_full_rescore(self, kind, min_child, strategy):
+        for seed in range(6):
+            x, y = sse_instance(kind, seed)
+            expected = reference_sse_search(x, y, min_child)
+            got = find_best_split(x, y, SplitCriterion(kind="sse"), strategy, min_child=min_child)
+            assert got == expected
+            if min_child > 20:
+                assert got is None
+
+    def test_cache_holds_stable_orders_and_changes_no_result(self):
+        x, y = sse_instance("tied", 3)
+        orders = {}
+        first = find_best_split(x, y, SplitCriterion(kind="sse"), SearchStrategy(), _orders=orders)
+        again = find_best_split(x, y + 1.0, SplitCriterion(kind="sse"), SearchStrategy(), _orders=orders)
+        assert first == reference_sse_search(x, y, 1)
+        assert again == reference_sse_search(x, y + 1.0, 1)
+        assert sorted(orders) == sorted(np.ndindex(3, 2))
+        for coords, order in orders.items():
+            assert order.dtype == np.int32
+            assert np.array_equal(order, np.argsort(x[(slice(None),) + coords], kind="stable"))
+
+    @pytest.mark.parametrize("kind", ["plain", "tied"])
+    def test_child_orders_are_stable_child_argsorts(self, kind):
+        x, _ = sse_instance(kind, 4)
+        orders = {c: np.argsort(x[(slice(None),) + c], kind="stable") for c in np.ndindex(3, 2)}
+        go_left = x[:, 0, 1] <= np.median(x[:, 0, 1])
+        for rows in (go_left, ~go_left):
+            child = _child_orders(orders, rows)
+            assert sorted(child) == sorted(orders)
+            for coords, order in child.items():
+                assert np.array_equal(order, np.argsort(x[rows][(slice(None),) + coords], kind="stable"))
+
+    @pytest.mark.parametrize("kind", ["mean_value", "lae"])
+    def test_other_criteria_leave_the_cache_empty(self, kind):
+        x, y = sse_instance("plain", 5, n=12)
+        criterion = (SplitCriterion(kind="sse", value_mode="mean") if kind == "mean_value"
+                     else SplitCriterion(kind="lae", split_rank=1, als=FAST_ALS))
+        orders = {}
+        find_best_split(x, y, criterion, SearchStrategy(), _orders=orders)
+        assert orders == {}
+
+
+def reference_eval_coord(x, y, coords, criterion, spec, min_child, *_):
+    """Stands in for ``splitting._eval_coord``: ignores the running best and any cache."""
+    assert criterion.kind == "sse" and criterion.value_mode == "observed"
+    return reference_sse_coord(x, y, coords, min_child)
+
+
+def prune_fn_instance(kind, seed, n=160):
+    x, y = generate(SyntheticSpec(generator="prune_fn", n=n, seed=seed))
+    if kind == "tied":
+        x = np.round(x * 4) / 4
+    elif kind == "constant_column":
+        x[:, 1, 2, 3] = 0.5
+    elif kind == "offset":
+        y = y + 1e6
+    return x, y
+
+
+class TestPresortedModels:
+    """Whole fits with the shared, inherited cache give the bytes of a per-node sort."""
+
+    FITS = {
+        "grow": lambda x, y: grow(x, y, GrowConfig(max_depth=4, min_samples_leaf=1)),
+        "boosting": lambda x, y: fit_boosting(x, y, BoostingConfig(
+            n_estimators=4, tree=GrowConfig(max_depth=3))),
+        "boosting_resampled": lambda x, y: fit_boosting(x, y, BoostingConfig(
+            n_estimators=4, p_resample=0.5, tree=GrowConfig(max_depth=3), seed=2)),
+        "forest": lambda x, y: fit_forest(x, y, ForestConfig(n_trees=3, tree=GrowConfig(max_depth=4))),
+        "forest_no_bootstrap": lambda x, y: fit_forest(x, y, ForestConfig(
+            n_trees=3, bootstrap=False, tree=GrowConfig(max_depth=4))),
+    }
+
+    @pytest.mark.parametrize("kind", ["plain", "tied", "constant_column", "offset"])
+    @pytest.mark.parametrize("fit", list(FITS))
+    def test_model_bytes_match_per_node_sort(self, fit, kind, monkeypatch):
+        x, y = prune_fn_instance(kind, seed=7)
+        got = dumps(self.FITS[fit](x, y))
+        monkeypatch.setattr(splitting, "_eval_coord", reference_eval_coord)
+        assert got == dumps(self.FITS[fit](x, y))
+
+    def test_boosting_sorts_each_coordinate_once(self, monkeypatch):
+        x, y = prune_fn_instance("plain", seed=8, n=200)
+        sorted_columns = []
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            sorted_columns.append(np.asarray(a).tobytes())
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(splitting.np, "argsort", counting_argsort)
+        model = fit_boosting(x, y, BoostingConfig(n_estimators=10, tree=GrowConfig(max_depth=3)))
+        assert sum(t.n_leaves > 1 for t in model.trees) == 10
+        columns = {x[(slice(None),) + c].tobytes() for c in np.ndindex(4, 4, 4)}
+        assert len(sorted_columns) == len(set(sorted_columns)) == 64
+        assert set(sorted_columns) == columns
