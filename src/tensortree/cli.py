@@ -24,11 +24,14 @@ and boolean keys ``true``/``false``; rank keys take an integer or a list
 of integers.  ``null`` is rejected for every key, as is any unknown key,
 here and in a bench config's ``synthetic`` object.
 
-Exit codes: 0 success, 2 config or usage error, 3 data error (a response
-that cannot be scored included).  Arrays are exchanged as NPY files
-(little-endian float64, C order).  The ``--threads`` flag (fallback:
-``TT_THREADS`` environment variable) bounds the worker pool used for
-per-entry ensemble fitting; results are identical for every thread count.
+Exit codes: 0 success, 2 config or usage error (``ConfigError``; a config
+file that is not UTF-8 JSON included), 3 data error: an ``OSError`` (a
+file that cannot be read or written) or a ``ValueError`` (a response that
+cannot be scored included).  ``main`` alone maps exceptions to exit codes.
+Arrays are exchanged as NPY files (little-endian float64, C order).  The
+``--threads`` flag (fallback: ``TT_THREADS`` environment variable) bounds
+the worker pool used for per-entry ensemble fitting; results are
+identical for every thread count.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import time
 
 import numpy as np
 
-from .data import GENERATORS, SyntheticSpec, evaluate, generate, train_test_split
+from .data import SyntheticSpec, evaluate, generate, train_test_split
 from .decomposition import AlsConfig
 from .ensemble import BoostingConfig, ForestConfig, fit_boosting, fit_forest
 from .leaf_models import LeafModelSpec
@@ -55,10 +58,6 @@ from .tree import GrowConfig, PruneConfig, grow, prune
 
 class ConfigError(Exception):
     """Invalid configuration or usage; maps to exit code 2."""
-
-
-class DataError(Exception):
-    """Missing or inconsistent data; maps to exit code 3."""
 
 
 def _integer(value, key: str) -> int:
@@ -176,11 +175,11 @@ def _validate_fit_config(cfg: dict, allowed: set = _RUN_KEYS) -> None:
 
 
 def _load_array(path: str) -> np.ndarray:
+    # An OSError names the path; the error for an empty, non-NPY or non-numeric file does not.
     try:
-        arr = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    return np.ascontiguousarray(arr, dtype=np.float64)
+        return np.ascontiguousarray(np.load(path), dtype=np.float64)
+    except (EOFError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _load_data(data) -> tuple[np.ndarray, np.ndarray]:
@@ -198,9 +197,9 @@ def _fit_model(cfg: dict, x: np.ndarray, y: np.ndarray, seed: dict, threads: int
     """Fit ``cfg``'s model; ``seed`` is ``_fields(cfg, "run")`` or the ``--seed`` override."""
     model_kind = cfg["model"]
     if model_kind in ("tree", "boosting", "forest") and y.ndim != 1:
-        raise DataError(f"model {model_kind!r} needs a scalar response, got shape {y.shape}")
+        raise ValueError(f"model {model_kind!r} needs a scalar response, got shape {y.shape}")
     if model_kind in ("entrywise", "lowrank") and y.ndim < 2:
-        raise DataError(f"model {model_kind!r} needs a stacked tensor response")
+        raise ValueError(f"model {model_kind!r} needs a stacked tensor response")
 
     # configuration problems surface here (exit 2), before any fitting; only
     # the config objects this model kind uses are built
@@ -228,34 +227,21 @@ def _fit_model(cfg: dict, x: np.ndarray, y: np.ndarray, seed: dict, threads: int
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    # problems with the arrays themselves surface here (exit 3)
-    try:
-        if model_kind == "tree":
-            tree = grow(x, y, grow_cfg)
-            return prune(tree, prune_cfg) if prune_cfg is not None else tree
-        if model_kind == "boosting":
-            return fit_boosting(x, y, boost_cfg)
-        if model_kind == "forest":
-            return fit_forest(x, y, forest_cfg)
-        fit = fit_entrywise if model_kind == "entrywise" else fit_lowrank
-        return fit(x, y, out_cfg, n_threads=threads)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-
-
-def _predict_model(model, x: np.ndarray) -> np.ndarray:
-    try:
-        return model.predict(x)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    # problems with the arrays themselves raise ValueError (exit 3)
+    if model_kind == "tree":
+        tree = grow(x, y, grow_cfg)
+        return prune(tree, prune_cfg) if prune_cfg is not None else tree
+    if model_kind == "boosting":
+        return fit_boosting(x, y, boost_cfg)
+    if model_kind == "forest":
+        return fit_forest(x, y, forest_cfg)
+    fit = fit_entrywise if model_kind == "entrywise" else fit_lowrank
+    return fit(x, y, out_cfg, n_threads=threads)
 
 
 def _score(y: np.ndarray, pred: np.ndarray) -> dict:
-    """MSE, RMSE and RPE of ``pred``; a response ``evaluate`` cannot score is a DataError."""
-    try:
-        m = evaluate(y, pred)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    """MSE, RMSE and RPE of ``pred``; a response ``evaluate`` cannot score raises ValueError."""
+    m = evaluate(y, pred)
     return {"mse": m.mse, "rmse": m.rmse, "rpe": m.rpe}
 
 
@@ -269,31 +255,23 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+        except ValueError as exc:  # invalid JSON, or text that is not UTF-8
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+
+
+def _synthetic(fields: dict):
+    """The dataset ``SyntheticSpec(**fields)`` describes; a spec it rejects is a ConfigError."""
+    try:
+        return generate(SyntheticSpec(**fields))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_synth(args) -> int:
-    if args.generator not in GENERATORS:
-        raise ConfigError(
-            f"unknown generator {args.generator!r}; choose from {sorted(GENERATORS)}"
-        )
-    try:
-        spec = SyntheticSpec(
-            generator=args.generator,
-            n=args.n,
-            noise_sigma=args.noise_sigma,
-            noise_scale=args.noise_scale,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    x, y = generate(spec)
+    x, y = _synthetic({key: getattr(args, key) for key in _SYNTHETIC})
     os.makedirs(args.out, exist_ok=True)
     _save_array(os.path.join(args.out, "X.npy"), x)
     name = "y.npy" if y.ndim == 1 else "Y.npy"
@@ -309,26 +287,20 @@ def _cmd_fit(args) -> int:
     threads = _resolve_threads(args.threads)
     x, y = _load_data(cfg.get("data"))
     model = _fit_model(cfg, x, y, seed, threads)
-    metrics = json.dumps(_score(y, _predict_model(model, x)), sort_keys=True)
+    metrics = json.dumps(_score(y, model.predict(x)), sort_keys=True)
     save_model(model, args.out)
     print(metrics)
     return 0
 
 
 def _cmd_predict(args) -> int:
-    try:
-        model = load_model(args.model)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.model}: {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"bad model file {args.model}: {exc}") from None
-    x = _load_array(args.x)
-    pred = _predict_model(model, x)
+    model = load_model(args.model)
+    pred = model.predict(_load_array(args.x))
     _save_array(args.out, pred)
     if args.y is not None:
         y = _load_array(args.y)
         if y.shape != pred.shape:
-            raise DataError(f"reference shape {y.shape} does not match predictions {pred.shape}")
+            raise ValueError(f"reference shape {y.shape} does not match predictions {pred.shape}")
         print(json.dumps(_score(y, pred), sort_keys=True))
     return 0
 
@@ -347,16 +319,6 @@ def _synthetic_fields(cfg: dict) -> dict | None:
         raise ConfigError("synthetic must be an object")
     _check_keys(doc, set(_SYNTHETIC), "synthetic")
     return {k: _SYNTHETIC[k](v, k) for k, v in doc.items()}
-
-
-def _bench_dataset(cfg: dict, fields: dict | None):
-    """``cfg``'s ``data`` arrays, or the dataset that synthetic ``fields`` describe."""
-    if fields is None:
-        return _load_data(cfg["data"])
-    try:
-        return generate(SyntheticSpec(**fields))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _cmd_bench(args) -> int:
@@ -387,7 +349,8 @@ def _cmd_bench(args) -> int:
         _validate_fit_config(run, _RUN_KEYS - {"data"})
         n = _integer(cell["n"], "n") if fields is not None and "n" in cell else None
         if n not in datasets:
-            datasets[n] = _bench_dataset(cfg, fields if n is None else {**fields, "n": n})
+            datasets[n] = (_load_data(cfg["data"]) if fields is None
+                           else _synthetic(fields if n is None else {**fields, "n": n}))
         x, y = datasets[n]
         seed = _fields(run, "run")
         x_train, y_train, x_test, y_test = train_test_split(x, y, 1.0 - fraction, **seed)
@@ -395,8 +358,8 @@ def _cmd_bench(args) -> int:
         model = _fit_model(run, x_train, y_train, seed, threads)
         fit_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
-        pred_train = _predict_model(model, x_train)
-        pred_test = _predict_model(model, x_test)
+        pred_train = model.predict(x_train)
+        pred_test = model.predict(x_test)
         predict_seconds = time.perf_counter() - t0
         rows.append(
             {**{k: json.dumps(cell[k]) if isinstance(cell[k], list) else cell[k] for k in keys},
@@ -460,7 +423,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

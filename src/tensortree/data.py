@@ -160,7 +160,9 @@ def generate(spec: SyntheticSpec):
     try:
         builder = GENERATORS[spec.generator]
     except KeyError:
-        raise ValueError(f"unknown generator {spec.generator!r}") from None
+        raise ValueError(
+            f"unknown generator {spec.generator!r}; choose from {sorted(GENERATORS)}"
+        ) from None
     return builder(spec)
 
 

@@ -181,8 +181,7 @@ def _fit_cp_regression(
     for _ in range(cfg.max_iterations):
         for q in range(n_modes):
             others = factors[:q] + factors[q + 1 :]
-            w = khatri_rao_all(others) if others else np.ones((1, rank))
-            phi = (unfoldings[q] @ w).reshape(n, -1)
+            phi = (unfoldings[q] @ khatri_rao_all(others)).reshape(n, -1)
             c, coef = _solve_block(phi, y, intercept)
             factors[q] = coef.reshape(feature_shape[q], rank)
         lead = factors[0] @ khatri_rao_all(factors[1:]).T
@@ -284,10 +283,16 @@ def fit_leaf(x, y, spec: LeafModelSpec) -> FittedLeafModel:
 
 
 def predict_leaf(model: FittedLeafModel, x) -> np.ndarray:
-    """Evaluate a fitted leaf on stacked inputs, returning one value per row."""
+    """Evaluate a fitted leaf on stacked inputs, returning one value per row.
+
+    A low-rank leaf reads every feature: a non-finite prediction (from a
+    non-finite input value, or overflow) raises ``ValueError``.
+    """
     x = _check_features(x, model.feature_shape)
     n = x.shape[0]
     if model.kind == "mean":
         return np.full(n, model.mean, dtype=np.float64)
-    b = model.coefficient_tensor()
-    return model.intercept + contract(x, b)
+    pred = model.intercept + contract(x, model.coefficient_tensor())
+    if not np.isfinite(pred).all():
+        raise ValueError("non-finite input value, or overflow, in a low-rank leaf prediction")
+    return pred

@@ -11,12 +11,15 @@ models produce byte-identical files.
 Restored trees carry no training data: they predict and apply, but
 cannot be pruned further.  Loading raises ``ValueError`` for a malformed
 document: not a JSON object, another format version, split coordinates
-outside the feature shape, or a missing key or wrongly typed value.
+outside the feature shape, a leaf feature shape that is not its tree's,
+a non-finite number, a non-integer shape, count or split coordinate, or
+a missing key or wrongly typed value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -30,6 +33,32 @@ from .splitting import SplitRule, _check_coords
 
 FORMAT = "tensortree-model"
 VERSION = 1
+
+
+def _integer(value) -> int:
+    # "type(value) is int" is the fast path, and it rejects a bool
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _integers(values) -> tuple[int, ...]:
+    return tuple(map(_integer, values))
+
+
+def _finite(value) -> float:
+    # math.isfinite, not np.isfinite: loading reads one scalar per node and leaf
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value!r}")
+    return value
+
+
+def _finite_array(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite array entry")
+    return arr
 
 
 def _decomp_to_dict(d) -> dict:
@@ -49,11 +78,11 @@ def _decomp_to_dict(d) -> dict:
 
 
 def _decomp_from_dict(doc: dict):
-    factors = tuple(np.asarray(f, dtype=np.float64) for f in doc["factors"])
+    factors = tuple(_finite_array(f) for f in doc["factors"])
     if doc["type"] == "cp":
-        return CPDecomposition(weights=np.asarray(doc["weights"], dtype=np.float64), factors=factors)
+        return CPDecomposition(weights=_finite_array(doc["weights"]), factors=factors)
     if doc["type"] == "tucker":
-        return TuckerDecomposition(core=np.asarray(doc["core"], dtype=np.float64), factors=factors)
+        return TuckerDecomposition(core=_finite_array(doc["core"]), factors=factors)
     raise ValueError(f"unknown decomposition type {doc['type']!r}")
 
 
@@ -72,18 +101,21 @@ def _leaf_model_to_dict(m: FittedLeafModel) -> dict:
     return doc
 
 
-def _leaf_model_from_dict(doc: dict) -> FittedLeafModel:
+def _leaf_model_from_dict(doc: dict, feature_shape: tuple[int, ...]) -> FittedLeafModel:
+    # a leaf is fitted on its tree's features, so it keeps the tree's checked shape
+    if tuple(doc["feature_shape"]) != feature_shape:
+        raise ValueError(f"leaf feature shape {doc['feature_shape']!r} is not the tree's")
     kind = doc["kind"]
     model = FittedLeafModel(
         kind=kind,
-        feature_shape=tuple(doc["feature_shape"]),
-        n_samples=int(doc["n_samples"]),
+        feature_shape=feature_shape,
+        n_samples=_integer(doc["n_samples"]),
         fell_back=bool(doc.get("fell_back", False)),
     )
     if kind == "mean":
-        model.mean = float(doc["mean"])
+        model.mean = _finite(doc["mean"])
     else:
-        model.intercept = float(doc["intercept"])
+        model.intercept = _finite(doc["intercept"])
         model.coefficient = _decomp_from_dict(doc["coefficient"])
     return model
 
@@ -109,15 +141,15 @@ def _node_from_dict(doc: dict, feature_shape: tuple[int, ...]):
     if "leaf" in doc:
         leaf = doc["leaf"]
         return LeafNode(
-            model=_leaf_model_from_dict(leaf["model"]),
+            model=_leaf_model_from_dict(leaf["model"], feature_shape),
             indices=None,
-            n=int(leaf["n"]),
-            response_variance=float(leaf["response_variance"]),
-            model_mse=float(leaf["model_mse"]),
+            n=_integer(leaf["n"]),
+            response_variance=_finite(leaf["response_variance"]),
+            model_mse=_finite(leaf["model_mse"]),
         )
     rule = SplitRule(
-        coords=tuple(int(c) for c in doc["rule"]["coords"]),
-        threshold=float(doc["rule"]["threshold"]),
+        coords=_integers(doc["rule"]["coords"]),
+        threshold=_finite(doc["rule"]["threshold"]),
     )
     _check_coords(rule.coords, feature_shape)
     return SplitNode(
@@ -136,7 +168,7 @@ def _tree_to_dict(t: TensorTree) -> dict:
 
 
 def _tree_from_dict(doc: dict) -> TensorTree:
-    feature_shape = tuple(int(d) for d in doc["feature_shape"])
+    feature_shape = _integers(doc["feature_shape"])
     return TensorTree(
         root=_node_from_dict(doc["node"], feature_shape),
         feature_shape=feature_shape,
@@ -155,7 +187,7 @@ def _boosting_to_dict(m: BoostedModel) -> dict:
 
 def _boosting_from_dict(doc: dict) -> BoostedModel:
     trees = [_tree_from_dict(t) for t in doc["trees"]]
-    return BoostedModel(float(doc["f0"]), float(doc["eta"]), trees)
+    return BoostedModel(_finite(doc["f0"]), _finite(doc["eta"]), trees)
 
 
 def _forest_to_dict(m: ForestModel) -> dict:
@@ -186,20 +218,20 @@ def _output_to_dict(m: TensorOutputModel) -> dict:
 def _output_from_dict(doc: dict) -> TensorOutputModel:
     ensembles = [_boosting_from_dict(e) for e in doc["ensembles"]]
     if doc["approach"] == "entrywise":
-        return TensorOutputModel("entrywise", tuple(doc["output_shape"]), ensembles)
+        return TensorOutputModel("entrywise", _integers(doc["output_shape"]), ensembles)
     weights = core = None
     if doc["decomp"] == "cp":
-        weights = np.asarray(doc["weights"], dtype=np.float64)
+        weights = _finite_array(doc["weights"])
     else:
-        core = np.asarray(doc["core"], dtype=np.float64)
+        core = _finite_array(doc["core"])
     return TensorOutputModel(
         "lowrank",
-        tuple(doc["output_shape"]),
+        _integers(doc["output_shape"]),
         ensembles,
         decomp_kind=doc["decomp"],
         weights=weights,
         core=core,
-        output_factors=tuple(np.asarray(f, dtype=np.float64) for f in doc["output_factors"]),
+        output_factors=tuple(_finite_array(f) for f in doc["output_factors"]),
     )
 
 
@@ -235,7 +267,7 @@ def model_from_dict(doc: dict):
             return _forest_from_dict(doc)
         if kind == "tensor_output":
             return _output_from_dict(doc)
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {type(exc).__name__}: {exc}") from None
     raise ValueError(f"unknown model kind {kind!r}")
 

@@ -106,17 +106,12 @@ def _fit_columns(x, targets: np.ndarray, boosting: BoostingConfig,
                  n_threads: int) -> list[BoostedModel]:
     """One boosted ensemble per column of ``targets``, seeded by the column index."""
 
-    def make_job(col: int):
+    def fit_column(col: int) -> BoostedModel:
         cfg = replace(boosting, seed=derive_seed(boosting.seed, col))
-        target = targets[:, col]
-        return lambda: fit_boosting(x, target, cfg)
+        return fit_boosting(x, targets[:, col], cfg)
 
-    jobs = [make_job(c) for c in range(targets.shape[1])]
-    if n_threads <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
+        return list(pool.map(fit_column, range(targets.shape[1])))
 
 
 def fit_entrywise(x, y, config: OutputConfig, n_threads: int = 1) -> TensorOutputModel:

@@ -11,7 +11,9 @@ from tensortree.serialize import model_to_dict
 from tensortree.tree import GrowConfig, grow
 
 
-@pytest.fixture(params=["coords", "threshold", "leaf_n", "feature_shape", "top_level_list"])
+@pytest.fixture(params=["coords", "threshold", "leaf_n", "feature_shape", "top_level_list",
+                        "threshold_nan", "leaf_mean_inf", "coords_float", "coords_bool",
+                        "leaf_feature_shape"])
 def malformed_tree_doc(request):
     """A valid one-split tree document with one value made malformed."""
     x = make_rng(0).uniform(size=(30, 2, 2))
@@ -19,6 +21,16 @@ def malformed_tree_doc(request):
     node = doc["node"]
     if request.param in ("coords", "threshold"):
         node["rule"][request.param] = None
+    elif request.param == "threshold_nan":
+        node["rule"]["threshold"] = float("nan")
+    elif request.param == "leaf_mean_inf":
+        node["left"]["leaf"]["model"]["mean"] = float("inf")
+    elif request.param == "coords_float":
+        node["rule"]["coords"] = [0.7, 0]
+    elif request.param == "coords_bool":
+        node["rule"]["coords"] = [True, 0]
+    elif request.param == "leaf_feature_shape":
+        node["left"]["leaf"]["model"]["feature_shape"] = [2, 3]
     elif request.param == "leaf_n":
         node["left"]["leaf"]["n"] = None
     elif request.param == "feature_shape":

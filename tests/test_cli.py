@@ -10,6 +10,7 @@ import pytest
 
 from tensortree import cli, serialize
 from tensortree._rng import make_rng
+from tensortree.data import GENERATORS
 from tensortree.decomposition import AlsConfig
 from tensortree.ensemble import BoostingConfig, ForestConfig
 from tensortree.leaf_models import LeafModelSpec
@@ -504,3 +505,75 @@ def test_bench_builds_each_dataset_once(tmp_path, monkeypatch, capsys, sweep, ro
     capsys.readouterr()
     assert len(calls) == builds
     assert len((tmp_path / "s.csv").read_text().strip().splitlines()) == 1 + rows
+
+
+def test_unknown_generator_names_the_generators(workdir):
+    res = run_cli("synth", "--generator", "nope", "--n", "10", "--out", "d", cwd=workdir)
+    assert res.returncode == 2
+    assert all(name in res.stderr for name in GENERATORS)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("fit-out-in-missing-dir", 3),
+    ("predict-out-in-missing-dir", 3),
+    ("bench-out-in-missing-dir", 3),
+    ("synth-out-is-a-file", 3),
+    ("fit-config-not-utf8", 2),
+    ("bench-row-count-mismatch", 3),
+    ("bench-config-not-utf8", 2),
+    ("fit-empty-npy", 3),
+])
+def test_every_error_maps_to_an_exit_code(workdir, case, code):
+    x, y = np.zeros((20, 2, 2)), np.arange(20.0)
+    np.save(workdir / "X.npy", x)
+    np.save(workdir / "y.npy", y)
+    np.save(workdir / "y5.npy", y[:5])
+    (workdir / "empty.npy").write_bytes(b"")
+    (workdir / "file").write_text("")
+    (workdir / "latin1.json").write_bytes('{"model": "tree", "x": "\xe9"}'.encode("latin-1"))
+    serialize.save_model(grow(x, y, GrowConfig(max_depth=1)), workdir / "m.json")
+    fit = write_config(workdir / "fit.json", FIT_BASE)
+    bench = write_config(workdir / "bench.json", BENCH_BASE)
+    missing = str(workdir / "absent" / "out")
+    args = {
+        "fit-out-in-missing-dir": ("fit", "--config", fit, "--out", missing),
+        "predict-out-in-missing-dir": ("predict", "--model", "m.json", "--x", "X.npy",
+                                       "--out", missing),
+        "bench-out-in-missing-dir": ("bench", "--config", bench, "--out", missing),
+        "synth-out-is-a-file": ("synth", "--generator", "prune_fn", "--n", "5", "--out", "file"),
+        "fit-config-not-utf8": ("fit", "--config", "latin1.json", "--out", "out"),
+        "bench-row-count-mismatch": (
+            "bench", "--config",
+            write_config(workdir / "mismatch.json", {"data": {"x": "X.npy", "y": "y5.npy"},
+                                                     "sweep": {"max_depth": [1]}}),
+            "--out", "out"),
+        "bench-config-not-utf8": ("bench", "--config", "latin1.json", "--out", "out"),
+        "fit-empty-npy": ("fit", "--config",
+                          write_config(workdir / "empty.json",
+                                       {**FIT_BASE, "data": {"x": "empty.npy", "y": "y.npy"}}),
+                          "--out", "out"),
+    }[case]
+    res = run_cli(*args, cwd=workdir)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_low_rank_leaf_non_finite_unrouted_value_exit_3(workdir):
+    run_cli("synth", "--generator", "prune_fn", "--n", "60", "--seed", "9",
+            "--out", "data", cwd=workdir)
+    cfg = write_config(workdir / "cfg.json", {
+        "model": "tree", "data": {"x": "data/X.npy", "y": "data/y.npy"},
+        "max_depth": 1, "min_samples_leaf": 10, "leaf_model": "cp", "CP_reg_rank": 1,
+    })
+    assert run_cli("fit", "--config", cfg, "--out", "m.json", cwd=workdir).returncode == 0
+    root = tuple(json.loads((workdir / "m.json").read_text())["node"]["rule"]["coords"])
+    other = next(c for c in np.ndindex(4, 4, 4) if c != root)
+    x = np.load(workdir / "data" / "X.npy")[:5]
+    x[(2,) + other] = np.nan
+    np.save(workdir / "nan.npy", x)
+    res = run_cli("predict", "--model", "m.json", "--x", "nan.npy", "--out", "p.npy",
+                  cwd=workdir)
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    assert not (workdir / "p.npy").exists()

@@ -6,6 +6,7 @@ import pytest
 from tensortree._rng import make_rng
 from tensortree.ensemble import BoostingConfig, fit_boosting
 from tensortree.leaf_models import LeafModelSpec
+from tensortree.serialize import dumps
 from tensortree.splitting import SplitCriterion
 from tensortree.tensor_ops import outer
 from tensortree.tensor_output import (
@@ -108,6 +109,12 @@ class TestEntrywise:
         a = fit_entrywise(x, y, cfg, n_threads=1)
         b = fit_entrywise(x, y, cfg, n_threads=4)
         assert np.array_equal(predict_tensor(a, x), predict_tensor(b, x))
+
+    def test_zero_one_and_two_threads_write_the_same_model(self):
+        x, y = linear_output_data(60, seed=6)
+        cfg = OutputConfig(approach="entrywise", boosting=small_boosting(seed=3))
+        docs = {dumps(fit_entrywise(x, y, cfg, n_threads=t)) for t in (0, 1, 2)}
+        assert len(docs) == 1
 
     def test_observation_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

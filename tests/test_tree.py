@@ -360,6 +360,24 @@ class TestNonFiniteRouting:
         x_new[(slice(None),) + other] = np.nan
         assert np.array_equal(tree.predict(x_new), tree.predict(x[:10]))
 
+    @pytest.mark.parametrize("leaf", [LeafModelSpec(kind="cp", rank=1),
+                                      LeafModelSpec(kind="tucker", rank=1)],
+                             ids=["cp", "tucker"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_low_rank_leaf_rejects_non_finite_unrouted_value(self, leaf, bad):
+        # a low-rank leaf reads every feature, so a value no split reads still counts
+        x, y, _ = piecewise_data(100, seed=26)
+        tree = grow(x, y, GrowConfig(max_depth=1, min_samples_leaf=20, leaf=leaf))
+        root = tuple(tree.root.rule.coords)
+        other = next(c for c in np.ndindex(*x.shape[1:]) if c != root)
+        assert np.isfinite(tree.predict(x[:10])).all()
+        x_new = x[:10].copy()
+        x_new[(4,) + other] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            tree.predict(x_new)
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_leaf(tree.root.left.model, x_new)
+
 
 class TestSinglePassWalks:
     def test_tree_passes_leave_no_cyclic_garbage(self):
