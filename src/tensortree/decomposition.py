@@ -14,7 +14,9 @@ mode extent and from seeded-uniform ones otherwise, and each of its
 least-squares steps adds a tiny ridge so rank-deficient systems (small
 sample groups) stay solvable.  Tucker starts from the truncated HOSVD
 and solves no least-squares system: each factor is a leading singular
-subspace.
+subspace.  Both starts cover only the modes after the first: the first
+sweep forms the mode-0 factor before anything reads it, so a mode-0
+start would be computed and thrown away unread.
 """
 
 from __future__ import annotations
@@ -219,9 +221,12 @@ def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomp
     -----
     Factor matrices start from the leading left singular vectors of each
     mode unfolding when the rank fits the mode extent, and from
-    seeded-uniform columns otherwise.  Each mode update solves the normal
-    equations with a ``1e-12`` ridge, so the recorded error sequence is
-    non-increasing up to that jitter.
+    seeded-uniform columns otherwise.  The start covers only the modes
+    after the first, and the first sweep forms mode 0 from them; when the
+    rank exceeds the mode-0 extent, its uniform draw is still taken, so
+    later modes draw what they would after a full start.  Each mode
+    update solves the normal equations with a ``1e-12`` ridge, so the
+    recorded error sequence is non-increasing up to that jitter.
     """
     t = _as_tensor(tensor)
     _check_finite(t)
@@ -235,15 +240,18 @@ def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomp
         return decomp, AlsInfo(converged=True, errors=(0.0,))
 
     rng = make_rng(cfg.seed)
-    factors: list[np.ndarray] = []
-    for q in range(t.ndim):
+    unfoldings = [unfold(t, q) for q in range(t.ndim)]
+    # the first sweep forms mode 0 from the other modes, so its start and
+    # Gram are never read; only its draw is taken, to keep later draws in step
+    factors: list = [None]
+    if rank > t.shape[0]:
+        rng.uniform(size=(t.shape[0], rank))
+    for q in range(1, t.ndim):
         if rank <= t.shape[q]:
-            factors.append(_leading_left_singular(unfold(t, q), rank))
+            factors.append(_leading_left_singular(unfoldings[q], rank))
         else:
             factors.append(rng.uniform(size=(t.shape[q], rank)))
-
-    unfoldings = [unfold(t, q) for q in range(t.ndim)]
-    grams = [f.T @ f for f in factors]
+    grams = [None] + [f.T @ f for f in factors[1:]]
     eye = np.eye(rank)
 
     errors: list[float] = []
@@ -298,10 +306,11 @@ def tucker_als(
 
     Notes
     -----
-    Starts from the truncated HOSVD, then repeatedly re-extracts each
-    factor as the leading singular subspace of the tensor contracted by
-    all other factors.  Factors stay orthonormal by construction and the
-    recorded error sequence is non-increasing.  A sweep carries the
+    Starts from the truncated HOSVD of the modes after the first, then
+    repeatedly re-extracts each factor as the leading singular subspace
+    of the tensor contracted by all other factors; the first sweep forms
+    mode 0 from that start.  Factors stay orthonormal by construction and
+    the recorded error sequence is non-increasing.  A sweep carries the
     tensor projected on the modes it has already updated, so mode ``q``
     multiplies only by the factors after ``q``; once the last mode is
     updated that projection is the sweep's core.
@@ -322,7 +331,9 @@ def tucker_als(
             AlsInfo(converged=True, errors=(0.0,)),
         )
 
-    factors = _hosvd(t, ranks)
+    # the HOSVD start of the modes after the first: the first sweep forms
+    # mode 0 from them, so a mode-0 start would never be read
+    factors = [None] + [_leading_left_singular(unfold(t, q), ranks[q]) for q in range(1, t.ndim)]
     errors: list[float] = []
     converged = False
     for _ in range(cfg.max_iterations):  # at least one sweep: AlsConfig checks the budget

@@ -12,6 +12,9 @@ Restored trees carry no training data: they predict and apply, but
 cannot be pruned further.  Loading raises ``ValueError`` for a malformed
 document: not a JSON object, another format version, split coordinates
 outside the feature shape, a leaf feature shape that is not its tree's,
+a leaf kind other than ``mean``/``cp``/``tucker`` or a coefficient of
+another type than its leaf's kind, a tensor-output ``approach`` other
+than ``entrywise``/``lowrank`` or ``decomp`` other than ``cp``/``tucker``,
 a non-finite number, a non-integer shape, count or split coordinate, or
 a missing key or wrongly typed value.
 """
@@ -106,6 +109,8 @@ def _leaf_model_from_dict(doc: dict, feature_shape: tuple[int, ...]) -> FittedLe
     if tuple(doc["feature_shape"]) != feature_shape:
         raise ValueError(f"leaf feature shape {doc['feature_shape']!r} is not the tree's")
     kind = doc["kind"]
+    if kind not in ("mean", "cp", "tucker"):
+        raise ValueError(f"unknown leaf kind {kind!r}")
     model = FittedLeafModel(
         kind=kind,
         feature_shape=feature_shape,
@@ -115,8 +120,11 @@ def _leaf_model_from_dict(doc: dict, feature_shape: tuple[int, ...]) -> FittedLe
     if kind == "mean":
         model.mean = _finite(doc["mean"])
     else:
+        coefficient = doc["coefficient"]
+        if coefficient["type"] != kind:
+            raise ValueError(f"{kind} leaf holds a {coefficient['type']!r} coefficient")
         model.intercept = _finite(doc["intercept"])
-        model.coefficient = _decomp_from_dict(doc["coefficient"])
+        model.coefficient = _decomp_from_dict(coefficient)
     return model
 
 
@@ -216,6 +224,10 @@ def _output_to_dict(m: TensorOutputModel) -> dict:
 
 
 def _output_from_dict(doc: dict) -> TensorOutputModel:
+    if doc["approach"] not in ("entrywise", "lowrank"):
+        raise ValueError(f"unknown tensor-output approach {doc['approach']!r}")
+    if doc["approach"] == "lowrank" and doc["decomp"] not in ("cp", "tucker"):
+        raise ValueError(f"unknown output decomposition {doc['decomp']!r}")
     ensembles = [_boosting_from_dict(e) for e in doc["ensembles"]]
     if doc["approach"] == "entrywise":
         return TensorOutputModel("entrywise", _integers(doc["output_shape"]), ensembles)

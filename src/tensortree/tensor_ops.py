@@ -41,6 +41,11 @@ def _as_matrix(m) -> np.ndarray:
     return arr
 
 
+def _mode_first(ndim: int, mode: int) -> list[int]:
+    """Axis order that brings ``mode`` to the front, the others in order."""
+    return [mode] + [q for q in range(ndim) if q != mode]
+
+
 def unfold(tensor, mode: int) -> np.ndarray:
     """Matricize ``tensor`` along ``mode``.
 
@@ -61,7 +66,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
     t = _as_tensor(tensor)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
-    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
+    return t.transpose(_mode_first(t.ndim, mode)).reshape(t.shape[mode], -1)
 
 
 def fold(matrix, mode: int, shape: Sequence[int]) -> np.ndarray:
@@ -83,7 +88,11 @@ def mode_product(tensor, matrix, mode: int) -> np.ndarray:
     """Multiply ``tensor`` by ``matrix`` along ``mode``.
 
     Equivalent to ``fold(matrix @ unfold(tensor, mode), mode, new_shape)``
-    where the extent of ``mode`` becomes ``matrix.shape[0]``.
+    where the extent of ``mode`` becomes ``matrix.shape[0]``.  It is one
+    ``np.dot`` of ``matrix`` with the mode-``mode`` unfolding of ``tensor``,
+    the same BLAS call on the same operand layouts that
+    ``np.tensordot(matrix, tensor, axes=(1, mode))`` makes, so the result is
+    bit for bit that of ``np.moveaxis(np.tensordot(...), 0, mode)``.
     """
     t = _as_tensor(tensor)
     m = _as_matrix(matrix)
@@ -93,7 +102,11 @@ def mode_product(tensor, matrix, mode: int) -> np.ndarray:
         raise ValueError(
             f"matrix has {m.shape[1]} columns but mode {mode} has extent {t.shape[mode]}"
         )
-    return np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
+    axes = _mode_first(t.ndim, mode)
+    product = np.dot(m, t.transpose(axes).reshape(t.shape[mode], -1))
+    # axis 0 of the product goes back to position ``mode``
+    back = list(range(1, mode + 1)) + [0] + list(range(mode + 1, t.ndim))
+    return product.reshape([m.shape[0]] + [t.shape[q] for q in axes[1:]]).transpose(back)
 
 
 def khatri_rao(a, b) -> np.ndarray:

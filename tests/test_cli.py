@@ -15,7 +15,7 @@ from tensortree.decomposition import AlsConfig
 from tensortree.ensemble import BoostingConfig, ForestConfig
 from tensortree.leaf_models import LeafModelSpec
 from tensortree.splitting import SearchStrategy, SplitCriterion
-from tensortree.tensor_output import OutputConfig
+from tensortree.tensor_output import OutputConfig, fit_lowrank
 from tensortree.tree import GrowConfig, PruneConfig, grow, prune
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -576,4 +576,27 @@ def test_low_rank_leaf_non_finite_unrouted_value_exit_3(workdir):
                   cwd=workdir)
     assert res.returncode == 3
     assert "Traceback" not in res.stderr
+    assert not (workdir / "p.npy").exists()
+
+
+@pytest.mark.parametrize("edit", ["leaf_kind", "leaf_coefficient", "approach", "decomp"])
+def test_unknown_model_kind_exit_3(workdir, edit):
+    rng = make_rng(11)
+    x = rng.uniform(size=(40, 2, 2))
+    tree = GrowConfig(max_depth=1, min_samples_leaf=10, leaf=LeafModelSpec(kind="cp", rank=1))
+    if edit.startswith("leaf"):
+        doc = serialize.model_to_dict(grow(x, x[:, 0, 0] + x[:, 1, 1], tree))
+        assert "rule" in doc["node"]
+        doc["node"]["left"]["leaf"]["model"]["kind"] = "banana" if edit == "leaf_kind" else "tucker"
+    else:
+        boost = BoostingConfig(n_estimators=1, tree=GrowConfig(max_depth=1))
+        cfg = OutputConfig(approach="lowrank", decomp="tucker", rank=2, boosting=boost)
+        doc = serialize.model_to_dict(fit_lowrank(x, rng.normal(size=(40, 3)), cfg))
+        doc[edit] = "banana"
+    (workdir / "m.json").write_text(json.dumps(doc))
+    np.save(workdir / "X.npy", x[:5])
+    res = run_cli("predict", "--model", "m.json", "--x", "X.npy", "--out", "p.npy", cwd=workdir)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert not (workdir / "p.npy").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tensortree import decomposition
+from tensortree._rng import make_rng
 from tensortree.decomposition import (
     AlsConfig,
     CPDecomposition,
@@ -12,7 +13,7 @@ from tensortree.decomposition import (
     cp_als,
     tucker_als,
 )
-from tensortree.tensor_ops import frobenius_norm, mode_product, outer
+from tensortree.tensor_ops import frobenius_norm, khatri_rao_all, mode_product, outer
 
 
 def random_cp_tensor(shape, rank, seed):
@@ -215,6 +216,88 @@ class TestTuckerPartialProducts:
         t = np.random.default_rng(26).normal(size=shape)
         tucker_als(t, (2,) * len(shape), AlsConfig(max_iterations=1, rel_tolerance=0.0))
         assert len(calls) == products
+
+
+def naive_cp_als(t, rank, cfg):
+    """CP-ALS written out in full: every mode gets a start, mode 0 included,
+    and every mode update reads its unfolding afresh."""
+    unfold = lambda a, q: np.moveaxis(a, q, 0).reshape(a.shape[q], -1)  # noqa: E731
+    norm_t = frobenius_norm(t)
+    if norm_t == 0.0:
+        factors = [np.zeros((d, rank)) for d in t.shape]
+        for f in factors:
+            f[0] = 1.0
+        return np.zeros(rank), factors, [0.0], True
+    rng = make_rng(cfg.seed)
+    factors = [
+        _leading_subspace(unfold(t, q), rank) if rank <= d else rng.uniform(size=(d, rank))
+        for q, d in enumerate(t.shape)
+    ]
+    grams = [f.T @ f for f in factors]
+    errors, converged = [], False
+    for _ in range(cfg.max_iterations):
+        for q in range(t.ndim):
+            w = khatri_rao_all(factors[:q] + factors[q + 1:])
+            v = np.ones((rank, rank))
+            for p, g in enumerate(grams):
+                if p != q:
+                    v = v * g
+            rhs = unfold(t, q) @ w
+            v = v + decomposition.RIDGE * np.eye(rank)
+            factors[q] = np.linalg.lstsq(v, rhs.T, rcond=None)[0].T
+            grams[q] = factors[q].T @ factors[q]
+        lead = factors[0] @ khatri_rao_all(factors[1:]).T
+        errors.append(float(np.linalg.norm(unfold(t, 0) - lead) / norm_t))
+        if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < cfg.rel_tolerance:
+            converged = True
+            break
+    weights, factors = decomposition._normalize_columns(factors)
+    return weights, factors, errors, converged
+
+
+class TestStartsSkipModeZero:
+    @pytest.mark.parametrize("shape, rank", [
+        ((6, 5), 2), ((5, 4, 3), 3), ((4, 3, 5, 3), 2),
+        ((2, 5, 4), 3),  # rank above the mode-0 extent: a seeded-uniform start
+        ((2, 2, 5), 3), ((2, 3, 2, 5), 3),  # ... and above a later mode's too
+    ])
+    @pytest.mark.parametrize("budget", [1, 3, 50])
+    def test_cp_matches_naive_cp_als_bitwise(self, shape, rank, budget):
+        t = np.random.default_rng(len(shape) * 10 + rank).normal(size=shape)
+        cfg = AlsConfig(max_iterations=budget, seed=budget)
+        decomp, info = cp_als(t, rank, cfg)
+        weights, factors, errors, converged = naive_cp_als(t, rank, cfg)
+        assert np.array_equal(decomp.weights, weights)
+        assert all(np.array_equal(a, b) for a, b in zip(decomp.factors, factors))
+        assert info.errors == tuple(errors)
+        assert info.converged == converged
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_cp_zero_tensor_matches_naive(self, rank):
+        t = np.zeros((3, 2, 2))
+        decomp, info = cp_als(t, rank)
+        weights, factors, errors, converged = naive_cp_als(t, rank, AlsConfig())
+        assert np.array_equal(decomp.weights, weights)
+        assert all(np.array_equal(a, b) for a, b in zip(decomp.factors, factors))
+        assert info.errors == tuple(errors) and info.converged == converged
+
+    @pytest.mark.parametrize("fit, svds", [(tucker_als, 3 + 4), (cp_als, 3)])
+    def test_four_mode_start_skips_mode_zero(self, monkeypatch, fit, svds):
+        # starts for modes 1-3 only; one HOOI sweep then takes one SVD per
+        # mode, while a CP sweep takes none
+        rows = []
+
+        def counted(m, r):
+            rows.append(m.shape[0])
+            return leading(m, r)
+
+        leading = decomposition._leading_left_singular
+        monkeypatch.setattr(decomposition, "_leading_left_singular", counted)
+        shape = (6, 3, 4, 5)
+        t = np.random.default_rng(27).normal(size=shape)
+        fit(t, 2, AlsConfig(max_iterations=1, rel_tolerance=0.0))
+        assert len(rows) == svds
+        assert rows[:3] == list(shape[1:])
 
 
 class TestReconstructAndError:

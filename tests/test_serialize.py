@@ -110,3 +110,36 @@ def test_rejects_rule_coords_outside_feature_shape(coords):
 def test_malformed_document_raises_value_error(malformed_tree_doc):
     with pytest.raises(ValueError):
         model_from_dict(malformed_tree_doc)
+
+
+def _first_leaf_model(node):
+    while "leaf" not in node:
+        node = node["left"]
+    return node["leaf"]["model"]
+
+
+@pytest.mark.parametrize("leaf, kind", [
+    ("mean", "banana"), ("cp", "banana"), ("cp", "tucker"), ("tucker", "cp"), ("tucker", None),
+])
+def test_rejects_unknown_or_mismatched_leaf_kind(leaf, kind):
+    x, y = sample_problem(9)
+    rank = None if leaf == "mean" else 1
+    doc = model_to_dict(grow(x, y, tree_config(LeafModelSpec(kind=leaf, rank=rank))))
+    _first_leaf_model(doc["node"])["kind"] = kind
+    with pytest.raises(ValueError, match="leaf"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("approach, key, value", [
+    ("entrywise", "approach", "banana"), ("lowrank", "approach", "banana"),
+    ("lowrank", "decomp", "banana"), ("lowrank", "decomp", None),
+])
+def test_rejects_unknown_tensor_output_fields(approach, key, value):
+    rng = make_rng(10)
+    x, y = rng.uniform(size=(40, 2, 2)), rng.normal(size=(40, 3))
+    boost = BoostingConfig(n_estimators=1, tree=tree_config(LeafModelSpec(kind="mean")))
+    cfg = OutputConfig(approach=approach, decomp="tucker", rank=2, boosting=boost)
+    doc = model_to_dict((fit_entrywise if approach == "entrywise" else fit_lowrank)(x, y, cfg))
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"unknown .*{key}"):
+        model_from_dict(doc)

@@ -105,6 +105,44 @@ class TestModeProduct:
             mode_product(np.zeros((2, 3)), np.zeros((4, 5)), 0)
 
 
+def _layouts(shape, seed):
+    """The same kind of tensor in C order, F order, transposed and sliced."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=shape)
+    wide = rng.normal(size=tuple(2 * d for d in shape))
+    return {
+        "c": c,
+        "f": np.asfortranarray(c),
+        "transposed": rng.normal(size=shape[::-1]).T,
+        "sliced": wide[tuple(slice(None, None, 2) for _ in shape)],
+        "reversed": c[::-1],
+    }
+
+
+class TestTensordotFormulas:
+    """``mode_product`` and ``unfold`` give the ``tensordot``/``moveaxis`` bits."""
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 3, 5), (3, 4, 2, 5), (7, 4, 4, 4)])
+    @pytest.mark.parametrize("layout", ["c", "f", "transposed", "sliced", "reversed"])
+    def test_mode_product_bitwise(self, shape, layout):
+        t = _layouts(shape, len(shape))[layout]
+        rng = np.random.default_rng(9)
+        for mode in range(t.ndim):
+            d = t.shape[mode]
+            for rows in (1, d, d + 3):
+                for m in (rng.normal(size=(rows, d)), rng.normal(size=(d, rows)).T):
+                    formula = np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
+                    assert np.array_equal(mode_product(t, m, mode), formula)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 3, 5), (3, 4, 2, 5)])
+    @pytest.mark.parametrize("layout", ["c", "f", "transposed", "sliced", "reversed"])
+    def test_unfold_bitwise(self, shape, layout):
+        t = _layouts(shape, len(shape))[layout]
+        for mode in range(t.ndim):
+            formula = np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
+            assert np.array_equal(unfold(t, mode), formula)
+
+
 class TestKhatriRao:
     def test_single_column_vectors(self):
         a = np.array([[1.0], [2.0]])
