@@ -14,6 +14,7 @@ per tree, and averages their predictions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +27,24 @@ from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
 
 WEIGHT_CAP = 1e100
 _EXP_CAP = math.log(WEIGHT_CAP)
+
+
+def _finite_predictions(predict):
+    """Decorate a public predict: non-finite output raises ``ValueError``.
+
+    Overflow inside the model's arithmetic is silenced and caught by one
+    check of the returned array, so no ``inf`` or ``nan`` reaches a caller.
+    """
+
+    @functools.wraps(predict)
+    def checked(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = predict(*args)
+        if not np.isfinite(out).all():
+            raise ValueError("non-finite prediction: the model's arithmetic overflowed")
+        return out
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -71,6 +90,7 @@ class BoostedModel:
         self.trees = list(trees)
         self.train_mse = tuple(train_mse)
 
+    @_finite_predictions
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = np.full(x.shape[0], self.base_value, dtype=np.float64)
@@ -87,6 +107,7 @@ class ForestModel:
             raise ValueError("forest needs at least one tree")
         self.trees = list(trees)
 
+    @_finite_predictions
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros(x.shape[0], dtype=np.float64)

@@ -15,8 +15,11 @@ outside the feature shape, a leaf feature shape that is not its tree's,
 a leaf kind other than ``mean``/``cp``/``tucker`` or a coefficient of
 another type than its leaf's kind, a tensor-output ``approach`` other
 than ``entrywise``/``lowrank`` or ``decomp`` other than ``cp``/``tucker``,
-a non-finite number, a non-integer shape, count or split coordinate, or
-a missing key or wrongly typed value.
+a factor, CP weight vector or Tucker core whose shape does not fit the
+leaf's feature shape (or the output shape, and one ensemble per output
+entry or observation-mode component), a non-finite number, a
+non-integer shape, count or split coordinate, or a missing key or
+wrongly typed value.
 """
 
 from __future__ import annotations
@@ -80,12 +83,32 @@ def _decomp_to_dict(d) -> dict:
     raise TypeError(f"not a decomposition: {type(d).__name__}")
 
 
-def _decomp_from_dict(doc: dict):
-    factors = tuple(_finite_array(f) for f in doc["factors"])
+def _factors(docs, shape: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Finite factor matrices, one ``(extent, rank)`` matrix per mode of ``shape``."""
+    factors = tuple(_finite_array(f) for f in docs)
+    want = tuple(zip(shape, ranks))
+    if len(ranks) != len(shape) or tuple(f.shape for f in factors) != want:
+        raise ValueError(f"factor shapes {[f.shape for f in factors]} do not fit "
+                         f"shape {shape} at ranks {ranks}")
+    return factors
+
+
+def _cp_weights(values) -> np.ndarray:
+    weights = _finite_array(values)
+    if weights.ndim != 1:
+        raise ValueError(f"CP weights must be a vector, got shape {weights.shape}")
+    return weights
+
+
+def _decomp_from_dict(doc: dict, shape: tuple[int, ...]):
+    """A leaf coefficient, its arrays checked against the feature ``shape``."""
     if doc["type"] == "cp":
-        return CPDecomposition(weights=_finite_array(doc["weights"]), factors=factors)
+        weights = _cp_weights(doc["weights"])
+        factors = _factors(doc["factors"], shape, (weights.size,) * len(shape))
+        return CPDecomposition(weights=weights, factors=factors)
     if doc["type"] == "tucker":
-        return TuckerDecomposition(core=_finite_array(doc["core"]), factors=factors)
+        core = _finite_array(doc["core"])
+        return TuckerDecomposition(core=core, factors=_factors(doc["factors"], shape, core.shape))
     raise ValueError(f"unknown decomposition type {doc['type']!r}")
 
 
@@ -124,7 +147,7 @@ def _leaf_model_from_dict(doc: dict, feature_shape: tuple[int, ...]) -> FittedLe
         if coefficient["type"] != kind:
             raise ValueError(f"{kind} leaf holds a {coefficient['type']!r} coefficient")
         model.intercept = _finite(doc["intercept"])
-        model.coefficient = _decomp_from_dict(coefficient)
+        model.coefficient = _decomp_from_dict(coefficient, feature_shape)
     return model
 
 
@@ -228,22 +251,30 @@ def _output_from_dict(doc: dict) -> TensorOutputModel:
         raise ValueError(f"unknown tensor-output approach {doc['approach']!r}")
     if doc["approach"] == "lowrank" and doc["decomp"] not in ("cp", "tucker"):
         raise ValueError(f"unknown output decomposition {doc['decomp']!r}")
+    shape = _integers(doc["output_shape"])
     ensembles = [_boosting_from_dict(e) for e in doc["ensembles"]]
     if doc["approach"] == "entrywise":
-        return TensorOutputModel("entrywise", _integers(doc["output_shape"]), ensembles)
+        if len(ensembles) != math.prod(shape):
+            raise ValueError(f"{len(ensembles)} ensembles for output shape {shape}")
+        return TensorOutputModel("entrywise", shape, ensembles)
+    # one ensemble per observation-mode component
     weights = core = None
     if doc["decomp"] == "cp":
-        weights = _finite_array(doc["weights"])
+        weights = _cp_weights(doc["weights"])
+        ranks = (weights.size,) * (len(shape) + 1)
     else:
         core = _finite_array(doc["core"])
+        ranks = core.shape
+    if ranks[:1] != (len(ensembles),):
+        raise ValueError(f"{len(ensembles)} ensembles for output ranks {ranks}")
     return TensorOutputModel(
         "lowrank",
-        _integers(doc["output_shape"]),
+        shape,
         ensembles,
         decomp_kind=doc["decomp"],
         weights=weights,
         core=core,
-        output_factors=tuple(_finite_array(f) for f in doc["output_factors"]),
+        output_factors=_factors(doc["output_factors"], shape, ranks[1:]),
     )
 
 

@@ -33,13 +33,26 @@ intercept) and the mean fallback are all affine functions of
 ``vec(X_i)``, so no child fit can leave a smaller residual than the
 unconstrained least-squares fit of the child's responses on
 ``[1, vec(X_i)]``.  The sum of that residual over both children is a
-lower bound on the candidate's loss.  A child with at most
-``features + 1`` samples gets a bound of 0 and is not solved.  A
-candidate is skipped when its bound exceeds the best loss seen so far in
-the search by more than ``BOUND_MARGIN`` times the node's sum of squared
-responses; the margin absorbs roundoff between the bound and the fitted
-loss.  A skipped candidate could therefore never have won or tied, so
-every strategy returns the same rule and loss as without the bound.
+lower bound on the candidate's loss.  The search runs in two phases.
+In the bound phase each coordinate lists its admissible rules with both
+child bounds and fits nothing: read in the column's sorted order, a
+left child is a prefix of the node's rows and a right child a suffix,
+so running sums of ``outer(d_i, d_i)`` over ``d_i = [1, vec(X_i), y_i]``
+(blocked, forward for the left children and backward for the right)
+give each child's residual as ``q - b' G^-1 b``.  A child with at most
+``features + 1`` samples gets a bound of 0, and a child whose solve
+might be off by more than a quarter of the margin described next takes
+its ``lstsq`` residual instead.  In the score phase the pooled rules
+are visited in ascending ``(bound, coords, threshold)`` order.  Scoring
+stops at the first bound that exceeds the best loss so far by more
+than ``BOUND_MARGIN`` times the node's sum of squared responses; the
+margin absorbs roundoff between the bound and the fitted loss.  A
+scored rule fits its larger-bound child first and skips the other when
+that loss plus the other bound already passes the same limit.  A
+skipped rule could therefore never have won or tied, a scored loss is
+still the left child's plus the right child's, and ties are still
+broken by the key above, so every strategy returns the same rule and
+loss as without the bound.
 
 The observed-value ``sse`` scan reads each coordinate's rows in value
 order from a sorted-order cache: a dict from coordinate to the stable
@@ -51,8 +64,9 @@ once on each path from the root, and an exhaustive search sorts it once
 per tree, or once per fit when boosting stages share one input.
 Only a coordinate whose prefix-scan loss lies within a rounding margin
 (``SSE_MARGIN``, derived in :func:`_eval_coord`) of the best loss so far
-is rescored exactly; the others could not win or tie.  The other
-criteria and mean thresholds never use the cache.
+is rescored exactly; the others could not win or tie.  The ``lre``
+bound phase reads the same cache, in both value modes; ``lae`` and
+mean-threshold ``sse`` never use it.
 """
 
 from __future__ import annotations
@@ -78,10 +92,16 @@ from .leaf_models import LeafModelSpec, _check_stacked, fit_leaf, predict_leaf
 # fraction of the node's sum of squared responses.
 BOUND_MARGIN = 1e-9
 
+_EPS = np.finfo(np.float64).eps
+
 # Slack between an ``sse`` coordinate's prefix-scan loss and its exact
 # child loss, in units of ``(n + 3) * (2 + sqrt(n))`` times the node's sum
 # of squared responses (derived in :func:`_eval_coord`).
-SSE_MARGIN = 3 * np.finfo(np.float64).eps
+SSE_MARGIN = 3 * _EPS
+
+# Numbers held at once by the blocks of outer products that sum an ``lre``
+# child's moments (8 bytes each).
+_MOMENT_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -305,22 +325,21 @@ def _affine_design(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((n, 1)), x.reshape(n, -1)])
 
 
-def _lre_bound(design: np.ndarray, y: np.ndarray, mask: np.ndarray, limit: float = math.inf) -> float:
+def _lstsq_residual(d: np.ndarray, t: np.ndarray) -> float:
+    """Squared residual of the least-squares fit of ``t`` on ``d``; 0 without a solve when ``d`` is not tall."""
+    if d.shape[0] <= d.shape[1]:
+        return 0.0
+    resid = t - d @ np.linalg.lstsq(d, t, rcond=None)[0]
+    return float(np.dot(resid, resid))
+
+
+def _lre_bound(design: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
     """Lower bound on the ``lre`` loss of the split ``mask``: summed child least-squares residuals.
 
-    A child with no more rows than ``design`` has columns contributes 0,
-    always a valid bound, without a solve.  Stops after the left child
-    when its residual alone already exceeds ``limit``.
+    The reference that the search's Gram-sum bounds reproduce (see
+    :func:`_child_bounds`), which also fall back to it per child.
     """
-    bound = 0.0
-    for rows in (mask, ~mask):
-        d, t = design[rows], y[rows]
-        if d.shape[0] > d.shape[1]:
-            resid = t - d @ np.linalg.lstsq(d, t, rcond=None)[0]
-            bound += float(np.dot(resid, resid))
-        if bound > limit:
-            break
-    return bound
+    return _lstsq_residual(design[mask], y[mask]) + _lstsq_residual(design[~mask], y[~mask])
 
 
 def evaluate_lre(x, y, rule: SplitRule, criterion: SplitCriterion, leaf: LeafModelSpec | None = None) -> float:
@@ -408,26 +427,131 @@ def _child_orders(orders: dict, side: np.ndarray) -> dict:
     return {c: position.take(o.compress(side.take(o))) for c, o in orders.items()}
 
 
-def _eval_coord(x, y, coords, criterion, spec, min_child, best_loss, orders, sum_sq):
-    """Best admissible threshold at one coordinate, or None.
+def _sorted_order(col: np.ndarray, coords: tuple[int, ...], orders: dict) -> np.ndarray:
+    """The stable argsort of ``col`` from the node's cache, sorted and stored on a miss."""
+    order = orders.get(coords)
+    if order is None:
+        order = np.argsort(col, kind="stable").astype(_order_dtype(col.size), copy=False)
+        orders[coords] = order
+    return order
+
+
+def _prefix_moments(rows: np.ndarray, counts: np.ndarray):
+    """Yield ``(i, sums)`` block by block: ``sums[j]`` is ``sum(outer(r, r))`` over the first ``counts[i + j]`` rows.
+
+    ``counts`` ascend.  The running sums advance one block of rows at a
+    time, so no more than ``_MOMENT_BLOCK`` numbers of outer products, and
+    of yielded sums, are held at once, whatever the node size.
+    """
+    w = rows.shape[1]
+    block = max(1, _MOMENT_BLOCK // (w * w))
+    last = int(counts[-1])
+    total = np.zeros((1, w, w))
+    done = 0
+    for start in range(0, last, block):
+        chunk = rows[start:min(start + block, last)]
+        # sums[j] covers the first start + j rows
+        sums = np.cumsum(np.concatenate([total, chunk[:, :, None] * chunk[:, None, :]]), axis=0)
+        stop = int(np.searchsorted(counts, start + len(chunk), side="right"))
+        if stop > done:
+            yield done, sums[counts[done:stop] - start]
+        done, total = stop, sums[-1:]
+
+
+def _gram_residuals(moments: np.ndarray, m: np.ndarray, budget: float) -> np.ndarray:
+    """``q - b' G^-1 b`` of each ``moments = [[G, b], [b', q]]`` summed over ``m`` rows, floored at 0.
+
+    NaN marks a residual whose rounding error might exceed ``budget``.
+    """
+    p = moments.shape[1] - 1
+    gram, b, q = moments[:, :p, :p], moments[:, :p, p], moments[:, p, p]
+    with np.errstate(all="ignore"):
+        scale = 1.0 / np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+        gs = gram * scale[:, :, None] * scale[:, None, :]
+        bs = b * scale
+        try:
+            z = np.linalg.solve(gs, bs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # an exactly singular Gram: the whole batch falls back
+            return np.full(len(moments), np.nan)
+        resid = q - np.einsum("ki,ki->k", bs, z)
+        # Write u for the unit roundoff.  Scaled to unit diagonal, each
+        # entry of the summed |d_i||d_i|' is at most 1 (Cauchy-Schwarz), so
+        # the m-term running sums are off by at most (m+1)u per entry of gs,
+        # (m+1)u sqrt(q) per entry of bs and (m+1)u q in q; the LU solve's
+        # backward error adds about 3p u per entry of gs.  To first order
+        # the fit bs'z then moves by at most p(m+3p)u |z|^2 through gs,
+        # 2(m+1)u sqrt(pq)|z| through bs, and p^1.5 u sqrt(q)|z| + 2u q in
+        # the dot product, q and the subtraction: in all, less than
+        # 2(m+3p)u (sqrt(p)|z| + sqrt(q))^2.  NaN (a zero or overflowed
+        # diagonal) fails the comparison.
+        err = 2 * (m + 3 * p) * _EPS * (math.sqrt(p) * np.linalg.norm(z, axis=1) + np.sqrt(q)) ** 2
+    return np.where(err <= budget, np.maximum(resid, 0.0), np.nan)
+
+
+def _child_bounds(rows: np.ndarray, sizes: np.ndarray, budget: float) -> np.ndarray:
+    """Least-squares lower bounds of the children made of the first ``sizes`` of ``rows``.
+
+    ``rows`` are ``[1, vec(x_i), y_i]`` in accumulation order and
+    ``sizes`` ascend.  A child with at most ``features + 1`` rows gets 0.
+    Any other child's bound is its :func:`_gram_residuals`, from running
+    sums of ``outer(r, r)``, or the :func:`_lstsq_residual` of its rows
+    when the Gram residual is not accurate to within ``budget``.
+    """
+    p = rows.shape[1] - 1
+    bounds = np.zeros(sizes.size)
+    solve = np.flatnonzero(sizes > p)
+    if solve.size == 0:
+        return bounds
+    for i, moments in _prefix_moments(rows, sizes[solve]):
+        block = solve[i:i + len(moments)]
+        bounds[block] = _gram_residuals(moments, sizes[block], budget)
+    for i in np.flatnonzero(np.isnan(bounds)):
+        bounds[i] = _lstsq_residual(rows[:sizes[i], :p], rows[:sizes[i], p])
+    return bounds
+
+
+def _lre_candidates(col, coords, value_mode, min_child, orders, rows, budget) -> list:
+    """Admissible rules at one coordinate as ``(bound, coords, threshold, n_left, left bound, right bound)``.
+
+    ``rows`` are the node's ``[1, vec(x_i), y_i]``.  Read in the column's
+    sorted order, a left child is a prefix of the rows and a right child
+    a suffix, so both sides' bounds come from running sums, the right
+    side's over the reversed rows.
+    """
+    order = _sorted_order(col, coords, orders).astype(np.intp, copy=False)
+    thresholds = _thresholds(col, value_mode)
+    n_left = np.searchsorted(col[order], thresholds, side="right")
+    n = col.size
+    keep = (n_left >= min_child) & (n - n_left >= min_child)
+    if not keep.any():
+        return []
+    thresholds, n_left = thresholds[keep], n_left[keep]
+    rows = rows[order]
+    left = _child_bounds(rows, n_left, budget)
+    right = _child_bounds(rows[::-1], (n - n_left)[::-1], budget)[::-1]
+    return [(bl + br, coords, float(t), int(k), bl, br)
+            for t, k, bl, br in zip(thresholds, n_left, left.tolist(), right.tolist())]
+
+
+def _eval_coord(x, y, coords, criterion, spec, min_child, best_loss, orders, sum_sq, rows=None):
+    """Best admissible threshold at one coordinate, or None; under ``lre``, every admissible rule.
 
     ``spec`` is :func:`_lre_spec` of the criterion, ``orders`` the node's
     sorted-order cache and ``sum_sq`` the node's ``sum(y**2)``.
-    ``best_loss`` is the best loss the search has found so far.  Under ``sse`` a coordinate whose prefix-scan loss
-    exceeds it by more than the rounding margin is not rescored; under
-    ``lre``, thresholds whose least-squares bound exceeds it (or this
-    coordinate's own best) by more than the margin are not fitted.  Either
-    way the skipped rules could not win or tie, so the result is the same
-    as an unbounded scan whenever it can beat ``best_loss``.
+    ``best_loss`` is the best loss the search has found so far.  Under
+    ``sse`` a coordinate whose prefix-scan loss exceeds it by more than
+    the rounding margin is not rescored, so the result is the same as an
+    unbounded scan whenever it can beat ``best_loss``.  Under ``lre`` it
+    fits nothing: it returns the :func:`_lre_candidates` of the node's
+    ``rows`` for :func:`_score_lre`.
     """
     col = _column(x, coords)
     n = col.size
+    if criterion.kind == "lre":
+        return _lre_candidates(col, coords, criterion.value_mode, min_child, orders, rows,
+                               BOUND_MARGIN * sum_sq / 4)
     if criterion.kind == "sse" and criterion.value_mode == "observed":
-        order = orders.get(coords)
-        if order is None:
-            order = np.argsort(col, kind="stable").astype(_order_dtype(n), copy=False)
-            orders[coords] = order
-        hit = _scan_sse_observed(col, y, order, min_child)
+        hit = _scan_sse_observed(col, y, _sorted_order(col, coords, orders), min_child)
         if hit is None:
             return None
         scan_loss, thr, nl, nr = hit
@@ -458,9 +582,6 @@ def _eval_coord(x, y, coords, criterion, spec, min_child, best_loss, orders, sum
         loss = _children_loss(x, y, _split_mask(x, rule), criterion, spec)
         return SplitEvaluation(rule, loss, nl, nr)
 
-    if criterion.kind == "lre":
-        design = _affine_design(x)
-        margin = BOUND_MARGIN * sum_sq
     best = None
     for thr in _thresholds(col, criterion.value_mode):
         rule = SplitRule(coords, float(thr))
@@ -469,13 +590,40 @@ def _eval_coord(x, y, coords, criterion, spec, min_child, best_loss, orders, sum
         nr = n - nl
         if nl < min_child or nr < min_child:
             continue
-        if criterion.kind == "lre":
-            limit = min(best_loss, _best_loss(best)) + margin
-            if limit < math.inf and _lre_bound(design, y, mask, limit) > limit:
-                continue
         loss = _children_loss(x, y, mask, criterion, spec)
         if best is None or loss < best.loss:
             best = SplitEvaluation(rule, loss, nl, nr)
+    return best
+
+
+def _score_lre(x, y, pool: list, criterion, spec, margin: float) -> SplitEvaluation | None:
+    """Best of the :func:`_lre_candidates` ``pool``, fitting children in ascending-bound order.
+
+    Scoring stops at the first candidate whose bound exceeds the best loss
+    so far by more than ``margin``; every later bound is at least as
+    large.  A scored candidate fits its larger-bound child first and skips
+    the other when that child's loss plus the other's bound already
+    passes the limit.  Either way the skipped rules could not win or tie,
+    and a scored loss is still the left child's plus the right child's,
+    so the result does not depend on the visit order.
+    """
+    n = x.shape[0]
+    best = None
+    for bound, coords, thr, nl, bl, br in sorted(pool):
+        limit = _best_loss(best) + margin
+        if bound > limit:
+            break
+        rule = SplitRule(coords, thr)
+        mask = _split_mask(x, rule)
+        sides, bounds, losses = (mask, ~mask), (bl, br), [0.0, 0.0]
+        first = 0 if bl >= br else 1
+        losses[first] = _group_loss(x, y, criterion, spec, sides[first])
+        if losses[first] + bounds[1 - first] > limit:
+            continue
+        losses[1 - first] = _group_loss(x, y, criterion, spec, sides[1 - first])
+        cand = SplitEvaluation(rule, losses[0] + losses[1], nl, n - nl)
+        if _better(cand, best):
+            best = cand
     return best
 
 
@@ -536,7 +684,8 @@ def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEva
     """Score the strategy's coordinates in order, keeping the best under the tie-break.
 
     ``orders`` is the node's sorted-order cache (see :func:`find_best_split`),
-    or None to start an empty one.
+    or None to start an empty one.  Under ``lre`` the coordinates only pool
+    their rules and bounds, and :func:`_score_lre` picks the best.
     """
     x, y = _check_stacked(x, y)
     if x.shape[0] < 2:
@@ -551,6 +700,12 @@ def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEva
         order = _bb_order(x.shape[1:], int(strategy.xi))
     spec = _lre_spec(criterion, leaf)
     sum_sq = float(np.dot(y, y))
+    if criterion.kind == "lre":
+        rows = np.hstack([_affine_design(x), y[:, None]])
+        pool = []
+        for coords in order:
+            pool += _eval_coord(x, y, coords, criterion, spec, min_child, math.inf, orders, sum_sq, rows)
+        return _score_lre(x, y, pool, criterion, spec, BOUND_MARGIN * sum_sq)
     best = None
     for coords in order:
         cand = _eval_coord(x, y, coords, criterion, spec, min_child, _best_loss(best), orders, sum_sq)

@@ -36,7 +36,7 @@ from .decomposition import (
     cp_als,
     tucker_als,
 )
-from .ensemble import BoostedModel, BoostingConfig, fit_boosting
+from .ensemble import BoostedModel, BoostingConfig, _finite_predictions, fit_boosting
 from .leaf_models import _check_stacked
 
 
@@ -159,6 +159,7 @@ def reconstruct_from_observation_factor(model: TensorOutputModel, obs_factor: np
     return TuckerDecomposition(core=model.core, factors=factors).to_tensor()
 
 
+@_finite_predictions
 def predict_tensor(model: TensorOutputModel, x) -> np.ndarray:
     """Predict a stacked output tensor of shape ``(n,) + output_shape``."""
     x = np.asarray(x, dtype=np.float64)

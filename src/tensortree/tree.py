@@ -22,6 +22,7 @@ ensembles, drop them, so they predict but cannot be pruned further.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -180,13 +181,23 @@ class TensorTree:
             stack.append((node.left, rows[go_left]))
 
     def predict(self, x) -> np.ndarray:
-        """Route each row to its leaf and evaluate that leaf's model."""
+        """Route each row to its leaf and evaluate that leaf's model.
+
+        Raises ``ValueError`` rather than return a non-finite prediction:
+        a low-rank leaf checks its own, and a mean leaf's value is checked
+        when a row reaches it (a fit can overflow it to ``inf``).
+        """
         x = _check_features(x, self.feature_shape)
         out = np.empty(x.shape[0], dtype=np.float64)
         for leaf, rows in self._route(x):
             # A mean leaf reads no features, so its rows are not gathered.
             model = leaf.model
-            out[rows] = model.mean if model.kind == "mean" else predict_leaf(model, x[rows])
+            if model.kind != "mean":
+                out[rows] = predict_leaf(model, x[rows])
+            elif math.isfinite(model.mean):
+                out[rows] = model.mean
+            else:
+                raise ValueError("non-finite prediction: a leaf mean overflowed")
         return out
 
     def apply(self, x) -> np.ndarray:

@@ -600,3 +600,29 @@ def test_unknown_model_kind_exit_3(workdir, edit):
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert not (workdir / "p.npy").exists()
+
+
+@pytest.mark.parametrize("repro", ["cp_leaf_factor_scalar", "lowrank_mean_leaf_overflow"])
+def test_broken_leaf_arrays_and_overflow_exit_3(workdir, repro):
+    rng = make_rng(12)
+    x = rng.uniform(size=(40, 2, 2))
+    if repro == "cp_leaf_factor_scalar":
+        tree = GrowConfig(max_depth=1, min_samples_leaf=10, leaf=LeafModelSpec(kind="cp", rank=1))
+        doc = serialize.model_to_dict(grow(x, x[:, 0, 0] + x[:, 1, 1], tree))
+        doc["node"]["left"]["leaf"]["model"]["coefficient"]["factors"][0] = 3
+    else:
+        boost = BoostingConfig(n_estimators=1, tree=GrowConfig(max_depth=1))
+        cfg = OutputConfig(approach="lowrank", decomp="cp", rank=2, boosting=boost)
+        doc = serialize.model_to_dict(fit_lowrank(x, rng.normal(size=(40, 3)), cfg))
+        doc["ensembles"][0]["eta"] = 1.0
+        node = doc["ensembles"][0]["trees"][0]["node"]
+        while "leaf" not in node:
+            node = node["left"]
+        node["leaf"]["model"]["mean"] = 1e308
+    (workdir / "m.json").write_text(json.dumps(doc))
+    np.save(workdir / "X.npy", x[:5])
+    res = run_cli("predict", "--model", "m.json", "--x", "X.npy", "--out", "p.npy", cwd=workdir)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert not (workdir / "p.npy").exists()

@@ -1,5 +1,6 @@
 """Boosting and forest ensembles: update identities and determinism."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from tensortree import ensemble, splitting
 from tensortree._rng import derive_seed, make_rng
 from tensortree.ensemble import (
+    BoostedModel,
     BoostingConfig,
     ForestConfig,
     ForestModel,
@@ -230,3 +232,39 @@ class TestForestWithoutBootstrap:
         assert grown_on_x == [True] * 5
         columns = [x[:, i, j].tobytes() for i in range(3) for j in range(3)]
         assert sorted(root_sorts) == sorted(5 * columns)
+
+
+def _overflowing_lowrank():
+    """A low-rank tensor-output model whose reconstruction overflows."""
+    from tensortree.serialize import model_from_dict, model_to_dict
+    from tensortree.tensor_output import OutputConfig, fit_lowrank
+
+    rng = make_rng(10)
+    x, y = rng.uniform(size=(40, 2, 2)), rng.normal(size=(40, 3))
+    boost = BoostingConfig(n_estimators=1, tree=GrowConfig(max_depth=1))
+    doc = model_to_dict(fit_lowrank(x, y, OutputConfig(approach="lowrank", rank=2, boosting=boost)))
+    doc["ensembles"][0]["eta"] = 1.0
+    node = doc["ensembles"][0]["trees"][0]["node"]
+    while "leaf" not in node:
+        node = node["left"]
+    node["leaf"]["model"]["mean"] = 1e308
+    return model_from_dict(doc), x
+
+
+@pytest.mark.parametrize("model", ["tree", "boosting", "forest", "lowrank"])
+def test_every_public_predict_refuses_overflow(model):
+    x, y = step_data(40, 3)
+    y = np.full_like(y, 1.5e308)  # finite, but any sum of two overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # fitting overflows too
+        if model == "tree":
+            fitted = grow(x, y, GrowConfig(max_depth=1))
+        elif model == "boosting":
+            fitted = BoostedModel(1.5e308, 1.0, [grow(x, y, GrowConfig(max_depth=1))])
+        elif model == "forest":
+            fitted = fit_forest(x, y, ForestConfig(n_trees=2, tree=GrowConfig(max_depth=1)))
+        else:
+            fitted, x = _overflowing_lowrank()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow warning escapes
+        with pytest.raises(ValueError, match="non-finite prediction"):
+            fitted.predict(x)

@@ -2,7 +2,11 @@
 
 The bound must never exceed a candidate's real loss (beyond the margin),
 and skipping candidates by it must leave every search's result exactly
-as an unbounded enumeration finds it.
+as an unbounded enumeration finds it.  The search takes each child's
+bound from running Gram sums, which must never exceed the least-squares
+residual of the child's rows by more than the margin, and scores rules
+in ascending-bound order, which must give the rules, losses and model
+bytes of the lazy per-coordinate loop it replaced.
 """
 
 import numpy as np
@@ -12,6 +16,7 @@ from tensortree import splitting
 from tensortree.data import SyntheticSpec, generate
 from tensortree.decomposition import AlsConfig
 from tensortree.leaf_models import LeafModelSpec, min_viable_samples
+from tensortree.serialize import dumps
 from tensortree.splitting import (
     BOUND_MARGIN,
     SearchStrategy,
@@ -25,6 +30,7 @@ from tensortree.splitting import (
     find_best_split_exhaustive,
     find_best_split_leverage,
 )
+from tensortree.tree import GrowConfig, grow
 
 from test_splitting import enumerate_best
 
@@ -129,3 +135,225 @@ def test_bound_skips_fits(monkeypatch):
             candidates += nl >= 5 and x.shape[0] - nl >= 5
     # without the bound every candidate fits both children
     assert 0 < len(calls) < candidates
+
+
+# --- the search against the lazy per-coordinate loop it replaced -----------
+
+
+def reference_lre_search(x, y, criterion, strategy, leaf, min_child, orders=None):
+    """Stands in for ``splitting._search`` under ``lre``: coordinates in the strategy's
+    order, each scanned threshold by threshold, a rule fitted unless its summed
+    least-squares bound passes the best loss so far (or the coordinate's own
+    best) by more than the margin."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if strategy.kind == "exhaustive":
+        order = np.ndindex(*x.shape[1:])
+    elif strategy.kind == "leverage":
+        order = splitting._leverage_order(x, strategy)
+    else:
+        order = splitting._bb_order(x.shape[1:], int(strategy.xi))
+    spec = _lre_spec(criterion, leaf)
+    design = _affine_design(x)
+    margin = BOUND_MARGIN * float(np.dot(y, y))
+    n = x.shape[0]
+    best = None
+    for coords in order:
+        col = x[(slice(None),) + tuple(coords)]
+        coord_best = None
+        for thr in splitting._thresholds(col, criterion.value_mode):
+            rule = SplitRule(tuple(coords), float(thr))
+            mask = col <= rule.threshold
+            nl = int(mask.sum())
+            if nl < min_child or n - nl < min_child:
+                continue
+            limit = min(splitting._best_loss(best), splitting._best_loss(coord_best)) + margin
+            if limit < np.inf and _lre_bound(design, y, mask) > limit:
+                continue
+            loss = splitting._children_loss(x, y, mask, criterion, spec)
+            if coord_best is None or loss < coord_best.loss:
+                coord_best = splitting.SplitEvaluation(rule, loss, nl, n - nl)
+        if coord_best is not None and splitting._better(coord_best, best):
+            best = coord_best
+    return best
+
+
+def with_reference_search(monkeypatch):
+    real = splitting._search
+
+    def search(x, y, criterion, strategy, leaf, min_child, orders=None):
+        if criterion.kind != "lre":
+            return real(x, y, criterion, strategy, leaf, min_child, orders)
+        return reference_lre_search(x, y, criterion, strategy, leaf, min_child, orders)
+
+    monkeypatch.setattr(splitting, "_search", search)
+
+
+STRATEGIES = {
+    "exhaustive": SearchStrategy(),
+    "leverage-tau1": SearchStrategy(kind="leverage", tau=1.0),
+    "leverage-tau0.5": SearchStrategy(kind="leverage", tau=0.5, seed=3),
+    "bb-xi0": SearchStrategy(kind="bb", xi=0),
+    "bb-xi1": SearchStrategy(kind="bb", xi=1),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@pytest.mark.parametrize("value_mode", ["observed", "mean"])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_search_matches_lazy_reference(name, value_mode, strategy):
+    criterion, leaf = SPECS[name]
+    criterion = SplitCriterion(kind="lre", split_rank=criterion.split_rank, decomp=criterion.decomp,
+                               value_mode=value_mode, als=criterion.als)
+    x, y = instance("interaction", 1, n=40)
+    for min_child in (1, 6):
+        want = reference_lre_search(x, y, criterion, STRATEGIES[strategy], leaf, min_child)
+        got = splitting.find_best_split(x, y, criterion, STRATEGIES[strategy], leaf,
+                                        min_child=min_child)
+        assert want is not None and got == want
+
+
+LRE_TREE = GrowConfig(max_depth=2, min_samples_leaf=10, criterion=SplitCriterion(
+    kind="lre", split_rank=2, decomp="cp", als=AlsConfig(max_iterations=10)))
+
+TREES = {
+    "lre_tree": (LRE_TREE, lambda: fig5(50, 41)),
+    "lre_tree-seed2": (LRE_TREE, lambda: fig5(50, 2)),
+    "tucker-mean-no-intercept": (
+        GrowConfig(max_depth=2, min_samples_leaf=5, criterion=SplitCriterion(
+            kind="lre", split_rank=2, value_mode="mean", als=ALS),
+            leaf=LeafModelSpec(kind="tucker", rank=2, intercept=False)),
+        lambda: fig5(40, 3)),
+    "cp-leverage": (
+        GrowConfig(max_depth=2, min_samples_leaf=5, criterion=SplitCriterion(
+            kind="lre", split_rank=1, als=ALS),
+            strategy=SearchStrategy(kind="leverage", tau=0.5, seed=1),
+            leaf=LeafModelSpec(kind="cp", rank=1, intercept=False)),
+        lambda: table2(40, 4)),
+    "tucker-bb": (
+        GrowConfig(max_depth=2, min_samples_leaf=4, criterion=SplitCriterion(
+            kind="lre", split_rank=2, decomp="tucker", als=ALS),
+            strategy=SearchStrategy(kind="bb", xi=0)),
+        lambda: instance("step", 5, n=50)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_grown_trees_match_lazy_reference(name, monkeypatch):
+    config, data = TREES[name]
+    x, y = data()
+    got = dumps(grow(x, y, config))
+    with_reference_search(monkeypatch)
+    assert got == dumps(grow(x, y, config))
+
+
+def test_exact_tie_goes_to_the_smaller_key_whatever_the_bounds(monkeypatch):
+    x, y = instance("step", 3, n=40)
+    criterion, leaf = SPECS["cp"]
+    spec = _lre_spec(criterion, leaf)
+    sum_sq = float(y @ y)
+    rows = np.hstack([_affine_design(x), y[:, None]])
+    pool = []
+    for coords in np.ndindex(*x.shape[1:]):
+        pool += splitting._eval_coord(x, y, coords, criterion, spec, 5, np.inf, {}, sum_sq, rows)
+    # a rule with the smaller key and the larger bound, and one with the larger key
+    bound, keys = {c[1:3]: c[0] for c in pool}, sorted(c[1:3] for c in pool)
+    small = next(k for k in keys if any(bound[other] < bound[k] for other in keys if other > k))
+    large = next(other for other in keys if other > small and bound[other] < bound[small])
+
+    def children(coords, thr):
+        mask = x[(slice(None),) + coords] <= thr
+        return {y[mask].tobytes(), y[~mask].tobytes()}
+
+    tied = children(*small) | children(*large)
+    # the two rules induce partitions no smaller rule induces
+    assert min(k for k in keys if children(*k) <= tied) == small
+    # every child of the two rules scores sum(y**2), any other child twice that
+    monkeypatch.setattr(splitting, "_lre_term",
+                        lambda xg, yg, s: sum_sq if yg.tobytes() in tied else 2 * sum_sq)
+    best = find_best_split_exhaustive(x, y, criterion, leaf, min_child=5)
+    assert best.rule == SplitRule(*small) and best.loss == 2 * sum_sq
+
+
+# --- the Gram-sum bound against the least-squares residual ------------------
+
+
+def bound_cases():
+    """(name, x, y) children sets on (2, 2) inputs: 5 design columns."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, size=(30, 2, 2))
+    y = x[:, 0, 0] - 2 * x[:, 1, 1] + rng.normal(0, 0.1, 30)
+    constant = x.copy()
+    constant[:, 1, 0] = 0.25
+    duplicated = np.concatenate([x[:8], x[:8], x[:8]])
+    tied = np.round(x * 2) / 2
+    return [("plain", x, y), ("constant_column", constant, y),
+            ("duplicated_rows", duplicated, np.concatenate([y[:8]] * 3)),
+            ("tied", tied, y), ("offset", x, y + 1e6)]
+
+
+@pytest.mark.parametrize("name,x,y", bound_cases(), ids=[c[0] for c in bound_cases()])
+def test_gram_bound_never_exceeds_lstsq_bound(name, x, y, monkeypatch):
+    p = x[0].size + 1
+    rows = np.hstack([_affine_design(x), y[:, None]])
+    margin = BOUND_MARGIN * float(y @ y)
+    fallbacks = []
+    real = splitting._lstsq_residual
+    monkeypatch.setattr(splitting, "_lstsq_residual", lambda d, t: fallbacks.append(1) or real(d, t))
+    sizes = np.arange(p + 1, x.shape[0] + 1)  # p+1 ... p+5 rows and beyond
+    for order in (np.arange(x.shape[0]), np.argsort(x[:, 0, 1], kind="stable")):
+        got = splitting._child_bounds(rows[order], sizes, margin / 4)
+        for size, bound in zip(sizes, got):
+            d, t = rows[order][:size, :p], rows[order][:size, p]
+            assert 0.0 <= bound <= real(d, t) + margin
+    if name in ("constant_column", "duplicated_rows"):
+        # a singular Gram is never trusted
+        assert len(fallbacks) >= sizes.size
+    elif name == "plain":
+        assert len(fallbacks) < sizes.size
+
+
+def test_gram_bounds_fall_back_somewhere_in_a_search(monkeypatch):
+    x, y = bound_cases()[1][1:]
+    calls = []
+    real = splitting._lstsq_residual
+    monkeypatch.setattr(splitting, "_lstsq_residual", lambda d, t: calls.append(1) or real(d, t))
+    find_best_split_exhaustive(x, y, SPECS["cp"][0])
+    assert calls
+
+
+def test_small_children_keep_a_zero_bound():
+    x, y = bound_cases()[0][1:]
+    p = x[0].size + 1
+    rows = np.hstack([_affine_design(x), y[:, None]])
+    sizes = np.arange(1, x.shape[0] + 1)
+    bounds = splitting._child_bounds(rows, sizes, np.inf)
+    assert (bounds[sizes <= p] == 0).all() and (bounds[sizes > p] > 0).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, 22, 10**6])
+def test_prefix_moments_blocks_sum_the_same(block, monkeypatch):
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(40, 4))
+    counts = np.array([1, 3, 16, 17, 33, 40])
+    monkeypatch.setattr(splitting, "_MOMENT_BLOCK", block * 16)
+    got = np.concatenate([sums for _, sums in splitting._prefix_moments(rows, counts)])
+    want = np.stack([rows[:k].T @ rows[:k] for k in counts])
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_candidates_carry_the_lstsq_bound_of_each_rule():
+    x, y = instance("linear", 0)
+    criterion, leaf = SPECS["cp"]
+    spec = _lre_spec(criterion, leaf)
+    design = _affine_design(x)
+    sum_sq = float(y @ y)
+    rows = np.hstack([design, y[:, None]])
+    for coords in [(0, 0), (1, 2)]:
+        cands = splitting._eval_coord(x, y, coords, criterion, spec, 5, np.inf, {}, sum_sq, rows)
+        col = x[(slice(None),) + coords]
+        assert [c[2] for c in cands] == [
+            float(t) for t in np.unique(col) if 5 <= (col <= t).sum() <= x.shape[0] - 5]
+        for bound, _, thr, nl, left, right in cands:
+            mask = col <= thr
+            assert nl == mask.sum() and bound == left + right
+            assert abs(bound - _lre_bound(design, y, mask)) <= BOUND_MARGIN * sum_sq

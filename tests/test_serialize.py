@@ -143,3 +143,65 @@ def test_rejects_unknown_tensor_output_fields(approach, key, value):
     doc[key] = value
     with pytest.raises(ValueError, match=f"unknown .*{key}"):
         model_from_dict(doc)
+
+
+def _leaf_edits():
+    """(leaf kind, edit) pairs that give a leaf coefficient arrays of the wrong shape."""
+    common = ["factor_scalar", "factor_transposed", "factor_missing", "factor_extra"]
+    return ([("cp", e) for e in common + ["weights_matrix", "weights_short"]]
+            + [("tucker", e) for e in common + ["core_ndim", "core_rank"]])
+
+
+@pytest.mark.parametrize("leaf, edit", _leaf_edits())
+def test_rejects_leaf_arrays_that_do_not_fit_the_feature_shape(leaf, edit):
+    x, y = sample_problem(9)
+    doc = model_to_dict(grow(x, y, tree_config(LeafModelSpec(kind=leaf, rank=2))))
+    coef = _first_leaf_model(doc["node"])["coefficient"]
+    factors = coef["factors"]
+    if edit == "factor_scalar":
+        factors[0] = 3
+    elif edit == "factor_transposed":
+        factors[0] = np.asarray(factors[0]).T.tolist()
+    elif edit == "factor_missing":
+        del factors[1]
+    elif edit == "factor_extra":
+        factors.append(factors[0])
+    elif edit == "weights_matrix":
+        coef["weights"] = [coef["weights"]]
+    elif edit == "weights_short":
+        coef["weights"] = coef["weights"][:1]
+    elif edit == "core_ndim":
+        coef["core"] = coef["core"][0]
+    else:
+        coef["core"] = [row[:1] for row in coef["core"]]
+    with pytest.raises(ValueError, match="factor|weights"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("approach, decomp, edit", [
+    ("entrywise", "cp", "ensemble_missing"),
+    ("lowrank", "cp", "ensemble_missing"), ("lowrank", "tucker", "ensemble_missing"),
+    ("lowrank", "cp", "factor_scalar"), ("lowrank", "tucker", "factor_scalar"),
+    ("lowrank", "cp", "factor_transposed"), ("lowrank", "cp", "weights_short"),
+    ("lowrank", "tucker", "core_rank"), ("lowrank", "tucker", "core_ndim"),
+])
+def test_rejects_output_arrays_that_do_not_fit_the_output_shape(approach, decomp, edit):
+    rng = make_rng(10)
+    x, y = rng.uniform(size=(40, 2, 2)), rng.normal(size=(40, 3, 2))
+    boost = BoostingConfig(n_estimators=1, tree=tree_config(LeafModelSpec(kind="mean")))
+    cfg = OutputConfig(approach=approach, decomp=decomp, rank=2, boosting=boost)
+    doc = model_to_dict((fit_entrywise if approach == "entrywise" else fit_lowrank)(x, y, cfg))
+    if edit == "ensemble_missing":
+        del doc["ensembles"][-1]
+    elif edit == "factor_scalar":
+        doc["output_factors"][0] = 3
+    elif edit == "factor_transposed":
+        doc["output_factors"][0] = np.asarray(doc["output_factors"][0]).T.tolist()
+    elif edit == "weights_short":
+        doc["weights"] = doc["weights"][:1]
+    elif edit == "core_rank":
+        doc["core"] = [[row[:1] for row in plane] for plane in doc["core"]]
+    else:
+        doc["core"] = doc["core"][0]
+    with pytest.raises(ValueError, match="factor|ensembles"):
+        model_from_dict(doc)
