@@ -91,7 +91,9 @@ def _check_stacked(x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Stacked inputs ``x`` (and responses ``y``, flattened) as float64, validated.
 
     ``x`` needs 2 or 3 feature modes and at least one sample, ``y`` one
-    value per sample, and both only finite values.
+    value per sample, and both only finite values.  The squares of ``y``
+    must also sum to a finite value, so that no mean, residual or
+    variance a fit takes of them overflows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 3 or x.ndim > 4:
@@ -104,6 +106,10 @@ def _check_stacked(x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
             raise ValueError(f"response length {y.size} does not match {x.shape[0]} samples")
     if not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
         raise ValueError("inputs contain non-finite values")
+    with np.errstate(over="ignore"):
+        overflows = y is not None and not np.isfinite(np.dot(y, y))
+    if overflows:
+        raise ValueError("responses too large: the sum of their squares overflows")
     return x, y
 
 

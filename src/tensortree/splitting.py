@@ -18,7 +18,7 @@ from its node-local mean (one candidate per coordinate).
 Every entry point scores a rule through two helpers: one builds the
 rule's left-child mask, the other sums the criterion over the children
 of a mask.  The three search strategies are three coordinate orders fed
-to one scoring loop: every coordinate in row-major order (exhaustive), a
+to one scorer: every coordinate in row-major order (exhaustive), a
 variance-weighted sample in sorted order (leverage), or the distinct box
 midpoints of a FIFO bisection walk (branch-and-bound).  With ``tau=1``
 the sample holds every useful coordinate and with ``xi=0`` the walk
@@ -27,46 +27,54 @@ reaches every coordinate, so both reduce to the exhaustive result.
 Ties are broken toward the lexicographically smallest coordinates, then
 the smallest threshold, independent of evaluation order.
 
-Under ``lre`` most candidates are ruled out without fitting their two
-child regressions.  CP and Tucker regressions (with or without an
-intercept) and the mean fallback are all affine functions of
-``vec(X_i)``, so no child fit can leave a smaller residual than the
-unconstrained least-squares fit of the child's responses on
-``[1, vec(X_i)]``.  The sum of that residual over both children is a
-lower bound on the candidate's loss.  The search runs in two phases.
-In the bound phase each coordinate lists its admissible rules with both
-child bounds and fits nothing: read in the column's sorted order, a
-left child is a prefix of the node's rows and a right child a suffix,
-so running sums of ``outer(d_i, d_i)`` over ``d_i = [1, vec(X_i), y_i]``
-(blocked, forward for the left children and backward for the right)
-give each child's residual as ``q - b' G^-1 b``.  A child with at most
-``features + 1`` samples gets a bound of 0, and a child whose solve
-might be off by more than a quarter of the margin described next takes
-its ``lstsq`` residual instead.  In the score phase the pooled rules
-are visited in ascending ``(bound, coords, threshold)`` order.  Scoring
-stops at the first bound that exceeds the best loss so far by more
-than ``BOUND_MARGIN`` times the node's sum of squared responses; the
-margin absorbs roundoff between the bound and the fitted loss.  A
-scored rule fits its larger-bound child first and skips the other when
-that loss plus the other bound already passes the same limit.  A
+Every search runs in two phases, the same for all three criteria: rules
+are scored best-first by a lower bound, as in branch and bound (Land &
+Doig, 1960).  In the bound phase each coordinate lists its admissible
+rules and fits nothing.  A rule is admissible when it cuts between two
+distinct sorted values of the column (observed mode) or at the column
+mean (mean mode), and leaves at least ``min_child`` rows in each child.
+Each rule carries a bound on its loss and one on each child's loss:
+
+* ``lre``: CP and Tucker regressions (with or without an intercept) and
+  the mean fallback are all affine functions of ``vec(X_i)``, so no
+  child fit can leave a smaller residual than the least-squares fit of
+  the child's responses on ``[1, vec(X_i)]``.  Read in the column's
+  sorted order, a left child is a prefix of the node's rows and a right
+  child a suffix, so running sums of ``outer(d_i, d_i)`` over
+  ``d_i = [1, vec(X_i), y_i]`` (blocked, forward for the left children
+  and backward for the right) give each child's residual as
+  ``q - b' G^-1 b``.  A child with at most ``features + 1`` rows gets 0,
+  and a child whose solve might be off by more than a quarter of the
+  margin takes its ``lstsq`` residual instead.
+* observed-value ``sse``: a coordinate offers only the best threshold of
+  a prefix-sum scan over its sorted responses, bounded by the scan
+  loss, with child bounds 0.  The scan loss may lie on either side of
+  the exact loss, but never by more than the margin.
+* ``lae`` and mean-value ``sse``: every admissible rule, all bounds 0.
+
+In the score phase the pooled rules are visited in ascending ``(bound,
+coords, threshold)`` order.  Scoring stops at the first bound that
+exceeds the best loss so far by more than the margin,
+``max(BOUND_MARGIN, SSE_MARGIN (n+3)(2+sqrt(n)))`` times the node's sum
+of squared responses (:func:`_margin`); the margin absorbs the roundoff
+between a bound and the loss it bounds.  A scored rule computes its
+larger-bound child first and skips the other when that loss plus the
+other's bound already passes the same limit (the one-child exit).  A
 skipped rule could therefore never have won or tied, a scored loss is
 still the left child's plus the right child's, and ties are still
 broken by the key above, so every strategy returns the same rule and
-loss as without the bound.
+loss as a scan that scores every rule.
 
-The observed-value ``sse`` scan reads each coordinate's rows in value
+Observed-value ``sse`` and ``lre`` read each coordinate's rows in value
 order from a sorted-order cache: a dict from coordinate to the stable
 argsort of the node's column (int32 positions), filled the first time
 the node scans that coordinate.  After a split each child's cache is the
 parent's filtered to the child's rows (:func:`_child_orders`), which is
 exactly the child's own stable argsort.  So a column is sorted at most
 once on each path from the root, and an exhaustive search sorts it once
-per tree, or once per fit when boosting stages share one input.
-Only a coordinate whose prefix-scan loss lies within a rounding margin
-(``SSE_MARGIN``, derived in :func:`_eval_coord`) of the best loss so far
-is rescored exactly; the others could not win or tie.  The ``lre``
-bound phase reads the same cache, in both value modes; ``lae`` and
-mean-threshold ``sse`` never use it.
+per tree, or once per fit when boosting stages share one input.  ``lae``
+and mean-value ``sse`` sort a copy of the column and leave the cache
+empty.
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ _EPS = np.finfo(np.float64).eps
 
 # Slack between an ``sse`` coordinate's prefix-scan loss and its exact
 # child loss, in units of ``(n + 3) * (2 + sqrt(n))`` times the node's sum
-# of squared responses (derived in :func:`_eval_coord`).
+# of squared responses (derived in :func:`_margin`).
 SSE_MARGIN = 3 * _EPS
 
 # Numbers held at once by the blocks of outer products that sum an ``lre``
@@ -383,32 +391,47 @@ def variance_matrix(x) -> np.ndarray:
 # --- per-coordinate threshold scans ---------------------------------------
 
 
-def _scan_sse_observed(col: np.ndarray, y: np.ndarray, order: np.ndarray, min_child: int):
-    """Best observed-value SSE threshold on one coordinate via prefix sums.
+def _admissible(col: np.ndarray, v: np.ndarray, value_mode: str, min_child: int):
+    """The admissible rules on one column as ascending ``(thresholds, n_left)`` arrays.
 
-    ``order`` is the stable argsort of ``col``.  Returns ``(loss,
-    threshold, n_left, n_right)`` or None when no admissible boundary
-    exists.  Losses tie toward the smallest threshold because candidates
-    are scanned in ascending value order.
+    ``v`` is ``col`` sorted.  A rule cuts at the lower of two distinct
+    consecutive sorted values (observed mode) or at the column mean (mean
+    mode), and leaves each child at least ``min_child`` rows and at least
+    one.  ``n_left`` counts the rows ``<= threshold``.
     """
-    n = col.size
-    order = order.astype(np.intp, copy=False)  # one index conversion for both gathers
-    v = col[order]
-    ys = y[order]
+    n = v.size
+    if value_mode == "observed":
+        n_left = np.flatnonzero(v[:-1] < v[1:]) + 1
+    else:
+        thresholds = np.array([col.mean()])
+        n_left = np.searchsorted(v, thresholds, side="right")
+    low = max(min_child, 1)
+    first, stop = np.searchsorted(n_left, (low, n - low + 1))  # n_left ascends
+    n_left = n_left[first:stop]
+    if value_mode == "observed":
+        return v[n_left - 1], n_left
+    return thresholds[first:stop], n_left
+
+
+def _sse_scan(ys: np.ndarray, n_left: np.ndarray) -> tuple[float, int]:
+    """The smallest prefix-scan ``sse`` loss over rules sending the first ``n_left`` of ``ys`` left, and its index.
+
+    ``ys`` are the node's responses in a column's sorted order and
+    ``n_left`` ascends, so ties go to the smallest threshold.  The loss
+    lies within :func:`_margin` of the rule's exact child loss.
+    """
+    n = ys.size
     cum = np.cumsum(ys)
     cumsq = np.cumsum(ys * ys)
-    k = np.arange(1, n)
-    ok = (v[:-1] < v[1:]) & (k >= min_child) & ((n - k) >= min_child)
-    if not ok.any():
-        return None
+    k = np.arange(1.0, n)  # exact float counts: the quotients of int counts, with no casts
     s_l = cum[:-1]
     q_l = cumsq[:-1]
     var_l = np.maximum(q_l / k - (s_l / k) ** 2, 0.0)
     nr = n - k
     var_r = np.maximum((cumsq[-1] - q_l) / nr - ((cum[-1] - s_l) / nr) ** 2, 0.0)
-    loss = np.where(ok, var_l + var_r, np.inf)
+    loss = (var_l + var_r)[n_left - 1]
     j = int(np.argmin(loss))
-    return float(loss[j]), float(v[j]), int(k[j]), int(n - k[j])
+    return float(loss[j]), j
 
 
 def _order_dtype(n: int):
@@ -510,107 +533,82 @@ def _child_bounds(rows: np.ndarray, sizes: np.ndarray, budget: float) -> np.ndar
     return bounds
 
 
-def _lre_candidates(col, coords, value_mode, min_child, orders, rows, budget) -> list:
-    """Admissible rules at one coordinate as ``(bound, coords, threshold, n_left, left bound, right bound)``.
+def _eval_coord(x, y, coords, criterion, min_child, orders, margin, rows=None) -> list:
+    """The admissible rules at one coordinate as ``(bound, coords, threshold, n_left, left bound, right bound)``.
 
-    ``rows`` are the node's ``[1, vec(x_i), y_i]``.  Read in the column's
-    sorted order, a left child is a prefix of the rows and a right child
-    a suffix, so both sides' bounds come from running sums, the right
-    side's over the reversed rows.
-    """
-    order = _sorted_order(col, coords, orders).astype(np.intp, copy=False)
-    thresholds = _thresholds(col, value_mode)
-    n_left = np.searchsorted(col[order], thresholds, side="right")
-    n = col.size
-    keep = (n_left >= min_child) & (n - n_left >= min_child)
-    if not keep.any():
-        return []
-    thresholds, n_left = thresholds[keep], n_left[keep]
-    rows = rows[order]
-    left = _child_bounds(rows, n_left, budget)
-    right = _child_bounds(rows[::-1], (n - n_left)[::-1], budget)[::-1]
-    return [(bl + br, coords, float(t), int(k), bl, br)
-            for t, k, bl, br in zip(thresholds, n_left, left.tolist(), right.tolist())]
-
-
-def _eval_coord(x, y, coords, criterion, spec, min_child, best_loss, orders, sum_sq, rows=None):
-    """Best admissible threshold at one coordinate, or None; under ``lre``, every admissible rule.
-
-    ``spec`` is :func:`_lre_spec` of the criterion, ``orders`` the node's
-    sorted-order cache and ``sum_sq`` the node's ``sum(y**2)``.
-    ``best_loss`` is the best loss the search has found so far.  Under
-    ``sse`` a coordinate whose prefix-scan loss exceeds it by more than
-    the rounding margin is not rescored, so the result is the same as an
-    unbounded scan whenever it can beat ``best_loss``.  Under ``lre`` it
-    fits nothing: it returns the :func:`_lre_candidates` of the node's
-    ``rows`` for :func:`_score_lre`.
+    Fits nothing; :func:`_score` scores the pooled rules.  ``orders`` is
+    the node's sorted-order cache and ``margin`` the node's
+    :func:`_margin`.  Observed-value ``sse`` offers only the coordinate's
+    best prefix-scan rule, bounded by its scan loss.  Under ``lre`` each
+    rule carries its children's least-squares bounds over the node's
+    ``rows``, ``[1, vec(x_i), y_i]``: read in the column's sorted order, a
+    left child is a prefix of the rows and a right child a suffix, so both
+    sides come from running sums, the right side's over the reversed rows.
+    Every other bound is 0, and ``lae`` and mean-value ``sse`` sort the
+    column afresh rather than fill the cache.
     """
     col = _column(x, coords)
-    n = col.size
-    if criterion.kind == "lre":
-        return _lre_candidates(col, coords, criterion.value_mode, min_child, orders, rows,
-                               BOUND_MARGIN * sum_sq / 4)
-    if criterion.kind == "sse" and criterion.value_mode == "observed":
-        hit = _scan_sse_observed(col, y, _sorted_order(col, coords, orders), min_child)
-        if hit is None:
-            return None
-        scan_loss, thr, nl, nr = hit
-        # The prefix scan only locates the best threshold; the reported
-        # loss is recomputed by the shared child loss so that rules
-        # inducing identical partitions from different coordinates
-        # compare exactly equal during tie-breaking.  The recompute is
-        # skipped when the scan loss lies farther above ``best_loss`` than
-        # rounding can move it.  Write u for the unit roundoff,
-        # S = sum(y**2), A = sum(|y|) <= sqrt(n S) and g = 1.01 (n+3) u.
-        # The sequential prefix sums of y and y**2 are off by at most g A
-        # and g S.  The left variance q/k - (s/k)**2 is then off by at
-        # most 3.6 g S, since (s/k)**2 <= q/k <= S.  The right child
-        # subtracts two prefixes, so with r >= 1 rows its q/r is off by
-        # 2.6 g S and its mean by 2.6 g A / r; as A_r <= sqrt(r S), the
-        # squared mean is off by at most 5.3 g sqrt(n) S + 0.6 g S, and
-        # the subtraction rounds by 0.6 g S.  The two-pass ``np.var`` of
-        # the exact loss and their sum are off by 2.6 g S, and the scan's
-        # sum rounds by 0.6 g S.  So scan and exact loss differ by less
-        # than g S (10.6 + 5.3 sqrt(n)) <= eps (n+3)(5.4 + 2.7 sqrt(n)) S.
-        # The margin eps (n+3)(6 + 3 sqrt(n)) S exceeds that by more than
-        # the rounding of ``best_loss + margin``, so a skipped coordinate
-        # loses strictly: it can neither win nor tie.
-        margin = SSE_MARGIN * (n + 3) * (2 + math.sqrt(n)) * sum_sq
-        if scan_loss > best_loss + margin:
-            return None
-        rule = SplitRule(coords, thr)
-        loss = _children_loss(x, y, _split_mask(x, rule), criterion, spec)
-        return SplitEvaluation(rule, loss, nl, nr)
-
-    best = None
-    for thr in _thresholds(col, criterion.value_mode):
-        rule = SplitRule(coords, float(thr))
-        mask = _split_mask(x, rule)
-        nl = int(mask.sum())
-        nr = n - nl
-        if nl < min_child or nr < min_child:
-            continue
-        loss = _children_loss(x, y, mask, criterion, spec)
-        if best is None or loss < best.loss:
-            best = SplitEvaluation(rule, loss, nl, nr)
-    return best
+    scan = criterion.kind == "sse" and criterion.value_mode == "observed"
+    if not scan and criterion.kind != "lre":
+        thresholds, n_left = _admissible(col, np.sort(col), criterion.value_mode, min_child)
+        return [(0.0, coords, t, k, 0.0, 0.0) for t, k in zip(thresholds.tolist(), n_left.tolist())]
+    order = _sorted_order(col, coords, orders).astype(np.intp, copy=False)
+    thresholds, n_left = _admissible(col, col[order], criterion.value_mode, min_child)
+    if n_left.size == 0:
+        return []
+    if scan:
+        loss, j = _sse_scan(y[order], n_left)
+        return [(loss, coords, float(thresholds[j]), int(n_left[j]), 0.0, 0.0)]
+    rows = rows[order]
+    left = _child_bounds(rows, n_left, margin / 4)
+    right = _child_bounds(rows[::-1], (col.size - n_left)[::-1], margin / 4)[::-1]
+    return [(bl + br, coords, t, k, bl, br) for t, k, bl, br
+            in zip(thresholds.tolist(), n_left.tolist(), left.tolist(), right.tolist())]
 
 
-def _score_lre(x, y, pool: list, criterion, spec, margin: float) -> SplitEvaluation | None:
-    """Best of the :func:`_lre_candidates` ``pool``, fitting children in ascending-bound order.
+def _margin(n: int, sum_sq: float) -> float:
+    """How far a bound may lie above its rule's loss at a node of ``n`` rows and ``sum(y**2) = sum_sq``.
 
-    Scoring stops at the first candidate whose bound exceeds the best loss
-    so far by more than ``margin``; every later bound is at least as
-    large.  A scored candidate fits its larger-bound child first and skips
-    the other when that child's loss plus the other's bound already
-    passes the limit.  Either way the skipped rules could not win or tie,
-    and a scored loss is still the left child's plus the right child's,
-    so the result does not depend on the visit order.
+    Under ``lre``, ``BOUND_MARGIN`` absorbs the roundoff between a
+    least-squares bound and the fitted child losses, and a Gram bound
+    may stray from its least-squares residual by a quarter of the margin.
+    """
+    # An sse scan loss is not a bound but the loss the prefix sums give,
+    # so it may lie on either side of the exact child loss.  Write u for
+    # the unit roundoff, S = sum(y**2), A = sum(|y|) <= sqrt(n S) and
+    # g = 1.01 (n+3) u.  The sequential prefix sums of y and y**2 are off
+    # by at most g A and g S.  The left variance q/k - (s/k)**2 is then off
+    # by at most 3.6 g S, since (s/k)**2 <= q/k <= S.  The right child
+    # subtracts two prefixes, so with r >= 1 rows its q/r is off by
+    # 2.6 g S and its mean by 2.6 g A / r; as A_r <= sqrt(r S), the squared
+    # mean is off by at most 5.3 g sqrt(n) S + 0.6 g S, and the subtraction
+    # rounds by 0.6 g S.  The two-pass ``np.var`` of the exact loss and
+    # their sum are off by 2.6 g S, and the scan's sum rounds by 0.6 g S.
+    # So scan and exact loss differ by less than g S (10.6 + 5.3 sqrt(n))
+    # <= eps (n+3)(5.4 + 2.7 sqrt(n)) S.  The margin eps (n+3)(6 + 3 sqrt(n)) S
+    # exceeds that by more than the rounding of ``best loss + margin``, so
+    # a rule whose scan loss passes that limit loses strictly: it can
+    # neither win nor tie.  The larger of the two margins keeps both
+    # arguments sound; lae and mean-value sse bounds are 0, which any
+    # margin >= 0 keeps sound.
+    return max(BOUND_MARGIN, SSE_MARGIN * (n + 3) * (2 + math.sqrt(n))) * sum_sq
+
+
+def _score(x, y, pool: list, criterion, spec, margin: float) -> SplitEvaluation | None:
+    """Best rule of the :func:`_eval_coord` ``pool``, scored in ascending-bound order.
+
+    ``spec`` is :func:`_lre_spec` of the criterion.  Scoring stops at the
+    first rule whose bound exceeds the best loss so far by more than
+    ``margin``; every later bound is at least as large.  A scored rule
+    computes its larger-bound child first and skips the other when that
+    child's loss plus the other's bound already passes the limit.  Either
+    way the skipped rules could not win or tie, and a scored loss is still
+    the left child's plus the right child's, so the result does not depend
+    on the visit order.
     """
     n = x.shape[0]
-    best = None
+    best, limit = None, math.inf
     for bound, coords, thr, nl, bl, br in sorted(pool):
-        limit = _best_loss(best) + margin
         if bound > limit:
             break
         rule = SplitRule(coords, thr)
@@ -623,7 +621,7 @@ def _score_lre(x, y, pool: list, criterion, spec, margin: float) -> SplitEvaluat
         losses[1 - first] = _group_loss(x, y, criterion, spec, sides[1 - first])
         cand = SplitEvaluation(rule, losses[0] + losses[1], nl, n - nl)
         if _better(cand, best):
-            best = cand
+            best, limit = cand, cand.loss + margin
     return best
 
 
@@ -634,10 +632,6 @@ def _better(cand: SplitEvaluation, best: SplitEvaluation | None) -> bool:
     if cand.loss != best.loss:
         return cand.loss < best.loss
     return (cand.rule.coords, cand.rule.threshold) < (best.rule.coords, best.rule.threshold)
-
-
-def _best_loss(best: SplitEvaluation | None) -> float:
-    return math.inf if best is None else best.loss
 
 
 # --- coordinate orders ------------------------------------------------------
@@ -681,11 +675,11 @@ def _bb_order(feature_shape: tuple[int, ...], xi: int) -> list[tuple[int, ...]]:
 
 
 def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEvaluation | None:
-    """Score the strategy's coordinates in order, keeping the best under the tie-break.
+    """Pool the bounded rules of the strategy's coordinates, in order, and score them once.
 
     ``orders`` is the node's sorted-order cache (see :func:`find_best_split`),
-    or None to start an empty one.  Under ``lre`` the coordinates only pool
-    their rules and bounds, and :func:`_score_lre` picks the best.
+    or None to start an empty one.  :func:`_score` picks the best rule
+    under the tie-break.
     """
     x, y = _check_stacked(x, y)
     if x.shape[0] < 2:
@@ -698,20 +692,12 @@ def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEva
         order = _leverage_order(x, strategy)
     else:
         order = _bb_order(x.shape[1:], int(strategy.xi))
-    spec = _lre_spec(criterion, leaf)
-    sum_sq = float(np.dot(y, y))
-    if criterion.kind == "lre":
-        rows = np.hstack([_affine_design(x), y[:, None]])
-        pool = []
-        for coords in order:
-            pool += _eval_coord(x, y, coords, criterion, spec, min_child, math.inf, orders, sum_sq, rows)
-        return _score_lre(x, y, pool, criterion, spec, BOUND_MARGIN * sum_sq)
-    best = None
+    margin = _margin(x.shape[0], float(np.dot(y, y)))
+    rows = np.hstack([_affine_design(x), y[:, None]]) if criterion.kind == "lre" else None
+    pool = []
     for coords in order:
-        cand = _eval_coord(x, y, coords, criterion, spec, min_child, _best_loss(best), orders, sum_sq)
-        if cand is not None and _better(cand, best):
-            best = cand
-    return best
+        pool += _eval_coord(x, y, coords, criterion, min_child, orders, margin, rows)
+    return _score(x, y, pool, criterion, _lre_spec(criterion, leaf), margin)
 
 
 def find_best_split_exhaustive(

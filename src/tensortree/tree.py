@@ -185,7 +185,7 @@ class TensorTree:
 
         Raises ``ValueError`` rather than return a non-finite prediction:
         a low-rank leaf checks its own, and a mean leaf's value is checked
-        when a row reaches it (a fit can overflow it to ``inf``).
+        when a row reaches it (a leaf built in memory can hold ``inf``).
         """
         x = _check_features(x, self.feature_shape)
         out = np.empty(x.shape[0], dtype=np.float64)

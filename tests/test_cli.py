@@ -626,3 +626,15 @@ def test_broken_leaf_arrays_and_overflow_exit_3(workdir, repro):
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert not (workdir / "p.npy").exists()
+
+
+def test_fit_on_responses_whose_squares_overflow_exit_3(workdir):
+    x = make_rng(13).uniform(size=(40, 3, 2))
+    np.save(workdir / "X.npy", x)
+    np.save(workdir / "y.npy", np.where(x[:, 0, 0] > 0.5, 1e160, 0.0))
+    cfg = write_config(workdir / "cfg.json", FIT_BASE)
+    res = run_cli("fit", "--config", cfg, "--out", "m.json", cwd=workdir)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: responses too large") and res.stderr.count("\n") == 1
+    assert not (workdir / "m.json").exists()

@@ -1,5 +1,6 @@
 """Boosting and forest ensembles: update identities and determinism."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -251,20 +252,72 @@ def _overflowing_lowrank():
     return model_from_dict(doc), x
 
 
+def _overflowing(kind):
+    """A tree, boosting or forest model whose prediction overflows.
+
+    Fits refuse responses whose squares overflow, so these come from
+    model documents with ``1e308`` mean leaves.  A document cannot hold
+    ``inf`` and one tree's mean leaves never sum, so the tree's leaf mean
+    is set to ``inf`` in memory: the only way a mean leaf can overflow.
+    """
+    from tensortree.serialize import model_from_dict, model_to_dict
+
+    x, y = step_data(40, 3)
+    tree = GrowConfig(max_depth=1)
+    fits = {
+        "tree": lambda: grow(x, y, tree),
+        "boosting": lambda: fit_boosting(x, y, BoostingConfig(n_estimators=1, tree=tree)),
+        "forest": lambda: fit_forest(x, y, ForestConfig(n_trees=2, tree=tree)),
+    }
+    doc = model_to_dict(fits[kind]())
+    if kind == "boosting":
+        doc["f0"], doc["eta"] = 1e308, 1.0
+    nodes = [t["node"] for t in doc.get("trees", [doc])]
+    while nodes:
+        node = nodes.pop()
+        if "leaf" in node:
+            node["leaf"]["model"]["mean"] = 1e308
+        else:
+            nodes += [node["left"], node["right"]]
+    model = model_from_dict(doc)
+    if kind == "tree":
+        for leaf in model.leaves():
+            leaf.model.mean = math.inf
+    return model, x
+
+
 @pytest.mark.parametrize("model", ["tree", "boosting", "forest", "lowrank"])
 def test_every_public_predict_refuses_overflow(model):
-    x, y = step_data(40, 3)
-    y = np.full_like(y, 1.5e308)  # finite, but any sum of two overflows
-    with np.errstate(over="ignore", invalid="ignore"):  # fitting overflows too
-        if model == "tree":
-            fitted = grow(x, y, GrowConfig(max_depth=1))
-        elif model == "boosting":
-            fitted = BoostedModel(1.5e308, 1.0, [grow(x, y, GrowConfig(max_depth=1))])
-        elif model == "forest":
-            fitted = fit_forest(x, y, ForestConfig(n_trees=2, tree=GrowConfig(max_depth=1)))
-        else:
-            fitted, x = _overflowing_lowrank()
+    fitted, x = _overflowing_lowrank() if model == "lowrank" else _overflowing(model)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no overflow warning escapes
         with pytest.raises(ValueError, match="non-finite prediction"):
             fitted.predict(x)
+
+
+# Each response is finite, but its squares (or the sums of a fit) overflow.
+OVERFLOWING_FITS = {
+    "grow-scaled-step": (lambda x, y: grow(x, y, GrowConfig()), lambda y: 1e160 * y),
+    "grow-constant": (lambda x, y: grow(x, y, GrowConfig()), lambda y: np.full_like(y, 1.5e308)),
+    "forest-constant": (lambda x, y: fit_forest(x, y, ForestConfig(n_trees=2)),
+                        lambda y: np.full_like(y, 1.5e308)),
+    "boosting-constant": (lambda x, y: fit_boosting(x, y, BoostingConfig(n_estimators=2)),
+                          lambda y: np.full_like(y, 7.5e307)),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOWING_FITS))
+def test_fits_refuse_responses_whose_squares_overflow(name):
+    fit, scale = OVERFLOWING_FITS[name]
+    x, y = step_data(40, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="responses too large"):
+            fit(x, scale(y))
+
+
+def test_largest_accepted_responses_fit_the_same_tree():
+    # The squares of 1e150 * y are near 1e300 and sum to a finite value, so
+    # the fit runs and finds the rule of the unscaled responses.
+    x, y = step_data(40, 3)
+    assert grow(x, 1e150 * y, GrowConfig()).root.rule == grow(x, y, GrowConfig()).root.rule

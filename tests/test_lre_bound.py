@@ -140,6 +140,10 @@ def test_bound_skips_fits(monkeypatch):
 # --- the search against the lazy per-coordinate loop it replaced -----------
 
 
+def best_loss(best):
+    return np.inf if best is None else best.loss
+
+
 def reference_lre_search(x, y, criterion, strategy, leaf, min_child, orders=None):
     """Stands in for ``splitting._search`` under ``lre``: coordinates in the strategy's
     order, each scanned threshold by threshold, a rule fitted unless its summed
@@ -166,7 +170,7 @@ def reference_lre_search(x, y, criterion, strategy, leaf, min_child, orders=None
             nl = int(mask.sum())
             if nl < min_child or n - nl < min_child:
                 continue
-            limit = min(splitting._best_loss(best), splitting._best_loss(coord_best)) + margin
+            limit = min(best_loss(best), best_loss(coord_best)) + margin
             if limit < np.inf and _lre_bound(design, y, mask) > limit:
                 continue
             loss = splitting._children_loss(x, y, mask, criterion, spec)
@@ -249,12 +253,12 @@ def test_grown_trees_match_lazy_reference(name, monkeypatch):
 def test_exact_tie_goes_to_the_smaller_key_whatever_the_bounds(monkeypatch):
     x, y = instance("step", 3, n=40)
     criterion, leaf = SPECS["cp"]
-    spec = _lre_spec(criterion, leaf)
     sum_sq = float(y @ y)
     rows = np.hstack([_affine_design(x), y[:, None]])
+    margin = splitting._margin(x.shape[0], sum_sq)
     pool = []
     for coords in np.ndindex(*x.shape[1:]):
-        pool += splitting._eval_coord(x, y, coords, criterion, spec, 5, np.inf, {}, sum_sq, rows)
+        pool += splitting._eval_coord(x, y, coords, criterion, 5, {}, margin, rows)
     # a rule with the smaller key and the larger bound, and one with the larger key
     bound, keys = {c[1:3]: c[0] for c in pool}, sorted(c[1:3] for c in pool)
     small = next(k for k in keys if any(bound[other] < bound[k] for other in keys if other > k))
@@ -344,12 +348,12 @@ def test_prefix_moments_blocks_sum_the_same(block, monkeypatch):
 def test_candidates_carry_the_lstsq_bound_of_each_rule():
     x, y = instance("linear", 0)
     criterion, leaf = SPECS["cp"]
-    spec = _lre_spec(criterion, leaf)
     design = _affine_design(x)
     sum_sq = float(y @ y)
     rows = np.hstack([design, y[:, None]])
     for coords in [(0, 0), (1, 2)]:
-        cands = splitting._eval_coord(x, y, coords, criterion, spec, 5, np.inf, {}, sum_sq, rows)
+        cands = splitting._eval_coord(x, y, coords, criterion, 5, {},
+                                      splitting._margin(x.shape[0], sum_sq), rows)
         col = x[(slice(None),) + coords]
         assert [c[2] for c in cands] == [
             float(t) for t in np.unique(col) if 5 <= (col <= t).sum() <= x.shape[0] - 5]

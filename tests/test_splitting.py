@@ -503,10 +503,27 @@ class TestPresortedSse:
         assert orders == {}
 
 
-def reference_eval_coord(x, y, coords, criterion, spec, min_child, *_):
-    """Stands in for ``splitting._eval_coord``: ignores the running best and any cache."""
+def strategy_order(x, strategy):
+    """The coordinates a search under ``strategy`` scans, in the library's order."""
+    if strategy.kind == "exhaustive":
+        return list(np.ndindex(*x.shape[1:]))
+    if strategy.kind == "leverage":
+        return splitting._leverage_order(x, strategy)
+    return splitting._bb_order(x.shape[1:], int(strategy.xi))
+
+
+def reference_sse_order_search(x, y, criterion, strategy, leaf, min_child, orders=None):
+    """Stands in for ``splitting._search``: every coordinate in the strategy's
+    order scored by :func:`reference_sse_coord`, with no cache and no skips,
+    best under the library's tie-break."""
     assert criterion.kind == "sse" and criterion.value_mode == "observed"
-    return reference_sse_coord(x, y, coords, min_child)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    best = None
+    for coords in strategy_order(x, strategy):
+        cand = reference_sse_coord(x, y, coords, min_child)
+        if cand is not None and splitting._better(cand, best):
+            best = cand
+    return best
 
 
 def prune_fn_instance(kind, seed, n=160):
@@ -539,7 +556,7 @@ class TestPresortedModels:
     def test_model_bytes_match_per_node_sort(self, fit, kind, monkeypatch):
         x, y = prune_fn_instance(kind, seed=7)
         got = dumps(self.FITS[fit](x, y))
-        monkeypatch.setattr(splitting, "_eval_coord", reference_eval_coord)
+        monkeypatch.setattr(splitting, "_search", reference_sse_order_search)
         assert got == dumps(self.FITS[fit](x, y))
 
     def test_boosting_sorts_each_coordinate_once(self, monkeypatch):
@@ -557,3 +574,107 @@ class TestPresortedModels:
         columns = {x[(slice(None),) + c].tobytes() for c in np.ndindex(4, 4, 4)}
         assert len(sorted_columns) == len(set(sorted_columns)) == 64
         assert set(sorted_columns) == columns
+
+
+# --- one bound-ordered scorer for every criterion ---------------------------
+
+
+def reference_rule_search(x, y, criterion, strategy, leaf, min_child, orders=None):
+    """Stands in for ``splitting._search``: every admissible rule of every
+    coordinate in the strategy's order scored by ``_children_loss``, with no
+    bound, no skip and no cache, best under the library's tie-break."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    spec = splitting._lre_spec(criterion, leaf)
+    n = x.shape[0]
+    best = None
+    for coords in strategy_order(x, strategy):
+        col = x[(slice(None),) + tuple(coords)]
+        thresholds = sorted(set(col.tolist())) if criterion.value_mode == "observed" else [col.mean()]
+        for thr in thresholds:
+            mask = col <= thr
+            nl = int(mask.sum())
+            if min(nl, n - nl) < max(min_child, 1):
+                continue
+            loss = splitting._children_loss(x, y, mask, criterion, spec)
+            cand = SplitEvaluation(SplitRule(tuple(coords), float(thr)), loss, nl, n - nl)
+            if splitting._better(cand, best):
+                best = cand
+    return best
+
+
+def step_instance(seed, n=80):
+    """Steps on three coordinates, so mean-value ``sse`` trees grow several levels."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 3, 2))
+    y = 4.0 * (x[:, 0, 0] > 0.5) + 2.0 * (x[:, 2, 1] > 0.5) + (x[:, 1, 0] > 0.5)
+    return x, y + rng.normal(0.0, 0.1, n)
+
+
+class TestOneScorer:
+    """``lae`` and mean-value ``sse`` fits give the bytes of a plain per-rule search."""
+
+    LAE_CP = SplitCriterion(kind="lae", split_rank=1, als=FAST_ALS)
+    TREES = {
+        "lae-cp-observed": GrowConfig(max_depth=2, min_samples_leaf=3, criterion=LAE_CP),
+        "lae-tucker-mean": GrowConfig(max_depth=3, min_samples_leaf=2, criterion=SplitCriterion(
+            kind="lae", split_rank=(2, 1, 1), decomp="tucker", value_mode="mean", als=FAST_ALS)),
+        "lae-bb-xi0": GrowConfig(max_depth=2, min_samples_leaf=3, criterion=LAE_CP,
+                                 strategy=SearchStrategy(kind="bb", xi=0)),
+        "sse-mean-exhaustive": GrowConfig(max_depth=4, min_samples_leaf=2,
+                                          criterion=SplitCriterion(value_mode="mean")),
+        "sse-mean-leverage": GrowConfig(max_depth=4, min_samples_leaf=2,
+                                        criterion=SplitCriterion(value_mode="mean"),
+                                        strategy=SearchStrategy(kind="leverage", tau=0.5, seed=1)),
+    }
+
+    @pytest.mark.parametrize("name", list(TREES))
+    def test_model_bytes_match_plain_rule_search(self, name, monkeypatch):
+        config = self.TREES[name]
+        if config.criterion.kind == "lae":
+            x, y = sse_instance("plain", 9, n=24)
+        else:
+            x, y = step_instance(9)
+        model = grow(x, y, config)
+        assert model.n_leaves > 1
+        monkeypatch.setattr(splitting, "_search", reference_rule_search)
+        assert dumps(model) == dumps(grow(x, y, config))
+
+    CRITERIA = {
+        "sse": SplitCriterion(),
+        "sse-mean": SplitCriterion(value_mode="mean"),
+        "lae": LAE_CP,
+        "lre": SplitCriterion(kind="lre", split_rank=1, als=FAST_ALS),
+    }
+    STRATEGIES = {
+        "exhaustive": SearchStrategy(),
+        "leverage": SearchStrategy(kind="leverage", tau=0.5, seed=2),
+        "bb-xi0": SearchStrategy(kind="bb", xi=0),
+        "bb-xi1": SearchStrategy(kind="bb", xi=1),
+    }
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    @pytest.mark.parametrize("criterion", list(CRITERIA))
+    def test_eval_coord_sees_each_scanned_coordinate_once(self, criterion, strategy, monkeypatch):
+        # Tracing counts scanned coordinates by wrapping ``_eval_coord(x, y, coords, ...)``.
+        x, y = sse_instance("constant_column", 2, n=10)
+        calls = []
+        real = splitting._eval_coord
+
+        def recording(x_, y_, coords, *rest):
+            calls.append((x_, y_, coords))
+            return real(x_, y_, coords, *rest)
+
+        monkeypatch.setattr(splitting, "_eval_coord", recording)
+        strat = self.STRATEGIES[strategy]
+        assert find_best_split(x, y, self.CRITERIA[criterion], strat, min_child=2) is not None
+        assert [c for _, _, c in calls] == [tuple(c) for c in strategy_order(x, strat)]
+        for x_, y_, _ in calls:
+            assert np.array_equal(x_, x) and np.array_equal(y_, y)
+
+    @pytest.mark.parametrize("criterion", list(CRITERIA))
+    def test_no_rule_leaves_a_child_empty_even_at_min_child_zero(self, criterion):
+        # A constant first coordinate: its mean threshold would send every row left.
+        x, y = sse_instance("plain", 3, n=12)
+        x[:, 0, 0] = 0.5
+        best = find_best_split(x, y, self.CRITERIA[criterion], SearchStrategy(), min_child=0)
+        assert best.left_count > 0 and best.right_count > 0 and math.isfinite(best.loss)
