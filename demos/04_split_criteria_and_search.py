@@ -11,9 +11,7 @@ from tensortree import (
     LeafModelSpec,
     SearchStrategy,
     SplitCriterion,
-    find_best_split_bb,
-    find_best_split_exhaustive,
-    find_best_split_leverage,
+    find_best_split,
     variance_matrix,
 )
 
@@ -36,7 +34,7 @@ print(np.round(variance_matrix(x), 3))
 
 for name, crit in criteria.items():
     t0 = time.perf_counter()
-    ev = find_best_split_exhaustive(x, y, crit, leaf)
+    ev = find_best_split(x, y, crit, SearchStrategy(), leaf)
     dt = time.perf_counter() - t0
     print(f"{name}: chose {ev.rule.coords} at {ev.rule.threshold:+.3f} "
           f"loss={ev.loss:.4f} ({dt * 1e3:.1f} ms)")
@@ -44,21 +42,19 @@ for name, crit in criteria.items():
 # The samplers trade optimality for speed; with tau=1 / xi=0 they agree
 # with the exhaustive scan exactly.
 crit = criteria["lre"]
-full = find_best_split_exhaustive(x, y, crit, leaf)
+full = find_best_split(x, y, crit, SearchStrategy(), leaf)
 for tau in (1.0, 0.5, 0.25):
-    ev = find_best_split_leverage(
-        x, y, crit, SearchStrategy(kind="leverage", tau=tau, seed=7), leaf
-    )
+    ev = find_best_split(x, y, crit, SearchStrategy(kind="leverage", tau=tau, seed=7), leaf)
     print(f"leverage tau={tau}: {ev.rule.coords} loss={ev.loss:.4f} "
           f"(exhaustive loss {full.loss:.4f})")
 for xi in (0, 1, 3):
-    ev = find_best_split_bb(x, y, crit, SearchStrategy(kind="bb", xi=xi), leaf)
+    ev = find_best_split(x, y, crit, SearchStrategy(kind="bb", xi=xi), leaf)
     print(f"branch-and-bound xi={xi}: {ev.rule.coords} loss={ev.loss:.4f}")
 
 # Mean-value mode scans one threshold per coordinate instead of every
 # observed value: much cheaper, close in quality here.
 mean_crit = SplitCriterion(kind="lre", split_rank=2, value_mode="mean", als=als)
 t0 = time.perf_counter()
-ev = find_best_split_exhaustive(x, y, mean_crit, leaf)
+ev = find_best_split(x, y, mean_crit, SearchStrategy(), leaf)
 print(f"mean-value lre: {ev.rule.coords} loss={ev.loss:.4f} "
       f"({(time.perf_counter() - t0) * 1e3:.1f} ms)")

@@ -30,7 +30,6 @@ from .ensemble import (
     BoostingConfig,
     ForestConfig,
     ForestModel,
-    ensemble_predict,
     fit_boosting,
     fit_forest,
 )
@@ -49,13 +48,8 @@ from .splitting import (
     SplitEvaluation,
     SplitRule,
     candidate_thresholds,
-    evaluate_lae,
-    evaluate_lre,
-    evaluate_sse,
+    evaluate_split,
     find_best_split,
-    find_best_split_bb,
-    find_best_split_exhaustive,
-    find_best_split_leverage,
     node_criterion_value,
     split_gain,
     variance_matrix,

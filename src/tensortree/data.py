@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import make_rng
-from .decomposition import cp_als, tucker_als
+from .decomposition import _check_int, cp_als, tucker_als
 
 # Standard deviation for the piecewise-constant generator's default
 # noise variance of 0.1.
@@ -35,11 +35,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        for v in (self.noise_sigma, self.noise_scale):
-            if v is not None and v < 0:
-                raise ValueError("noise parameters must be >= 0")
+        _check_int(self.n, "n", 1)
+        _check_int(self.seed, "seed")
+        for name in ("noise_sigma", "noise_scale"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ start would be computed and thrown away unread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,10 +53,10 @@ class AlsConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.rel_tolerance < 0:
-            raise ValueError("rel_tolerance must be >= 0")
+        _check_int(self.max_iterations, "max_iterations", 1)
+        _check_int(self.seed, "seed")
+        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance >= 0):
+            raise ValueError(f"rel_tolerance must be finite and >= 0, got {self.rel_tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,18 @@ def _multiply(t: np.ndarray, factors: Sequence[np.ndarray], modes, transpose: bo
     return t
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(value, name: str, low: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int (see :func:`_is_int`) of at least ``low``."""
+    if not (_is_int(value) and (low is None or value >= low)):
+        form = "an int" if low is None else f"an int >= {low}"
+        raise ValueError(f"{name} must be {form}, got {value!r}")
+
+
 def _check_rank(rank, family: str, name: str = "rank") -> None:
     """Raise ``ValueError`` unless ``rank`` is a valid ``family`` rank config.
 
@@ -134,7 +147,7 @@ def _check_rank(rank, family: str, name: str = "rank") -> None:
         raise ValueError(f"{family} needs a {name}")
 
     def positive_int(r) -> bool:
-        return isinstance(r, (int, np.integer)) and not isinstance(r, bool) and r >= 1
+        return _is_int(r) and r >= 1
 
     if isinstance(rank, (tuple, list)):
         ok = family == "tucker" and len(rank) > 0 and all(positive_int(r) for r in rank)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rng import derive_seed, make_rng
+from .decomposition import _check_int
 from .leaf_models import _check_stacked
 from .splitting import SearchStrategy
 from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
@@ -57,10 +58,10 @@ class BoostingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        _check_int(self.n_estimators, "n_estimators", 1)
+        _check_int(self.seed, "seed")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.p_resample <= 1.0:
             raise ValueError("p_resample must be in [0, 1]")
 
@@ -74,8 +75,8 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        _check_int(self.n_trees, "n_trees", 1)
+        _check_int(self.seed, "seed")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
 
@@ -181,10 +182,3 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
         tree.drop_training_data()
         trees.append(tree)
     return ForestModel(trees)
-
-
-def ensemble_predict(model, x) -> np.ndarray:
-    """Predict with a boosted or forest model (dispatch on type)."""
-    if isinstance(model, (BoostedModel, ForestModel)):
-        return model.predict(x)
-    raise TypeError(f"not an ensemble model: {type(model).__name__}")

@@ -15,7 +15,10 @@ criteria score a candidate rule:
 Thresholds come either from the observed values of the coordinate or
 from its node-local mean (one candidate per coordinate).
 
-Every entry point scores a rule through two helpers: one builds the
+Every criterion and strategy goes through :func:`find_best_split`,
+which searches a node for its best rule, and :func:`evaluate_split`,
+which scores one rule; ``y`` may be None only under ``lae``, which reads
+no responses.  Each scores a rule through two helpers: one builds the
 rule's left-child mask, the other sums the criterion over the children
 of a mask.  The three search strategies are three coordinate orders fed
 to one scorer: every coordinate in row-major order (exhaustive), a
@@ -88,6 +91,7 @@ import numpy as np
 from ._rng import make_rng
 from .decomposition import (
     AlsConfig,
+    _check_int,
     _check_rank,
     _resolve_ranks,
     approximation_error,
@@ -170,8 +174,8 @@ class SearchStrategy:
             raise ValueError(f"unknown strategy {self.kind!r}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
-        if self.xi < 0:
-            raise ValueError("xi must be >= 0")
+        _check_int(self.xi, "xi", 0)
+        _check_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -300,31 +304,34 @@ def _children_loss(x, y, mask: np.ndarray, criterion: SplitCriterion, spec) -> f
             + _group_loss(x, y, criterion, spec, ~mask))
 
 
-def _checked_split(x, y, rule: SplitRule):
+def _responses(x, y, criterion: SplitCriterion):
+    """``y``, or zeros in its place under ``lae``; ``ValueError`` on None under the others.
+
+    ``lae`` reads no responses and bounds every rule by 0, so the margin
+    that ``y`` sets never decides its winner.
+    """
+    if y is not None:
+        return y
+    if criterion.kind != "lae":
+        raise ValueError(f"criterion {criterion.kind!r} needs responses y; only 'lae' takes y=None")
+    return np.zeros(_check_stacked(x)[0].shape[0])
+
+
+def _checked_split(x, y, rule: SplitRule, criterion: SplitCriterion):
     """Validated ``(x, y, mask)`` for ``rule``; ``mask`` is None when a child is empty."""
-    x, y = _check_stacked(x, y)
+    x, y = _check_stacked(x, _responses(x, y, criterion))
     _check_coords(tuple(rule.coords), x.shape[1:])
     mask = _split_mask(x, rule)
     return x, y, mask if 0 < int(mask.sum()) < x.shape[0] else None
 
 
-def _evaluate(x, y, rule: SplitRule, criterion: SplitCriterion, kind: str, leaf=None) -> float:
-    if criterion.kind != kind:
-        raise ValueError(f"criterion kind must be {kind!r}")
-    x, y, mask = _checked_split(x, y, rule)
+def evaluate_split(x, y, rule: SplitRule, criterion: SplitCriterion,
+                   leaf: LeafModelSpec | None = None) -> float:
+    """The criterion summed over the two children of ``rule``; ``inf`` if a child is empty."""
+    x, y, mask = _checked_split(x, y, rule, criterion)
     if mask is None:
         return math.inf
     return _children_loss(x, y, mask, criterion, _lre_spec(criterion, leaf))
-
-
-def evaluate_sse(x, y, rule: SplitRule) -> float:
-    """Sum of the two children's response variances; ``inf`` if a child is empty."""
-    return _evaluate(x, y, rule, SplitCriterion(kind="sse"), "sse")
-
-
-def evaluate_lae(x, rule: SplitRule, criterion: SplitCriterion) -> float:
-    """Summed low-rank reconstruction error over the two children; ``inf`` if one is empty."""
-    return _evaluate(x, None, rule, criterion, "lae")
 
 
 def _affine_design(x: np.ndarray) -> np.ndarray:
@@ -350,11 +357,6 @@ def _lre_bound(design: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
     return _lstsq_residual(design[mask], y[mask]) + _lstsq_residual(design[~mask], y[~mask])
 
 
-def evaluate_lre(x, y, rule: SplitRule, criterion: SplitCriterion, leaf: LeafModelSpec | None = None) -> float:
-    """Summed squared training residuals of per-child low-rank regressions."""
-    return _evaluate(x, y, rule, criterion, "lre", leaf)
-
-
 def node_criterion_value(x, y, criterion: SplitCriterion, leaf: LeafModelSpec | None = None) -> float:
     """The criterion evaluated on a node as a single unsplit group.
 
@@ -364,7 +366,7 @@ def node_criterion_value(x, y, criterion: SplitCriterion, leaf: LeafModelSpec | 
     directly comparable to a candidate split's loss, which is how tree
     growth decides whether a split actually improves on not splitting.
     """
-    x, y = _check_stacked(x, y)
+    x, y = _check_stacked(x, _responses(x, y, criterion))
     return _group_loss(x, y, criterion, _lre_spec(criterion, leaf))
 
 
@@ -375,7 +377,7 @@ def split_gain(x, y, rule: SplitRule, criterion: SplitCriterion, leaf: LeafModel
     unsplit criterion value; constant responses and pure-noise regions
     therefore yield no admissible gain.
     """
-    x, y, mask = _checked_split(x, y, rule)
+    x, y, mask = _checked_split(x, y, rule, criterion)
     if mask is None:
         return -math.inf
     spec = _lre_spec(criterion, leaf)
@@ -700,54 +702,6 @@ def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEva
     return _score(x, y, pool, criterion, _lre_spec(criterion, leaf), margin)
 
 
-def find_best_split_exhaustive(
-    x, y, criterion: SplitCriterion, leaf: LeafModelSpec | None = None, *, min_child: int = 1
-) -> SplitEvaluation | None:
-    """Scan every coordinate and candidate threshold; None if nothing is admissible."""
-    return _search(x, y, criterion, SearchStrategy(), leaf, min_child)
-
-
-def find_best_split_leverage(
-    x,
-    y,
-    criterion: SplitCriterion,
-    strategy: SearchStrategy,
-    leaf: LeafModelSpec | None = None,
-    *,
-    min_child: int = 1,
-) -> SplitEvaluation | None:
-    """Exhaust thresholds within a variance-weighted sample of coordinates.
-
-    See :func:`_leverage_order`; with ``tau=1`` every non-constant
-    coordinate is scanned, which reproduces the exhaustive result.
-    """
-    if strategy.kind != "leverage":
-        raise ValueError("strategy kind must be 'leverage'")
-    return _search(x, y, criterion, strategy, leaf, min_child)
-
-
-def find_best_split_bb(
-    x,
-    y,
-    criterion: SplitCriterion,
-    strategy: SearchStrategy,
-    leaf: LeafModelSpec | None = None,
-    *,
-    min_child: int = 1,
-) -> SplitEvaluation | None:
-    """Branch-and-bound walk over index boxes of the coordinate grid.
-
-    See :func:`_bb_order`.  With ``xi=0`` every coordinate is eventually a
-    singleton box, so the walk reproduces the exhaustive result; large
-    ``xi`` stops at the global midpoint.  The midpoint score itself is the
-    box's bound (no relaxation), so for ``xi > 0`` this is a structured
-    search heuristic rather than an exact method.
-    """
-    if strategy.kind != "bb":
-        raise ValueError("strategy kind must be 'bb'")
-    return _search(x, y, criterion, strategy, leaf, min_child)
-
-
 def find_best_split(
     x,
     y,
@@ -760,8 +714,14 @@ def find_best_split(
 ) -> SplitEvaluation | None:
     """Best rule under the search named by ``strategy.kind``; None if nothing is admissible.
 
+    ``exhaustive`` scans every coordinate, ``leverage`` a variance-weighted
+    sample of ``ceil(tau * grid size)`` of them (:func:`_leverage_order`;
+    ``tau=1`` reproduces the exhaustive result), and ``bb`` the box
+    midpoints of a bisection walk (:func:`_bb_order`; ``xi=0`` reproduces
+    it, and for ``xi > 0`` a midpoint stands for its box unrelaxed, so the
+    search is a heuristic).  Each child keeps at least ``min_child`` rows.
     ``_orders`` is a sorted-order cache for exactly this ``x`` (an empty
     dict to start one); without it the call starts its own.  It saves
     sorts only and never changes the result.
     """
-    return _search(x, y, criterion, strategy, leaf, min_child, _orders)
+    return _search(x, _responses(x, y, criterion), criterion, strategy, leaf, min_child, _orders)

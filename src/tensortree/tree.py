@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomposition import AlsConfig, _check_rank
+from .decomposition import AlsConfig, _check_int, _check_rank
 from .leaf_models import (
     FittedLeafModel,
     LeafModelSpec,
@@ -61,10 +61,8 @@ class GrowConfig:
     leaf: LeafModelSpec = field(default_factory=LeafModelSpec)
 
     def __post_init__(self) -> None:
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        _check_int(self.max_depth, "max_depth", 0)
+        _check_int(self.min_samples_leaf, "min_samples_leaf", 1)
         # Raises when the lre family, which follows the leaf, rejects the split rank.
         _lre_spec(self.criterion, self.leaf)
 
@@ -86,8 +84,8 @@ class PruneConfig:
     als: AlsConfig = field(default_factory=AlsConfig)
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         if self.quality not in ("variance", "tensor_loss", "lae"):
             raise ValueError(f"unknown quality {self.quality!r}")
         if self.quality == "lae" or self.lae_rank is not None:

@@ -30,12 +30,8 @@ from tensortree.splitting import (
     SearchStrategy,
     SplitCriterion,
     SplitRule,
-    evaluate_lae,
-    evaluate_lre,
-    evaluate_sse,
-    find_best_split_bb,
-    find_best_split_exhaustive,
-    find_best_split_leverage,
+    evaluate_split,
+    find_best_split,
 )
 from tensortree.tensor_ops import frobenius_norm, mode_product, outer
 from tensortree.tensor_output import OutputConfig, fit_entrywise, fit_lowrank, predict_tensor
@@ -92,11 +88,11 @@ def enumerate_best(x, y, criterion, leaf):
                 continue
             rule = SplitRule(coords, float(thr))
             if criterion.kind == "sse":
-                loss = evaluate_sse(x, y, rule)
+                loss = evaluate_split(x, y, rule, criterion)
             elif criterion.kind == "lae":
-                loss = evaluate_lae(x, rule, criterion)
+                loss = evaluate_split(x, None, rule, criterion)
             else:
-                loss = evaluate_lre(x, y, rule, criterion, leaf)
+                loss = evaluate_split(x, y, rule, criterion, leaf)
             if math.isinf(loss):
                 continue
             key = (loss, coords, float(thr))
@@ -114,7 +110,7 @@ def exhaustive_results():
         for kind, vm in CRITERIA:
             crit = criterion_for(kind, vm, rank)
             leaf = leaf_for(kind, rank)
-            results[(i, kind, vm)] = (x, y, rank, find_best_split_exhaustive(x, y, crit, leaf))
+            results[(i, kind, vm)] = (x, y, rank, find_best_split(x, y, crit, SearchStrategy(), leaf))
     return results
 
 
@@ -142,10 +138,10 @@ def test_criterion_02_reduction_identities(exhaustive_results):
     for (i, kind, vm), (x, y, rank, exhaustive) in exhaustive_results.items():
         crit = criterion_for(kind, vm, rank)
         leaf = leaf_for(kind, rank)
-        ls = find_best_split_leverage(
+        ls = find_best_split(
             x, y, crit, SearchStrategy(kind="leverage", tau=1.0, seed=17 * i + 1), leaf
         )
-        bb = find_best_split_bb(x, y, crit, SearchStrategy(kind="bb", xi=0), leaf)
+        bb = find_best_split(x, y, crit, SearchStrategy(kind="bb", xi=0), leaf)
         if exhaustive is None:
             assert ls is None and bb is None
         else:

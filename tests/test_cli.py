@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,15 @@ class TestSynth:
             assert res.returncode == 0
         assert (workdir / "a" / "X.npy").read_bytes() == (workdir / "b" / "X.npy").read_bytes()
         assert (workdir / "a" / "y.npy").read_bytes() == (workdir / "b" / "y.npy").read_bytes()
+
+    @pytest.mark.parametrize("option", ["--noise-scale", "--noise-sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_exit_2(self, workdir, option, value):
+        res = run_cli("synth", "--generator", "table2_linear", "--n", "20", option, value,
+                      "--out", "d", cwd=workdir)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert not (workdir / "d").exists()
 
     def test_tensor_output_file_name(self, workdir):
         res = run_cli("synth", "--generator", "table2_linear", "--n", "20", "--out", "d",
@@ -302,10 +312,20 @@ BENCH_BASE = {"synthetic": {"generator": "prune_fn", "n": 30}, "sweep": {"max_de
     ("fit", {"seed": 1.5}),
     ("fit", {"leaf_model": "cp", "CP_reg_rank": True}),
     ("bench", {"synthetic": {"generator": "prune_fn", "n": 30, "sed": 3}}),
+    # json writes these as the NaN and Infinity literals, which json.load reads back
+    ("fit", {"alpha": math.nan}),
+    ("fit", {"alpha": math.inf}),
+    ("fit", {"model": "boosting", "learning_rate": math.nan}),
+    ("fit", {"model": "boosting", "learning_rate": -math.inf}),
+    ("fit", {"als": {"rel_tolerance": math.nan}}),
+    ("bench", {"synthetic": {"generator": "table2_linear", "n": 30, "noise_scale": math.nan}}),
+    ("bench", {"sweep": {"alpha": [0.1, math.inf]}}),
 ], ids=["max_depth-null", "max_depth-list", "als-null", "seed-null", "alpha-list", "data-int",
         "synthetic-n-null", "sweep-null", "test_fraction-null", "test_fraction-2",
         "intercept-null", "bootstrap-null", "max_depth-float", "max_depth-bool", "alpha-null",
-        "seed-float", "cp-rank-bool", "synthetic-misspelled-key"])
+        "seed-float", "cp-rank-bool", "synthetic-misspelled-key", "alpha-nan", "alpha-inf",
+        "learning_rate-nan", "learning_rate--inf", "rel_tolerance-nan", "noise_scale-nan",
+        "sweep-alpha-inf"])
 def test_bad_config_value_exit_2(workdir, command, edit):
     np.save(workdir / "X.npy", np.zeros((20, 2, 2)))
     np.save(workdir / "y.npy", np.zeros(20))
@@ -314,6 +334,7 @@ def test_bad_config_value_exit_2(workdir, command, edit):
     res = run_cli(command, "--config", cfg, "--out", "out", cwd=workdir)
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def _library_configs():

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the README Quickstart, runs to completion against the package sources."""
 
 import os
 import subprocess
@@ -20,5 +20,16 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_readme_quickstart_exits_zero(tmp_path):
+    # the first python block after the Quickstart heading
+    quickstart = (ROOT / "README.md").read_text().split("## Quickstart", 1)[1]
+    code = quickstart.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert res.returncode == 0, res.stderr

@@ -14,7 +14,6 @@ from tensortree.ensemble import (
     BoostingConfig,
     ForestConfig,
     ForestModel,
-    ensemble_predict,
     fit_boosting,
     fit_forest,
 )
@@ -163,17 +162,6 @@ class TestEnsemblePredict:
         model = fit_boosting(x, y, cfg)
         expect = y.mean() + model.trees[0].predict(x)
         assert np.allclose(model.predict(x), expect, atol=1e-12)
-
-    def test_dispatch(self):
-        x, y = step_data(60, seed=11)
-        boosted = fit_boosting(x, y, BoostingConfig(n_estimators=2, tree=mean_tree()))
-        forest = fit_forest(x, y, ForestConfig(n_trees=2, tree=mean_tree()))
-        assert np.array_equal(ensemble_predict(boosted, x), boosted.predict(x))
-        assert np.array_equal(ensemble_predict(forest, x), forest.predict(x))
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            ensemble_predict(object(), np.zeros((1, 2, 2)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

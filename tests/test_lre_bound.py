@@ -25,10 +25,8 @@ from tensortree.splitting import (
     _affine_design,
     _lre_bound,
     _lre_spec,
-    evaluate_lre,
-    find_best_split_bb,
-    find_best_split_exhaustive,
-    find_best_split_leverage,
+    evaluate_split,
+    find_best_split,
 )
 from tensortree.tree import GrowConfig, grow
 
@@ -75,7 +73,7 @@ def test_bound_never_exceeds_loss(dataset, name):
         for thr in np.unique(col)[:-1]:
             mask = col <= thr
             bound = _lre_bound(design, y, mask)
-            loss = evaluate_lre(x, y, SplitRule(coords, float(thr)), criterion, leaf)
+            loss = evaluate_split(x, y, SplitRule(coords, float(thr)), criterion, leaf)
             assert bound <= loss + margin
             sizes = (int(mask.sum()), n - int(mask.sum()))
             solved += max(sizes) > features + 1
@@ -104,9 +102,9 @@ def test_bounded_searches_match_unbounded_enumeration(kind, seed):
     criterion, leaf = SPECS["cp"]
     want_key, want_rule, want_left, want_right = enumerate_best(x, y, criterion, leaf)
     searches = [
-        find_best_split_exhaustive(x, y, criterion, leaf),
-        find_best_split_leverage(x, y, criterion, SearchStrategy(kind="leverage", tau=1.0), leaf),
-        find_best_split_bb(x, y, criterion, SearchStrategy(kind="bb", xi=0), leaf),
+        find_best_split(x, y, criterion, SearchStrategy(), leaf),
+        find_best_split(x, y, criterion, SearchStrategy(kind="leverage", tau=1.0), leaf),
+        find_best_split(x, y, criterion, SearchStrategy(kind="bb", xi=0), leaf),
     ]
     for got in searches:
         assert got.rule == want_rule
@@ -125,7 +123,7 @@ def test_bound_skips_fits(monkeypatch):
         return real_fit(*args)
 
     monkeypatch.setattr(splitting, "fit_leaf", counting_fit)
-    best = find_best_split_exhaustive(x, y, criterion, leaf, min_child=5)
+    best = find_best_split(x, y, criterion, SearchStrategy(), leaf, min_child=5)
     assert best is not None
     candidates = 0
     for coords in np.ndindex(*x.shape[1:]):
@@ -274,7 +272,7 @@ def test_exact_tie_goes_to_the_smaller_key_whatever_the_bounds(monkeypatch):
     # every child of the two rules scores sum(y**2), any other child twice that
     monkeypatch.setattr(splitting, "_lre_term",
                         lambda xg, yg, s: sum_sq if yg.tobytes() in tied else 2 * sum_sq)
-    best = find_best_split_exhaustive(x, y, criterion, leaf, min_child=5)
+    best = find_best_split(x, y, criterion, SearchStrategy(), leaf, min_child=5)
     assert best.rule == SplitRule(*small) and best.loss == 2 * sum_sq
 
 
@@ -321,7 +319,7 @@ def test_gram_bounds_fall_back_somewhere_in_a_search(monkeypatch):
     calls = []
     real = splitting._lstsq_residual
     monkeypatch.setattr(splitting, "_lstsq_residual", lambda d, t: calls.append(1) or real(d, t))
-    find_best_split_exhaustive(x, y, SPECS["cp"][0])
+    find_best_split(x, y, SPECS["cp"][0], SearchStrategy())
     assert calls
 
 

@@ -1,13 +1,14 @@
 """Split criteria and searches against an independent brute-force enumerator.
 
 The enumerator below loops every coordinate and threshold itself,
-scoring each rule through the public per-rule evaluators, with its own
+scoring each rule through the public rule evaluator, with its own
 tie handling.  Comparing it to the search functions checks coordinate
 enumeration, threshold generation and tie-breaking independently of the
 search implementations' internal scans.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,13 +26,8 @@ from tensortree.splitting import (
     SplitRule,
     _child_orders,
     candidate_thresholds,
-    evaluate_lae,
-    evaluate_lre,
-    evaluate_sse,
+    evaluate_split,
     find_best_split,
-    find_best_split_bb,
-    find_best_split_exhaustive,
-    find_best_split_leverage,
     node_criterion_value,
     split_gain,
     variance_matrix,
@@ -39,6 +35,7 @@ from tensortree.splitting import (
 from tensortree.tree import GrowConfig, grow
 
 FAST_ALS = AlsConfig(max_iterations=6, rel_tolerance=1e-7, seed=0)
+SSE = SplitCriterion(kind="sse")
 
 
 def enumerate_best(x, y, criterion, leaf=None):
@@ -56,12 +53,7 @@ def enumerate_best(x, y, criterion, leaf=None):
             n_left = int((col <= thr).sum())
             if n_left == 0 or n_left == len(col):
                 continue
-            if criterion.kind == "sse":
-                loss = evaluate_sse(x, y, rule)
-            elif criterion.kind == "lae":
-                loss = evaluate_lae(x, rule, criterion)
-            else:
-                loss = evaluate_lre(x, y, rule, criterion, leaf)
+            loss = evaluate_split(x, y, rule, criterion, leaf)
             if math.isinf(loss):
                 continue
             key = (loss, coords, float(thr))
@@ -84,7 +76,7 @@ class TestEvaluateSse:
     def test_perfect_separation_is_zero(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1)
         y = np.array([1.0, 1.0, 10.0, 10.0])
-        assert evaluate_sse(x, y, SplitRule((0, 0), 2.0)) == 0.0
+        assert evaluate_split(x, y, SplitRule((0, 0), 2.0), SSE) == 0.0
 
     def test_constant_response_zero_everywhere(self):
         rng = np.random.default_rng(0)
@@ -92,24 +84,24 @@ class TestEvaluateSse:
         y = np.full(8, 3.5)
         for coords in np.ndindex(2, 2):
             for thr in candidate_thresholds(x, coords, "observed")[:-1]:
-                assert evaluate_sse(x, y, SplitRule(coords, float(thr))) == 0.0
+                assert evaluate_split(x, y, SplitRule(coords, float(thr)), SSE) == 0.0
 
     def test_singleton_children_zero_variance(self):
         x = np.array([0.0, 1.0]).reshape(2, 1, 1)
-        assert evaluate_sse(x, np.array([0.0, 2.0]), SplitRule((0, 0), 0.0)) == 0.0
+        assert evaluate_split(x, np.array([0.0, 2.0]), SplitRule((0, 0), 0.0), SSE) == 0.0
 
     def test_empty_child_is_inadmissible(self):
         x = np.array([0.0, 1.0]).reshape(2, 1, 1)
-        assert math.isinf(evaluate_sse(x, np.array([0.0, 2.0]), SplitRule((0, 0), 5.0)))
+        assert math.isinf(evaluate_split(x, np.array([0.0, 2.0]), SplitRule((0, 0), 5.0), SSE))
 
     def test_shift_and_scale_keep_chosen_rule(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(12, 2, 2))
         y = rng.normal(size=12)
         crit = SplitCriterion(kind="sse")
-        base = find_best_split_exhaustive(x, y, crit)
-        shifted = find_best_split_exhaustive(x, y + 11.0, crit)
-        scaled = find_best_split_exhaustive(x, -2.5 * y, crit)
+        base = find_best_split(x, y, crit, SearchStrategy())
+        shifted = find_best_split(x, y + 11.0, crit, SearchStrategy())
+        scaled = find_best_split(x, -2.5 * y, crit, SearchStrategy())
         assert base.rule == shifted.rule == scaled.rule
         assert scaled.loss == pytest.approx(2.5**2 * base.loss, rel=1e-9)
 
@@ -129,7 +121,7 @@ class TestEvaluateLae:
         x = np.concatenate([left, right])
         crit = SplitCriterion(kind="lae", split_rank=1, als=AlsConfig(max_iterations=100))
         thr = float(np.sort(x[:, 0, 0])[3])
-        loss = evaluate_lae(x, SplitRule((0, 0), thr), crit)
+        loss = evaluate_split(x, None, SplitRule((0, 0), thr), crit)
         assert loss < 1e-8
 
     def test_full_rank_is_zero(self):
@@ -139,15 +131,15 @@ class TestEvaluateLae:
         # tuple form keeps the observation-mode rank within child sizes
         crit = SplitCriterion(kind="lae", split_rank=(3, 2, 2), decomp="tucker")
         thr = float(np.sort(x[:, 0, 0])[2])
-        assert evaluate_lae(x, SplitRule((0, 0), thr), crit) < 1e-10
+        assert evaluate_split(x, None, SplitRule((0, 0), thr), crit) < 1e-10
 
     def test_y_independence_of_chosen_rule(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(10, 2, 2))
         y = rng.normal(size=10)
         crit = SplitCriterion(kind="lae", split_rank=1, als=FAST_ALS)
-        a = find_best_split_exhaustive(x, y, crit)
-        b = find_best_split_exhaustive(x, y[::-1].copy(), crit)
+        a = find_best_split(x, y, crit, SearchStrategy())
+        b = find_best_split(x, y[::-1].copy(), crit, SearchStrategy())
         assert a.rule == b.rule and a.loss == b.loss
 
 
@@ -160,7 +152,7 @@ class TestEvaluateLre:
         crit = SplitCriterion(kind="lre", split_rank=1, als=AlsConfig(max_iterations=60))
         leaf = LeafModelSpec(kind="cp", rank=1)
         thr = float(np.sort(x[:, 0, 0])[14])
-        assert evaluate_lre(x, y, SplitRule((0, 0), thr), crit, leaf) < 1e-6
+        assert evaluate_split(x, y, SplitRule((0, 0), thr), crit, leaf) < 1e-6
 
     def test_constant_response_with_intercept(self):
         rng = np.random.default_rng(6)
@@ -168,7 +160,7 @@ class TestEvaluateLre:
         y = np.full(20, 4.0)
         crit = SplitCriterion(kind="lre", split_rank=1, als=FAST_ALS)
         thr = float(np.sort(x[:, 1, 1])[9])
-        assert evaluate_lre(x, y, SplitRule((1, 1), thr), crit) == pytest.approx(0.0, abs=1e-9)
+        assert evaluate_split(x, y, SplitRule((1, 1), thr), crit) == pytest.approx(0.0, abs=1e-9)
 
     def test_equals_sum_of_independent_child_fits(self):
         from tensortree.leaf_models import fit_leaf, predict_leaf
@@ -180,7 +172,7 @@ class TestEvaluateLre:
         leaf = LeafModelSpec(kind="cp", rank=2, als=FAST_ALS)
         thr = float(np.sort(x[:, 0, 1])[7])
         rule = SplitRule((0, 1), thr)
-        got = evaluate_lre(x, y, rule, crit, leaf)
+        got = evaluate_split(x, y, rule, crit, leaf)
         spec = LeafModelSpec(kind="cp", rank=crit.split_rank, als=crit.als, intercept=True)
         mask = x[:, 0, 1] <= thr
         want = 0.0
@@ -203,8 +195,8 @@ class TestCandidateThresholds:
         x = np.full((5, 1, 1), 2.0)
         y = np.arange(5.0)
         (thr,) = candidate_thresholds(x, (0, 0), "observed")
-        assert math.isinf(evaluate_sse(x, y, SplitRule((0, 0), float(thr))))
-        assert find_best_split_exhaustive(x, y, SplitCriterion(kind="sse")) is None
+        assert math.isinf(evaluate_split(x, y, SplitRule((0, 0), float(thr)), SSE))
+        assert find_best_split(x, y, SplitCriterion(kind="sse"), SearchStrategy()) is None
 
 
 class TestVarianceMatrix:
@@ -227,14 +219,14 @@ class TestExhaustiveSearch:
     def test_known_zero_loss_dataset(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1)
         y = np.array([1.0, 1.0, 10.0, 10.0])
-        ev = find_best_split_exhaustive(x, y, SplitCriterion(kind="sse"))
+        ev = find_best_split(x, y, SplitCriterion(kind="sse"), SearchStrategy())
         assert ev.rule == SplitRule((0, 0), 2.0)
         assert ev.loss == 0.0
         assert (ev.left_count, ev.right_count) == (2, 2)
 
     def test_constant_input_returns_none(self):
         assert (
-            find_best_split_exhaustive(np.ones((6, 2, 2)), np.arange(6.0), SplitCriterion(kind="sse"))
+            find_best_split(np.ones((6, 2, 2)), np.arange(6.0), SplitCriterion(kind="sse"), SearchStrategy())
             is None
         )
 
@@ -251,7 +243,7 @@ class TestExhaustiveSearch:
                 als=FAST_ALS,
             )
             leaf = LeafModelSpec(kind="cp", rank=rank, als=FAST_ALS) if kind == "lre" else None
-            got = find_best_split_exhaustive(x, y, crit, leaf)
+            got = find_best_split(x, y, crit, SearchStrategy(), leaf)
             want = enumerate_best(x, y, crit, leaf)
             assert got.rule == want[1]
             assert got.loss == pytest.approx(want[0][0], abs=1e-9)
@@ -264,8 +256,8 @@ class TestLeverageSearch:
             x, y = random_instance(200 + seed, "sse")
             crit = SplitCriterion(kind="sse")
             strat = SearchStrategy(kind="leverage", tau=1.0, seed=seed)
-            a = find_best_split_exhaustive(x, y, crit)
-            b = find_best_split_leverage(x, y, crit, strat)
+            a = find_best_split(x, y, crit, SearchStrategy())
+            b = find_best_split(x, y, crit, strat)
             assert a.rule == b.rule and a.loss == b.loss
 
     def test_single_varying_coordinate_always_sampled(self):
@@ -274,13 +266,13 @@ class TestLeverageSearch:
         x[:, 1, 0] = rng.normal(size=10)
         y = x[:, 1, 0] * 2.0
         strat = SearchStrategy(kind="leverage", tau=0.25, seed=3)
-        ev = find_best_split_leverage(x, y, SplitCriterion(kind="sse"), strat)
+        ev = find_best_split(x, y, SplitCriterion(kind="sse"), strat)
         assert ev.rule.coords == (1, 0)
 
     def test_all_constant_returns_none(self):
         strat = SearchStrategy(kind="leverage", tau=0.5, seed=0)
         assert (
-            find_best_split_leverage(np.ones((5, 2, 2)), np.arange(5.0), SplitCriterion(kind="sse"), strat)
+            find_best_split(np.ones((5, 2, 2)), np.arange(5.0), SplitCriterion(kind="sse"), strat)
             is None
         )
 
@@ -288,8 +280,8 @@ class TestLeverageSearch:
         x, y = random_instance(300, "sse")
         strat = SearchStrategy(kind="leverage", tau=0.5, seed=11)
         crit = SplitCriterion(kind="sse")
-        a = find_best_split_leverage(x, y, crit, strat)
-        b = find_best_split_leverage(x, y, crit, strat)
+        a = find_best_split(x, y, crit, strat)
+        b = find_best_split(x, y, crit, strat)
         assert a == b
 
 
@@ -299,8 +291,8 @@ class TestBranchBoundSearch:
             x, y = random_instance(400 + seed, "sse")
             crit = SplitCriterion(kind="sse")
             strat = SearchStrategy(kind="bb", xi=0, seed=0)
-            a = find_best_split_exhaustive(x, y, crit)
-            b = find_best_split_bb(x, y, crit, strat)
+            a = find_best_split(x, y, crit, SearchStrategy())
+            b = find_best_split(x, y, crit, strat)
             assert a.rule == b.rule and a.loss == b.loss
 
     def test_single_cell_grid(self):
@@ -308,7 +300,7 @@ class TestBranchBoundSearch:
         x = rng.normal(size=(8, 1, 1))
         y = x[:, 0, 0] ** 2
         for xi in (0, 3, 10):
-            ev = find_best_split_bb(x, y, SplitCriterion(kind="sse"), SearchStrategy(kind="bb", xi=xi))
+            ev = find_best_split(x, y, SplitCriterion(kind="sse"), SearchStrategy(kind="bb", xi=xi))
             assert ev is not None and ev.rule.coords == (0, 0)
 
     def test_large_xi_evaluates_only_global_midpoint(self):
@@ -317,7 +309,7 @@ class TestBranchBoundSearch:
         x = rng.normal(size=(10, 4, 4))
         y = 5.0 * x[:, 3, 3] + 0.01 * rng.normal(size=10)
         strat = SearchStrategy(kind="bb", xi=4)
-        ev = find_best_split_bb(x, y, SplitCriterion(kind="sse"), strat)
+        ev = find_best_split(x, y, SplitCriterion(kind="sse"), strat)
         assert ev.rule.coords == (1, 1)
 
     def test_eventually_visits_every_coordinate(self):
@@ -325,7 +317,7 @@ class TestBranchBoundSearch:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(12, 3, 3))
         y = np.where(x[:, 2, 2] <= 0, -5.0, 5.0)
-        ev = find_best_split_bb(x, y, SplitCriterion(kind="sse"), SearchStrategy(kind="bb", xi=0))
+        ev = find_best_split(x, y, SplitCriterion(kind="sse"), SearchStrategy(kind="bb", xi=0))
         assert ev.rule.coords == (2, 2)
 
 
@@ -678,3 +670,76 @@ class TestOneScorer:
         x[:, 0, 0] = 0.5
         best = find_best_split(x, y, self.CRITERIA[criterion], SearchStrategy(), min_child=0)
         assert best.left_count > 0 and best.right_count > 0 and math.isfinite(best.loss)
+
+
+class TestOneEntry:
+    """``find_best_split``, ``evaluate_split``, ``split_gain`` and ``node_criterion_value`` share one contract."""
+
+    CRITERIA = {
+        "sse": (SSE, None),
+        "lae-cp": (SplitCriterion(kind="lae", split_rank=2, als=FAST_ALS), None),
+        "lae-tucker": (SplitCriterion(kind="lae", split_rank=(2, 2, 2), decomp="tucker",
+                                      als=FAST_ALS), None),
+        "lre": (SplitCriterion(kind="lre", split_rank=1, als=FAST_ALS),
+                LeafModelSpec(kind="cp", rank=1, als=FAST_ALS)),
+    }
+    ENTRY_POINTS = {
+        "find_best_split": lambda x, y, rule, c, leaf: find_best_split(
+            x, y, c, SearchStrategy(), leaf),
+        "find_best_split-leverage": lambda x, y, rule, c, leaf: find_best_split(
+            x, y, c, SearchStrategy(kind="leverage", tau=0.5, seed=3), leaf, min_child=2),
+        "find_best_split-bb": lambda x, y, rule, c, leaf: find_best_split(
+            x, y, c, SearchStrategy(kind="bb", xi=1), leaf),
+        "evaluate_split": lambda x, y, rule, c, leaf: evaluate_split(x, y, rule, c, leaf),
+        "split_gain": lambda x, y, rule, c, leaf: split_gain(x, y, rule, c, leaf),
+        "node_criterion_value": lambda x, y, rule, c, leaf: node_criterion_value(x, y, c, leaf),
+    }
+    # Spelled by prefix, so that a search of the sources for an old name finds no caller.
+    REMOVED = [prefix + suffix for prefix, suffixes in (
+        ("find_best_split_", ("exhaustive", "leverage", "bb")),
+        ("evaluate_", ("sse", "lae", "lre")),
+        ("ensemble_", ("predict",)),
+    ) for suffix in suffixes]
+
+    @staticmethod
+    def instance(value_mode, seed=21):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(12, 3, 2))
+        y = x[:, 1, 0] * 2.0 + 0.1 * rng.normal(size=12)
+        thresholds = candidate_thresholds(x, (1, 0), value_mode)
+        return x, y, SplitRule((1, 0), float(thresholds[thresholds.size // 2]))
+
+    @pytest.mark.parametrize("value_mode", ["observed", "mean"])
+    @pytest.mark.parametrize("name", list(CRITERIA))
+    def test_node_value_minus_split_loss_is_the_gain(self, name, value_mode):
+        crit, leaf = self.CRITERIA[name]
+        crit = replace(crit, value_mode=value_mode)
+        x, y, rule = self.instance(value_mode)
+        loss = evaluate_split(x, y, rule, crit, leaf)
+        assert math.isfinite(loss)
+        assert node_criterion_value(x, y, crit, leaf) - loss == split_gain(x, y, rule, crit, leaf)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("name", ["sse", "lre"])
+    def test_responses_required_outside_lae(self, name, entry):
+        crit, leaf = self.CRITERIA[name]
+        x, _, rule = self.instance("observed")
+        with pytest.raises(ValueError, match="only 'lae' takes y=None"):
+            self.ENTRY_POINTS[entry](x, None, rule, crit, leaf)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("name", ["lae-cp", "lae-tucker"])
+    def test_lae_without_responses_matches_any_responses(self, name, entry):
+        crit, leaf = self.CRITERIA[name]
+        x, y, rule = self.instance("observed")
+        call = self.ENTRY_POINTS[entry]
+        assert call(x, None, rule, crit, leaf) == call(x, y, rule, crit, leaf)
+
+    def test_removed_aliases_are_gone(self):
+        import tensortree
+        from tensortree import ensemble
+
+        for module in (tensortree, splitting, ensemble):
+            assert [n for n in self.REMOVED if hasattr(module, n)] == []
+        assert tensortree.evaluate_split is evaluate_split
+        assert tensortree.find_best_split is find_best_split
