@@ -29,9 +29,11 @@ file that is not UTF-8 JSON included), 3 data error: an ``OSError`` (a
 file that cannot be read or written) or a ``ValueError`` (a response that
 cannot be scored included).  ``main`` alone maps exceptions to exit codes.
 Arrays are exchanged as NPY files (little-endian float64, C order).  The
-``--threads`` flag (fallback: ``TT_THREADS`` environment variable) bounds
-the worker pool used for per-entry ensemble fitting; results are
-identical for every thread count.
+``--threads`` flag (fallback: ``TT_THREADS`` environment variable, then
+the number of CPUs the process may run on) bounds the worker processes
+that fit a tensor-output model's per-entry or per-column ensembles on
+Linux; elsewhere, or with one worker, those fits run in process.  Results
+are identical for every thread count.
 """
 
 from __future__ import annotations
@@ -246,11 +248,14 @@ def _score(y: np.ndarray, pred: np.ndarray) -> dict:
 
 
 def _resolve_threads(value: int | None) -> int:
+    """The ``--threads`` value, else ``TT_THREADS``, else the CPUs this process may run on."""
     if value is not None:
         return max(1, value)
     env = os.environ.get("TT_THREADS")
     if env is not None:
         return max(1, _parse(int, env, "TT_THREADS"))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import make_rng
-from .decomposition import _check_int, cp_als, tucker_als
+from .decomposition import _check_int, _check_number, cp_als, tucker_als
 
 # Standard deviation for the piecewise-constant generator's default
 # noise variance of 0.1.
@@ -39,8 +39,10 @@ class SyntheticSpec:
         _check_int(self.seed, "seed")
         for name in ("noise_sigma", "noise_scale"):
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            if v is not None:
+                _check_number(v, name)
+                if v < 0:
+                    raise ValueError(f"{name} must be >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)

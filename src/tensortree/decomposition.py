@@ -55,8 +55,9 @@ class AlsConfig:
     def __post_init__(self) -> None:
         _check_int(self.max_iterations, "max_iterations", 1)
         _check_int(self.seed, "seed")
-        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance >= 0):
-            raise ValueError(f"rel_tolerance must be finite and >= 0, got {self.rel_tolerance!r}")
+        _check_number(self.rel_tolerance, "rel_tolerance")
+        if self.rel_tolerance < 0:
+            raise ValueError(f"rel_tolerance must be >= 0, got {self.rel_tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,14 @@ def _check_int(value, name: str, low: int | None = None) -> None:
     if not (_is_int(value) and (low is None or value >= low)):
         form = "an int" if low is None else f"an int >= {low}"
         raise ValueError(f"{name} must be {form}, got {value!r}")
+
+
+def _check_number(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite int or float; a bool is neither here."""
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_rank(rank, family: str, name: str = "rank") -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rng import derive_seed, make_rng
-from .decomposition import _check_int
+from .decomposition import _check_int, _check_number
 from .leaf_models import _check_stacked
 from .splitting import SearchStrategy
 from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
@@ -60,8 +60,10 @@ class BoostingConfig:
     def __post_init__(self) -> None:
         _check_int(self.n_estimators, "n_estimators", 1)
         _check_int(self.seed, "seed")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        _check_number(self.learning_rate, "learning_rate")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
+        _check_number(self.p_resample, "p_resample")
         if not 0.0 <= self.p_resample <= 1.0:
             raise ValueError("p_resample must be in [0, 1]")
 
@@ -77,6 +79,7 @@ class ForestConfig:
     def __post_init__(self) -> None:
         _check_int(self.n_trees, "n_trees", 1)
         _check_int(self.seed, "seed")
+        _check_number(self.tau, "tau")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
 

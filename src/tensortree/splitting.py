@@ -92,6 +92,7 @@ from ._rng import make_rng
 from .decomposition import (
     AlsConfig,
     _check_int,
+    _check_number,
     _check_rank,
     _resolve_ranks,
     approximation_error,
@@ -172,6 +173,7 @@ class SearchStrategy:
     def __post_init__(self) -> None:
         if self.kind not in ("exhaustive", "leverage", "bb"):
             raise ValueError(f"unknown strategy {self.kind!r}")
+        _check_number(self.tau, "tau")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
         _check_int(self.xi, "xi", 0)

@@ -15,13 +15,17 @@ problems:
   produced (unit norm for CP, orthonormal for Tucker); predicted rows
   live on the same scale because the targets do.
 
-Per-entry and per-column fits are independent, so they may run on a
-thread pool; results do not depend on the thread count.
+Per-entry and per-column fits are independent.  With ``n_threads > 1``
+on Linux they run on up to that many forked worker processes; with one
+worker, or on other platforms, they run one after another in process.
+Results do not depend on the worker count.  A caller that runs threads
+of its own should fit with one worker: a thread holding a lock when the
+workers fork leaves that lock held in every worker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +35,7 @@ from .decomposition import (
     AlsConfig,
     CPDecomposition,
     TuckerDecomposition,
+    _check_int,
     _check_rank,
     _resolve_ranks,
     cp_als,
@@ -102,20 +107,61 @@ def _check_output(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _fit_column(x, targets: np.ndarray, boosting: BoostingConfig, col: int) -> BoostedModel:
+    """The boosted ensemble of column ``col`` of ``targets``, seeded by the column index."""
+    cfg = replace(boosting, seed=derive_seed(boosting.seed, col))
+    return fit_boosting(x, targets[:, col], cfg)
+
+
+# The inputs of the running fit, in a worker process only; set by _start_worker.
+_worker_inputs: tuple = ()
+
+
+def _start_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _fit_worker_column(col: int) -> BoostedModel:
+    return _fit_column(*_worker_inputs, col)
+
+
 def _fit_columns(x, targets: np.ndarray, boosting: BoostingConfig,
                  n_threads: int) -> list[BoostedModel]:
-    """One boosted ensemble per column of ``targets``, seeded by the column index."""
+    """One boosted ensemble per column of ``targets``, in column order.
 
-    def fit_column(col: int) -> BoostedModel:
-        cfg = replace(boosting, seed=derive_seed(boosting.seed, col))
-        return fit_boosting(x, targets[:, col], cfg)
+    Up to ``n_threads`` forked workers fit the columns.  A forked worker
+    inherits ``x``, ``targets`` and ``boosting`` from this process, so a
+    job sends only its column index; a spawned worker would start a fresh
+    interpreter and re-import NumPy, which costs more than a whole fit.
+    """
+    columns = targets.shape[1]
+    workers = min(n_threads, columns)
+    if workers <= 1 or sys.platform != "linux":
+        return [_fit_column(x, targets, boosting, col) for col in range(columns)]
+    # Imported here, so that a process that never forks workers does not
+    # load the 32 modules (about 1.3 MB) they bring.
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
-        return list(pool.map(fit_column, range(targets.shape[1])))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(x, targets, boosting))
+    try:
+        return list(pool.map(_fit_worker_column, range(columns)))
+    except BrokenProcessPool as exc:
+        # A worker died (a signal, the OOM killer); an exception that a job
+        # raises reaches the caller unchanged.
+        raise OSError("a worker process ended before its job finished") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def fit_entrywise(x, y, config: OutputConfig, n_threads: int = 1) -> TensorOutputModel:
-    """One boosted ensemble per output entry, fitted independently."""
+    """One boosted ensemble per output entry, fitted independently.
+
+    ``n_threads`` bounds the worker processes (0 and 1 both fit in process).
+    """
+    _check_int(n_threads, "n_threads", 0)
     x, y = _check_output(x, y)
     ensembles = _fit_columns(x, y.reshape(y.shape[0], -1), config.boosting, n_threads)
     return TensorOutputModel("entrywise", y.shape[1:], ensembles)
@@ -127,8 +173,9 @@ def fit_lowrank(x, y, config: OutputConfig, n_threads: int = 1) -> TensorOutputM
     The non-observation factors and the CP weights (or Tucker core) are
     recorded from the decomposition and reused verbatim at prediction
     time; only the observation-mode factor is modeled as a function of
-    the input.
+    the input.  ``n_threads`` is as for :func:`fit_entrywise`.
     """
+    _check_int(n_threads, "n_threads", 0)
     x, y = _check_output(x, y)
     if config.decomp == "cp":
         decomp, _ = cp_als(y, int(config.rank), config.als)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomposition import AlsConfig, _check_int, _check_rank
+from .decomposition import AlsConfig, _check_int, _check_number, _check_rank
 from .leaf_models import (
     FittedLeafModel,
     LeafModelSpec,
@@ -84,8 +84,9 @@ class PruneConfig:
     als: AlsConfig = field(default_factory=AlsConfig)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        _check_number(self.alpha, "alpha")
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         if self.quality not in ("variance", "tensor_loss", "lae"):
             raise ValueError(f"unknown quality {self.quality!r}")
         if self.quality == "lae" or self.lae_rank is not None:

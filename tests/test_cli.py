@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from tensortree import cli, serialize
+from tensortree import cli, serialize, tensor_output
 from tensortree._rng import make_rng
 from tensortree.data import GENERATORS
 from tensortree.decomposition import AlsConfig
@@ -258,6 +259,75 @@ class TestThreads:
                        cwd=workdir)
         assert res2.returncode == 0
         assert (workdir / "m_env.json").read_bytes() == (workdir / "m_one.json").read_bytes()
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("TT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._resolve_threads(None) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._resolve_threads(None) == 64
+        assert cli._resolve_threads(2) == 2
+
+
+OUTPUT_CONFIGS = {
+    "entrywise": {"model": "entrywise"},
+    "lowrank-cp": {"model": "lowrank", "output_decomp": "cp", "output_rank": 2},
+    "lowrank-tucker": {"model": "lowrank", "output_decomp": "tucker", "output_rank": [3, 2, 2]},
+}
+
+
+def _fit_output(tmp_path, capsys, config, threads):
+    """``cli.main fit`` in process on a (2, 2) output; returns (exit code, stderr, model path)."""
+    rng = make_rng(31)
+    x = rng.uniform(size=(40, 3, 3))
+    y = np.stack([x[:, 0, 0] > 0.5, x[:, 1, 1], x[:, 2, 0] * x[:, 0, 2], x[:, 1, 2] > 0.3],
+                 axis=1).reshape(40, 2, 2).astype(float)
+    np.save(tmp_path / "X.npy", x)
+    np.save(tmp_path / "Y.npy", y)
+    cfg = write_config(tmp_path / "cfg.json", {
+        **OUTPUT_CONFIGS[config], "n_estimators": 3, "max_depth": 2, "seed": 4,
+        "data": {"x": str(tmp_path / "X.npy"), "y": str(tmp_path / "Y.npy")},
+    })
+    out = tmp_path / f"m{threads}.json"
+    code = cli.main(["fit", "--config", cfg, "--out", str(out), "--threads", str(threads)])
+    return code, capsys.readouterr().err, out
+
+
+class TestWorkerProcesses:
+    """Tensor-output jobs on forked workers keep the CLI's bytes and exit codes."""
+
+    @pytest.mark.parametrize("config", list(OUTPUT_CONFIGS))
+    def test_model_bytes_equal_at_every_thread_count(self, tmp_path, capsys, config):
+        docs = set()
+        for threads in (1, 2, 3):
+            code, err, out = _fit_output(tmp_path, capsys, config, threads)
+            assert code == 0, err
+            assert multiprocessing.active_children() == []
+            docs.add(out.read_bytes())
+        assert len(docs) == 1
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="jobs run in process off Linux")
+    def test_dead_worker_exit_3(self, tmp_path, capsys, monkeypatch):
+        # forked workers inherit the patch
+        monkeypatch.setattr(tensor_output, "fit_boosting", lambda *args: os._exit(1))
+        code, err, out = _fit_output(tmp_path, capsys, "entrywise", 2)
+        assert code == 3
+        assert err == "error: a worker process ended before its job finished\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("config", ["entrywise", "lowrank-tucker"])
+    def test_job_value_error_exit_3(self, tmp_path, capsys, monkeypatch, config):
+        def fail(x, y, cfg):
+            raise ValueError("residuals overflowed")
+
+        monkeypatch.setattr(tensor_output, "fit_boosting", fail)
+        code, err, out = _fit_output(tmp_path, capsys, config, 2)
+        assert code == 3
+        assert err == "error: residuals overflowed\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestRankAndRoutingErrors:

@@ -1,4 +1,4 @@
-"""Config objects reject non-finite numbers and non-integer counts when built.
+"""Config objects reject non-finite or bool numbers and non-integer counts when built.
 
 A bare ``v < 0`` check passes a NaN, an infinity, a float or a bool,
 which then fails, or silently misbehaves, deep inside a fit.  The CLI
@@ -17,12 +17,17 @@ from tensortree.splitting import SearchStrategy
 from tensortree.tree import GrowConfig, PruneConfig
 
 # field -> a config built with that field set to ``v``
-BUILDERS = {
+NUMBERS = {
     "PruneConfig.alpha": lambda v: PruneConfig(alpha=v),
     "BoostingConfig.learning_rate": lambda v: BoostingConfig(learning_rate=v),
     "AlsConfig.rel_tolerance": lambda v: AlsConfig(rel_tolerance=v),
     "SyntheticSpec.noise_sigma": lambda v: SyntheticSpec("table2_linear", 10, noise_sigma=v),
     "SyntheticSpec.noise_scale": lambda v: SyntheticSpec("table2_linear", 10, noise_scale=v),
+    "BoostingConfig.p_resample": lambda v: BoostingConfig(p_resample=v),
+    "SearchStrategy.tau": lambda v: SearchStrategy(kind="leverage", tau=v),
+    "ForestConfig.tau": lambda v: ForestConfig(tau=v),
+}
+COUNTS = {
     "AlsConfig.max_iterations": lambda v: AlsConfig(max_iterations=v),
     "AlsConfig.seed": lambda v: AlsConfig(seed=v),
     "BoostingConfig.n_estimators": lambda v: BoostingConfig(n_estimators=v),
@@ -36,8 +41,7 @@ BUILDERS = {
     "SearchStrategy.xi": lambda v: SearchStrategy(kind="bb", xi=v),
     "SearchStrategy.seed": lambda v: SearchStrategy(seed=v),
 }
-NUMBERS = list(BUILDERS)[:5]
-COUNTS = list(BUILDERS)[5:]
+BUILDERS = {**NUMBERS, **COUNTS}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -50,6 +54,16 @@ def test_non_finite_number_rejected(field, value):
 @pytest.mark.parametrize("field", NUMBERS)
 def test_finite_number_accepted(field):
     BUILDERS[field](0.5)
+    BUILDERS[field](np.float32(0.5))
+    BUILDERS[field](1)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.5"],
+                         ids=["True", "False", "np-True", "str"])
+@pytest.mark.parametrize("field", NUMBERS)
+def test_non_number_rejected(field, value):
+    with pytest.raises(ValueError, match="must be a number"):
+        BUILDERS[field](value)
 
 
 @pytest.mark.parametrize("value", [1.0, 1.5, True, np.float64(2.0)],

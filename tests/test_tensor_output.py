@@ -1,9 +1,15 @@
 """Entrywise and low-rank tensor-output schemes."""
 
+import multiprocessing
+import os
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tensortree._rng import make_rng
+from tensortree import tensor_output
+from tensortree._rng import derive_seed, make_rng
 from tensortree.ensemble import BoostingConfig, fit_boosting
 from tensortree.leaf_models import LeafModelSpec
 from tensortree.serialize import dumps
@@ -11,6 +17,7 @@ from tensortree.splitting import SplitCriterion
 from tensortree.tensor_ops import outer
 from tensortree.tensor_output import (
     OutputConfig,
+    TensorOutputModel,
     fit_entrywise,
     fit_lowrank,
     predict_tensor,
@@ -113,7 +120,7 @@ class TestEntrywise:
     def test_zero_one_and_two_threads_write_the_same_model(self):
         x, y = linear_output_data(60, seed=6)
         cfg = OutputConfig(approach="entrywise", boosting=small_boosting(seed=3))
-        docs = {dumps(fit_entrywise(x, y, cfg, n_threads=t)) for t in (0, 1, 2)}
+        docs = {dumps(fit_entrywise(x, y, cfg, n_threads=t)) for t in (0, 1, 2, 3)}
         assert len(docs) == 1
 
     def test_observation_count_mismatch_rejected(self):
@@ -236,3 +243,52 @@ class TestOutputRanks:
         x, y = rng.uniform(size=(60, 3, 3)), rng.normal(size=(60, 3, 5))
         cfg = OutputConfig(approach="lowrank", decomp="tucker", rank=9, boosting=small_boosting())
         assert fit_lowrank(x, y, cfg).core.shape == (9, 3, 5)
+
+
+class TestWorkers:
+    """Forked workers fit what the in-process loop fits, and none outlives a fit."""
+
+    @pytest.mark.parametrize("decomp, rank", [("cp", 2), ("tucker", (3, 2))])
+    def test_lowrank_model_is_the_same_at_every_worker_count(self, decomp, rank):
+        x, y = linear_output_data(60, seed=16)
+        cfg = OutputConfig(approach="lowrank", decomp=decomp, rank=rank,
+                           boosting=small_boosting(seed=4))
+        docs = {dumps(fit_lowrank(x, y, cfg, n_threads=t)) for t in (0, 1, 2, 3)}
+        assert len(docs) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_workers_fit_what_plain_boosting_fits(self):
+        x, y = linear_output_data(60, seed=17)
+        boosting = small_boosting(seed=5)
+        plain = [fit_boosting(x, y[:, j], replace(boosting, seed=derive_seed(5, j)))
+                 for j in range(y.shape[1])]
+        model = fit_entrywise(x, y, OutputConfig(boosting=boosting), n_threads=3)
+        assert dumps(model) == dumps(TensorOutputModel("entrywise", y.shape[1:], plain))
+
+    def test_job_error_reaches_the_caller_unchanged(self, monkeypatch):
+        def fail(x, y, cfg):
+            raise ValueError(f"job with seed {cfg.seed} failed")
+
+        monkeypatch.setattr(tensor_output, "fit_boosting", fail)
+        x, y = linear_output_data(30, seed=18)
+        with pytest.raises(ValueError, match="job with seed"):
+            fit_entrywise(x, y, OutputConfig(boosting=small_boosting()), n_threads=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="jobs run in process off Linux")
+    def test_dead_worker_is_an_os_error(self, monkeypatch):
+        # forked workers inherit the patch
+        monkeypatch.setattr(tensor_output, "fit_boosting", lambda *args: os._exit(1))
+        x, y = linear_output_data(30, seed=19)
+        with pytest.raises(OSError, match="worker process ended"):
+            fit_entrywise(x, y, OutputConfig(boosting=small_boosting()), n_threads=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_threads", [2.5, True, -1, "2", None])
+    @pytest.mark.parametrize("approach", ["entrywise", "lowrank"])
+    def test_bad_worker_count_rejected(self, approach, n_threads):
+        x, y = linear_output_data(30, seed=20)
+        fit = {"entrywise": fit_entrywise, "lowrank": fit_lowrank}[approach]
+        cfg = OutputConfig(approach=approach, rank=1, boosting=small_boosting())
+        with pytest.raises(ValueError, match="n_threads must be an int"):
+            fit(x, y, cfg, n_threads=n_threads)
