@@ -18,11 +18,10 @@ bench
 
 A run config is a JSON object with ``model`` and ``data`` and any of the
 keys of ``_SETTINGS``, each of which sets one field of a library config
-object; a key left out takes the library default.  Integer keys take a
-JSON integer, number keys an integer or a float, string keys a string
-and boolean keys ``true``/``false``; rank keys take an integer or a list
-of integers.  ``null`` is rejected for every key, as is any unknown key,
-here and in a bench config's ``synthetic`` object.
+object; a key left out takes the library default.  A value reaches its
+field as JSON gave it (a list as a tuple), and that config class's own
+check decides whether it is valid.  ``null`` is rejected for every key,
+as is any unknown key, here and in a bench config's ``synthetic`` object.
 
 Exit codes: 0 success, 2 config or usage error (``ConfigError``; a config
 file that is not UTF-8 JSON included), 3 data error: an ``OSError`` (a
@@ -49,7 +48,7 @@ import time
 import numpy as np
 
 from .data import SyntheticSpec, evaluate, generate, train_test_split
-from .decomposition import AlsConfig
+from .decomposition import AlsConfig, _check_number
 from .ensemble import BoostingConfig, ForestConfig, fit_boosting, fit_forest
 from .leaf_models import LeafModelSpec
 from .serialize import load_model, save_model
@@ -62,78 +61,47 @@ class ConfigError(Exception):
     """Invalid configuration or usage; maps to exit code 2."""
 
 
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _string(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _boolean(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _rank(value, key: str):
-    # A list arrives as a tuple; the config classes check its entries.
-    return tuple(value) if isinstance(value, list) else _integer(value, key)
-
-
-# Run-config key -> (config object, field, parser).  A key left out of the
-# config leaves the field to the library default.  "run" is the seed shared
-# by the search strategy, the ensembles and the bench train/test split;
+# Run-config key -> (config object, field).  A key left out of the config
+# leaves the field to the library default.  "run" is the seed shared by
+# the search strategy, the ensembles and the bench train/test split;
 # "cp leaf"/"tucker leaf" is read only for that leaf kind; "als.<key>" is a
 # key of the nested "als" object.
 _SETTINGS = {
-    "seed": ("run", "seed", _integer),
-    "max_depth": ("grow", "max_depth", _integer),
-    "min_samples_leaf": ("grow", "min_samples_leaf", _integer),
-    "criterion": ("criterion", "kind", _string),
-    "value_mode": ("criterion", "value_mode", _string),
-    "split_rank": ("criterion", "split_rank", _rank),
-    "split_decomp": ("criterion", "decomp", _string),
-    "strategy": ("strategy", "kind", _string),
-    "tau": ("strategy", "tau", _number),
-    "xi": ("strategy", "xi", _integer),
-    "leaf_model": ("leaf", "kind", _string),
-    "CP_reg_rank": ("cp leaf", "rank", _rank),
-    "Tucker_reg_rank": ("tucker leaf", "rank", _rank),
-    "intercept": ("leaf", "intercept", _boolean),
-    "als.max_iterations": ("als", "max_iterations", _integer),
-    "als.rel_tolerance": ("als", "rel_tolerance", _number),
-    "als.seed": ("als", "seed", _integer),
-    "n_estimators": ("boosting", "n_estimators", _integer),
-    "learning_rate": ("boosting", "learning_rate", _number),
-    "p_resample": ("boosting", "p_resample", _number),
-    "n_trees": ("forest", "n_trees", _integer),
-    "bootstrap": ("forest", "bootstrap", _boolean),
-    "forest_tau": ("forest", "tau", _number),
-    "alpha": ("prune", "alpha", _number),
-    "prune_quality": ("prune", "quality", _string),
-    "prune_lae_rank": ("prune", "lae_rank", _rank),
-    "output_decomp": ("output", "decomp", _string),
-    "output_rank": ("output", "rank", _rank),
+    "seed": ("run", "seed"),
+    "max_depth": ("grow", "max_depth"),
+    "min_samples_leaf": ("grow", "min_samples_leaf"),
+    "criterion": ("criterion", "kind"),
+    "value_mode": ("criterion", "value_mode"),
+    "split_rank": ("criterion", "split_rank"),
+    "split_decomp": ("criterion", "decomp"),
+    "strategy": ("strategy", "kind"),
+    "tau": ("strategy", "tau"),
+    "xi": ("strategy", "xi"),
+    "leaf_model": ("leaf", "kind"),
+    "CP_reg_rank": ("cp leaf", "rank"),
+    "Tucker_reg_rank": ("tucker leaf", "rank"),
+    "intercept": ("leaf", "intercept"),
+    "als.max_iterations": ("als", "max_iterations"),
+    "als.rel_tolerance": ("als", "rel_tolerance"),
+    "als.seed": ("als", "seed"),
+    "n_estimators": ("boosting", "n_estimators"),
+    "learning_rate": ("boosting", "learning_rate"),
+    "p_resample": ("boosting", "p_resample"),
+    "n_trees": ("forest", "n_trees"),
+    "bootstrap": ("forest", "bootstrap"),
+    "forest_tau": ("forest", "tau"),
+    "alpha": ("prune", "alpha"),
+    "prune_quality": ("prune", "quality"),
+    "prune_lae_rank": ("prune", "lae_rank"),
+    "output_decomp": ("output", "decomp"),
+    "output_rank": ("output", "rank"),
 }
 
 _RUN_KEYS = {"model", "data"} | {key.split(".")[0] for key in _SETTINGS}
 _ALS_KEYS = {key.split(".")[1] for key in _SETTINGS if key.startswith("als.")}
 
-_SYNTHETIC = {
-    "generator": _string, "n": _integer, "noise_sigma": _number, "noise_scale": _number,
-    "seed": _integer,
-}
+# the SyntheticSpec fields, each settable in a bench config's "synthetic" object
+_SYNTHETIC = ("generator", "n", "noise_sigma", "noise_scale", "seed")
 
 _MODELS = ("tree", "boosting", "forest", "entrywise", "lowrank")
 
@@ -144,18 +112,25 @@ def _check_keys(cfg: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _parse(convert, value, name: str):
-    """``convert(value)``; a value it rejects is a ConfigError naming setting ``name``."""
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; the value a config check rejects is a ConfigError (exit 2)."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} has the wrong type or value: {value!r}") from None
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _value(value, key: str):
+    """JSON ``value`` of ``key`` as its field takes it: a list becomes a tuple, null is refused."""
+    if value is None:
+        raise ConfigError(f"{key} must not be null")
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _fields(cfg: dict, obj: str) -> dict:
-    """The fields of config object ``obj`` that ``cfg`` sets, parsed."""
-    return {field: parse(cfg[key], key)
-            for key, (target, field, parse) in _SETTINGS.items()
+    """The fields of config object ``obj`` that ``cfg`` sets; the object checks them."""
+    return {field: _value(cfg[key], key)
+            for key, (target, field) in _SETTINGS.items()
             if target == obj and key in cfg}
 
 
@@ -195,50 +170,52 @@ def _save_array(path: str, arr: np.ndarray) -> None:
     np.save(path, np.ascontiguousarray(arr, dtype=np.float64))
 
 
-def _fit_model(cfg: dict, x: np.ndarray, y: np.ndarray, seed: dict, threads: int):
-    """Fit ``cfg``'s model; ``seed`` is ``_fields(cfg, "run")`` or the ``--seed`` override."""
+def _model_config(cfg: dict, seed: dict):
+    """The library config of ``cfg``'s model; ``seed`` is ``_fields(cfg, "run")`` or the
+    ``--seed`` override.
+
+    A tree takes a ``(GrowConfig, PruneConfig or None)`` pair, the other
+    kinds their fitter's config.  Only the config objects this model kind
+    uses are built, and each checks its own fields.
+    """
     model_kind = cfg["model"]
+    cfg = _flatten_als(cfg)
+    als = AlsConfig(**_fields(cfg, "als"))
+    leaf = _fields(cfg, "leaf")
+    grow_cfg = GrowConfig(
+        **_fields(cfg, "grow"),
+        criterion=SplitCriterion(**_fields(cfg, "criterion"), als=als),
+        strategy=SearchStrategy(**_fields(cfg, "strategy"), **seed),
+        leaf=LeafModelSpec(**leaf, **_fields(cfg, f"{leaf.get('kind')} leaf"), als=als),
+    )
+    if model_kind == "forest":
+        return ForestConfig(**_fields(cfg, "forest"), tree=grow_cfg, **seed)
+    # a config without alpha does not prune
+    prune_cfg = PruneConfig(**_fields(cfg, "prune"), als=als) if "alpha" in cfg else None
+    if model_kind == "tree":
+        return grow_cfg, prune_cfg
+    boost_cfg = BoostingConfig(**_fields(cfg, "boosting"), tree=grow_cfg, prune=prune_cfg, **seed)
+    if model_kind == "boosting":
+        return boost_cfg
+    return OutputConfig(approach=model_kind, **_fields(cfg, "output"), boosting=boost_cfg, als=als)
+
+
+def _fit_model(model_kind: str, config, x: np.ndarray, y: np.ndarray, threads: int):
+    """Fit a ``model_kind`` model with its ``_model_config``; bad arrays raise ValueError."""
     if model_kind in ("tree", "boosting", "forest") and y.ndim != 1:
         raise ValueError(f"model {model_kind!r} needs a scalar response, got shape {y.shape}")
     if model_kind in ("entrywise", "lowrank") and y.ndim < 2:
         raise ValueError(f"model {model_kind!r} needs a stacked tensor response")
-
-    # configuration problems surface here (exit 2), before any fitting; only
-    # the config objects this model kind uses are built
-    try:
-        cfg = _flatten_als(cfg)
-        als = AlsConfig(**_fields(cfg, "als"))
-        leaf = _fields(cfg, "leaf")
-        grow_cfg = GrowConfig(
-            **_fields(cfg, "grow"),
-            criterion=SplitCriterion(**_fields(cfg, "criterion"), als=als),
-            strategy=SearchStrategy(**_fields(cfg, "strategy"), **seed),
-            leaf=LeafModelSpec(**leaf, **_fields(cfg, f"{leaf.get('kind')} leaf"), als=als),
-        )
-        if model_kind == "forest":
-            forest_cfg = ForestConfig(**_fields(cfg, "forest"), tree=grow_cfg, **seed)
-        else:
-            # a config without alpha does not prune
-            prune_cfg = PruneConfig(**_fields(cfg, "prune"), als=als) if "alpha" in cfg else None
-        if model_kind in ("boosting", "entrywise", "lowrank"):
-            boost_cfg = BoostingConfig(
-                **_fields(cfg, "boosting"), tree=grow_cfg, prune=prune_cfg, **seed)
-        if model_kind in ("entrywise", "lowrank"):
-            out_cfg = OutputConfig(
-                approach=model_kind, **_fields(cfg, "output"), boosting=boost_cfg, als=als)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    # problems with the arrays themselves raise ValueError (exit 3)
     if model_kind == "tree":
+        grow_cfg, prune_cfg = config
         tree = grow(x, y, grow_cfg)
         return prune(tree, prune_cfg) if prune_cfg is not None else tree
     if model_kind == "boosting":
-        return fit_boosting(x, y, boost_cfg)
+        return fit_boosting(x, y, config)
     if model_kind == "forest":
-        return fit_forest(x, y, forest_cfg)
+        return fit_forest(x, y, config)
     fit = fit_entrywise if model_kind == "entrywise" else fit_lowrank
-    return fit(x, y, out_cfg, n_threads=threads)
+    return fit(x, y, config, n_threads=threads)
 
 
 def _score(y: np.ndarray, pred: np.ndarray) -> dict:
@@ -253,7 +230,10 @@ def _resolve_threads(value: int | None) -> int:
         return max(1, value)
     env = os.environ.get("TT_THREADS")
     if env is not None:
-        return max(1, _parse(int, env, "TT_THREADS"))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"TT_THREADS must be an integer, got {env!r}") from None
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
@@ -267,16 +247,8 @@ def _read_json(path: str) -> dict:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 
-def _synthetic(fields: dict):
-    """The dataset ``SyntheticSpec(**fields)`` describes; a spec it rejects is a ConfigError."""
-    try:
-        return generate(SyntheticSpec(**fields))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _cmd_synth(args) -> int:
-    x, y = _synthetic({key: getattr(args, key) for key in _SYNTHETIC})
+    x, y = generate(_checked(SyntheticSpec, **{key: getattr(args, key) for key in _SYNTHETIC}))
     os.makedirs(args.out, exist_ok=True)
     _save_array(os.path.join(args.out, "X.npy"), x)
     name = "y.npy" if y.ndim == 1 else "Y.npy"
@@ -289,9 +261,10 @@ def _cmd_fit(args) -> int:
     cfg = _read_json(args.config)
     _validate_fit_config(cfg)
     seed = {"seed": args.seed} if args.seed is not None else _fields(cfg, "run")
+    config = _checked(_model_config, cfg, seed)
     threads = _resolve_threads(args.threads)
     x, y = _load_data(cfg.get("data"))
-    model = _fit_model(cfg, x, y, seed, threads)
+    model = _fit_model(cfg["model"], config, x, y, threads)
     metrics = json.dumps(_score(y, model.predict(x)), sort_keys=True)
     save_model(model, args.out)
     print(metrics)
@@ -314,7 +287,7 @@ _BENCH_KEYS = {"synthetic", "data", "test_fraction", "base", "sweep"}
 
 
 def _synthetic_fields(cfg: dict) -> dict | None:
-    """The parsed ``synthetic`` object of a bench config; None when it reads ``data``."""
+    """The fields of a bench config's ``synthetic`` object; None when it reads ``data``."""
     if "synthetic" not in cfg:
         if "data" not in cfg:
             raise ConfigError("bench config needs 'synthetic' or 'data'")
@@ -323,7 +296,7 @@ def _synthetic_fields(cfg: dict) -> dict | None:
     if not isinstance(doc, dict):
         raise ConfigError("synthetic must be an object")
     _check_keys(doc, set(_SYNTHETIC), "synthetic")
-    return {k: _SYNTHETIC[k](v, k) for k, v in doc.items()}
+    return {k: _value(v, k) for k, v in doc.items()}
 
 
 def _cmd_bench(args) -> int:
@@ -337,12 +310,13 @@ def _cmd_bench(args) -> int:
     base = cfg.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError("base must be an object")
-    fraction = _parse(float, cfg.get("test_fraction", 0.25), "test_fraction")
+    fraction = cfg.get("test_fraction", 0.25)
+    _checked(_check_number, fraction, "test_fraction")
     if not 0.0 < fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     threads = _resolve_threads(args.threads)
-    fields = _synthetic_fields(cfg)
-    datasets = {}  # swept n (None when n is not swept or data is read) -> (x, y)
+    synthetic = _synthetic_fields(cfg)
+    datasets = {}  # SyntheticSpec (None when data is read) -> (x, y)
 
     keys = sorted(sweep)
     rows = []
@@ -352,15 +326,17 @@ def _cmd_bench(args) -> int:
         run.setdefault("model", "tree")
         # a bench run reads its data from the bench config's own dataset
         _validate_fit_config(run, _RUN_KEYS - {"data"})
-        n = _integer(cell["n"], "n") if fields is not None and "n" in cell else None
-        if n not in datasets:
-            datasets[n] = (_load_data(cfg["data"]) if fields is None
-                           else _synthetic(fields if n is None else {**fields, "n": n}))
-        x, y = datasets[n]
+        # every config value, the split seed included, is checked before the cell runs
         seed = _fields(run, "run")
+        config = _checked(_model_config, run, seed)
+        n = {"n": cell["n"]} if "n" in cell else {}
+        spec = None if synthetic is None else _checked(SyntheticSpec, **{**synthetic, **n})
+        if spec not in datasets:
+            datasets[spec] = _load_data(cfg["data"]) if spec is None else generate(spec)
+        x, y = datasets[spec]
         x_train, y_train, x_test, y_test = train_test_split(x, y, 1.0 - fraction, **seed)
         t0 = time.perf_counter()
-        model = _fit_model(run, x_train, y_train, seed, threads)
+        model = _fit_model(run["model"], config, x_train, y_train, threads)
         fit_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
         pred_train = model.predict(x_train)

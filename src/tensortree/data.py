@@ -35,6 +35,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.generator, str) and self.generator in GENERATORS):
+            raise ValueError(
+                f"unknown generator {self.generator!r}; choose from {sorted(GENERATORS)}")
         _check_int(self.n, "n", 1)
         _check_int(self.seed, "seed")
         for name in ("noise_sigma", "noise_scale"):
@@ -160,13 +163,7 @@ def generate(spec: SyntheticSpec):
     interaction and piecewise generators, and ``(X, Y)`` with a stacked
     matrix response for the table2 family.
     """
-    try:
-        builder = GENERATORS[spec.generator]
-    except KeyError:
-        raise ValueError(
-            f"unknown generator {spec.generator!r}; choose from {sorted(GENERATORS)}"
-        ) from None
-    return builder(spec)
+    return GENERATORS[spec.generator](spec)
 
 
 def evaluate(y_true, y_pred) -> Metrics:

@@ -22,6 +22,7 @@ start would be computed and thrown away unread.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,11 +136,21 @@ def _check_int(value, name: str, low: int | None = None) -> None:
         raise ValueError(f"{name} must be {form}, got {value!r}")
 
 
+def _check_bool(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 def _check_number(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a finite int or float; a bool is neither here."""
+    """Raise ``ValueError`` unless ``value`` is an int or float, finite as a float.
+
+    A bool is neither here.  An int beyond the float range is not finite;
+    it is compared, not converted, since ``float()`` would overflow on it.
+    """
     if not (_is_int(value) or isinstance(value, (float, np.floating))):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rng import derive_seed, make_rng
-from .decomposition import _check_int, _check_number
+from .decomposition import _check_bool, _check_int, _check_number
 from .leaf_models import _check_stacked
 from .splitting import SearchStrategy
 from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
@@ -79,6 +79,7 @@ class ForestConfig:
     def __post_init__(self) -> None:
         _check_int(self.n_trees, "n_trees", 1)
         _check_int(self.seed, "seed")
+        _check_bool(self.bootstrap, "bootstrap")
         _check_number(self.tau, "tau")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")

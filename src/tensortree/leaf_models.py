@@ -14,6 +14,7 @@ rather than raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .decomposition import (
     AlsConfig,
     CPDecomposition,
     TuckerDecomposition,
+    _check_bool,
     _check_rank,
     _hosvd,
     _multiply,
@@ -53,6 +55,7 @@ class LeafModelSpec:
             raise ValueError("mean leaves take no rank")
         if self.kind != "mean":
             _check_rank(self.rank, self.kind)
+        _check_bool(self.intercept, "intercept")
 
 
 @dataclass
@@ -138,9 +141,9 @@ def min_viable_samples(spec: LeafModelSpec, feature_shape: tuple[int, ...]) -> i
     """
     if spec.kind == "mean":
         return 1
+    # integer arithmetic: a float overflows on the parameter count of a huge rank
     params = _parameter_count(spec, feature_shape)
-    per_sample = params / float(np.prod(feature_shape))
-    return int(np.ceil(max(2.0, per_sample + 1.0)))
+    return max(2, -(-params // math.prod(feature_shape)) + 1)
 
 
 def _least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:

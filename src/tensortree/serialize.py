@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .decomposition import CPDecomposition, TuckerDecomposition
+from .decomposition import CPDecomposition, TuckerDecomposition, _check_int, _check_number
 from .ensemble import BoostedModel, ForestModel
 from .leaf_models import FittedLeafModel
 from .tensor_output import TensorOutputModel
@@ -41,30 +41,34 @@ FORMAT = "tensortree-model"
 VERSION = 1
 
 
-def _integer(value) -> int:
-    # "type(value) is int" is the fast path, and it rejects a bool
-    if type(value) is int or isinstance(value, np.integer):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+# A document's ints and numbers follow the config classes' rules.  Loading
+# reads a few scalars per node and leaf, so the type a written document
+# holds takes a fast path.
+def _integer(value, name: str) -> int:
+    if type(value) is int:
+        return value
+    _check_int(value, name)
+    return int(value)
 
 
-def _integers(values) -> tuple[int, ...]:
-    return tuple(map(_integer, values))
+def _integers(values, name: str) -> tuple[int, ...]:
+    return tuple([_integer(v, name) for v in values])
 
 
-def _finite(value) -> float:
-    # math.isfinite, not np.isfinite: loading reads one scalar per node and leaf
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {value!r}")
-    return value
+def _finite(value, name: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
+    _check_number(value, name)
+    return float(value)
 
 
 def _finite_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"array of {arr.dtype} entries, not numbers")
     if not np.isfinite(arr).all():
         raise ValueError("non-finite array entry")
-    return arr
+    return arr.astype(np.float64, copy=False)
 
 
 def _decomp_to_dict(d) -> dict:
@@ -137,16 +141,16 @@ def _leaf_model_from_dict(doc: dict, feature_shape: tuple[int, ...]) -> FittedLe
     model = FittedLeafModel(
         kind=kind,
         feature_shape=feature_shape,
-        n_samples=_integer(doc["n_samples"]),
+        n_samples=_integer(doc["n_samples"], "n_samples"),
         fell_back=bool(doc.get("fell_back", False)),
     )
     if kind == "mean":
-        model.mean = _finite(doc["mean"])
+        model.mean = _finite(doc["mean"], "mean")
     else:
         coefficient = doc["coefficient"]
         if coefficient["type"] != kind:
             raise ValueError(f"{kind} leaf holds a {coefficient['type']!r} coefficient")
-        model.intercept = _finite(doc["intercept"])
+        model.intercept = _finite(doc["intercept"], "intercept")
         model.coefficient = _decomp_from_dict(coefficient, feature_shape)
     return model
 
@@ -174,13 +178,13 @@ def _node_from_dict(doc: dict, feature_shape: tuple[int, ...]):
         return LeafNode(
             model=_leaf_model_from_dict(leaf["model"], feature_shape),
             indices=None,
-            n=_integer(leaf["n"]),
-            response_variance=_finite(leaf["response_variance"]),
-            model_mse=_finite(leaf["model_mse"]),
+            n=_integer(leaf["n"], "n"),
+            response_variance=_finite(leaf["response_variance"], "response_variance"),
+            model_mse=_finite(leaf["model_mse"], "model_mse"),
         )
     rule = SplitRule(
-        coords=_integers(doc["rule"]["coords"]),
-        threshold=_finite(doc["rule"]["threshold"]),
+        coords=_integers(doc["rule"]["coords"], "coords"),
+        threshold=_finite(doc["rule"]["threshold"], "threshold"),
     )
     _check_coords(rule.coords, feature_shape)
     return SplitNode(
@@ -199,7 +203,7 @@ def _tree_to_dict(t: TensorTree) -> dict:
 
 
 def _tree_from_dict(doc: dict) -> TensorTree:
-    feature_shape = _integers(doc["feature_shape"])
+    feature_shape = _integers(doc["feature_shape"], "feature_shape")
     return TensorTree(
         root=_node_from_dict(doc["node"], feature_shape),
         feature_shape=feature_shape,
@@ -218,7 +222,7 @@ def _boosting_to_dict(m: BoostedModel) -> dict:
 
 def _boosting_from_dict(doc: dict) -> BoostedModel:
     trees = [_tree_from_dict(t) for t in doc["trees"]]
-    return BoostedModel(_finite(doc["f0"]), _finite(doc["eta"]), trees)
+    return BoostedModel(_finite(doc["f0"], "f0"), _finite(doc["eta"], "eta"), trees)
 
 
 def _forest_to_dict(m: ForestModel) -> dict:
@@ -251,7 +255,7 @@ def _output_from_dict(doc: dict) -> TensorOutputModel:
         raise ValueError(f"unknown tensor-output approach {doc['approach']!r}")
     if doc["approach"] == "lowrank" and doc["decomp"] not in ("cp", "tucker"):
         raise ValueError(f"unknown output decomposition {doc['decomp']!r}")
-    shape = _integers(doc["output_shape"])
+    shape = _integers(doc["output_shape"], "output_shape")
     ensembles = [_boosting_from_dict(e) for e in doc["ensembles"]]
     if doc["approach"] == "entrywise":
         if len(ensembles) != math.prod(shape):

@@ -51,7 +51,8 @@ class OutputConfig:
 
     ``rank`` is the output-decomposition rank for the low-rank approach
     (int, or per-mode tuple for Tucker counting the observation mode
-    first); ignored by the entrywise approach.
+    first).  The entrywise approach does not use it, but checks one that
+    is given.
     """
 
     approach: str = "entrywise"
@@ -65,7 +66,7 @@ class OutputConfig:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.decomp not in ("cp", "tucker"):
             raise ValueError(f"unknown decomposition {self.decomp!r}")
-        if self.approach == "lowrank":
+        if self.approach == "lowrank" or self.rank is not None:
             _check_rank(self.rank, self.decomp, "output rank")
 
 

@@ -13,7 +13,7 @@ from tensortree.tree import GrowConfig, grow
 
 @pytest.fixture(params=["coords", "threshold", "leaf_n", "feature_shape", "top_level_list",
                         "threshold_nan", "leaf_mean_inf", "coords_float", "coords_bool",
-                        "leaf_feature_shape"])
+                        "leaf_feature_shape", "threshold_str", "leaf_mean_bool"])
 def malformed_tree_doc(request):
     """A valid one-split tree document with one value made malformed."""
     x = make_rng(0).uniform(size=(30, 2, 2))
@@ -25,6 +25,10 @@ def malformed_tree_doc(request):
         node["rule"]["threshold"] = float("nan")
     elif request.param == "leaf_mean_inf":
         node["left"]["leaf"]["model"]["mean"] = float("inf")
+    elif request.param == "threshold_str":
+        node["rule"]["threshold"] = "0.5"
+    elif request.param == "leaf_mean_bool":
+        node["left"]["leaf"]["model"]["mean"] = True
     elif request.param == "coords_float":
         node["rule"]["coords"] = [0.7, 0]
     elif request.param == "coords_bool":

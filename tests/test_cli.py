@@ -390,12 +390,19 @@ BENCH_BASE = {"synthetic": {"generator": "prune_fn", "n": 30}, "sweep": {"max_de
     ("fit", {"als": {"rel_tolerance": math.nan}}),
     ("bench", {"synthetic": {"generator": "table2_linear", "n": 30, "noise_scale": math.nan}}),
     ("bench", {"sweep": {"alpha": [0.1, math.inf]}}),
+    # the split seed is checked before the cell splits its data
+    ("bench", {"base": {"seed": 1.5}}),
+    ("bench", {"sweep": {"seed": ["x"]}}),
+    # a number key takes no string, here as in a run config
+    ("bench", {"test_fraction": "0.5"}),
+    ("bench", {"synthetic": {"generator": ["prune_fn"], "n": 30}}),
 ], ids=["max_depth-null", "max_depth-list", "als-null", "seed-null", "alpha-list", "data-int",
         "synthetic-n-null", "sweep-null", "test_fraction-null", "test_fraction-2",
         "intercept-null", "bootstrap-null", "max_depth-float", "max_depth-bool", "alpha-null",
         "seed-float", "cp-rank-bool", "synthetic-misspelled-key", "alpha-nan", "alpha-inf",
         "learning_rate-nan", "learning_rate--inf", "rel_tolerance-nan", "noise_scale-nan",
-        "sweep-alpha-inf"])
+        "sweep-alpha-inf", "base-seed-float", "sweep-seed-str", "test_fraction-str",
+        "synthetic-generator-list"])
 def test_bad_config_value_exit_2(workdir, command, edit):
     np.save(workdir / "X.npy", np.zeros((20, 2, 2)))
     np.save(workdir / "y.npy", np.zeros(20))
@@ -405,6 +412,103 @@ def test_bad_config_value_exit_2(workdir, command, edit):
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+# Per run-config key: the keys under which the model reads it, and the kind of
+# value it takes.  Each config class checks the value; the CLI passes it on.
+KEY_CONTEXTS = {
+    "seed": ({}, "int"),
+    "max_depth": ({}, "int"),
+    "min_samples_leaf": ({}, "int"),
+    "criterion": ({}, "string"),
+    "value_mode": ({}, "string"),
+    "split_rank": ({"criterion": "lae"}, "rank"),
+    "split_decomp": ({}, "string"),
+    "strategy": ({}, "string"),
+    "tau": ({"strategy": "leverage"}, "number"),
+    "xi": ({"strategy": "bb"}, "int"),
+    "leaf_model": ({}, "string"),
+    "CP_reg_rank": ({"leaf_model": "cp"}, "rank"),
+    "Tucker_reg_rank": ({"leaf_model": "tucker"}, "rank"),
+    "intercept": ({}, "bool"),
+    "als.max_iterations": ({}, "int"),
+    "als.rel_tolerance": ({}, "number"),
+    "als.seed": ({}, "int"),
+    "n_estimators": ({"model": "boosting"}, "int"),
+    "learning_rate": ({"model": "boosting"}, "number"),
+    "p_resample": ({"model": "boosting"}, "number"),
+    "n_trees": ({"model": "forest"}, "int"),
+    "bootstrap": ({"model": "forest"}, "bool"),
+    "forest_tau": ({"model": "forest"}, "number"),
+    "alpha": ({}, "number"),
+    "prune_quality": ({"alpha": 0.1}, "string"),
+    "prune_lae_rank": ({"alpha": 0.1, "prune_quality": "lae"}, "rank"),
+    "output_decomp": ({"model": "entrywise"}, "string"),
+    "output_rank": ({"model": "lowrank"}, "rank"),
+}
+# (id, JSON value) probes that every key, or every key of one kind, rejects
+WRONG_VALUES = {
+    "any": [("str", "x"), ("null", None), ("list", [1.5]), ("object", {"a": 1})],
+    "int": [("float", 1.5), ("true", True)],
+    "number": [("true", True), ("huge-int", 10 ** 400)],
+    "bool": [("one", 1), ("yes", "yes")],
+}
+
+
+def test_key_contexts_cover_every_run_config_key():
+    assert set(KEY_CONTEXTS) == set(cli._SETTINGS)
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}-{name}")
+    for key, (_, kind) in KEY_CONTEXTS.items()
+    for name, value in WRONG_VALUES["any"] + WRONG_VALUES.get(kind, [])
+])
+def test_every_key_rejects_a_wrong_value_exit_2(tmp_path, capsys, key, value):
+    context, _ = KEY_CONTEXTS[key]
+    run = {"model": "tree", "max_depth": 1, **context}
+    tensor = run["model"] in ("entrywise", "lowrank")
+    rng = make_rng(5)
+    np.save(tmp_path / "X.npy", rng.uniform(size=(20, 2, 2)))
+    np.save(tmp_path / "y.npy", rng.normal(size=(20, 2) if tensor else 20))
+    run["data"] = {"x": str(tmp_path / "X.npy"), "y": str(tmp_path / "y.npy")}
+    if key.startswith("als."):
+        run["als"] = {key[len("als."):]: value}
+    else:
+        run[key] = value
+    out = tmp_path / "m.json"
+    assert cli.main(["fit", "--config", write_config(tmp_path / "cfg.json", run),
+                     "--out", str(out), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _floats(doc: dict) -> dict:
+    return {k: _floats(v) if isinstance(v, dict) else float(v) for k, v in doc.items()}
+
+
+@pytest.mark.parametrize("run, numbers", [
+    ({"model": "boosting", "n_estimators": 3, "strategy": "leverage"},
+     {"learning_rate": 1, "p_resample": 1, "tau": 1, "alpha": 0, "als": {"rel_tolerance": 0}}),
+    ({"model": "forest", "n_trees": 3}, {"forest_tau": 1}),
+], ids=["boosting", "forest"])
+def test_json_int_and_float_numbers_write_the_same_model(tmp_path, capsys, run, numbers):
+    # the CLI hands a JSON integer to its field unconverted
+    rng = make_rng(6)
+    x = rng.uniform(size=(40, 2, 2))
+    np.save(tmp_path / "X.npy", x)
+    np.save(tmp_path / "y.npy", 2.0 * (x[:, 0, 0] > 0.5) + rng.normal(0.0, 0.1, 40))
+    run = {**run, "data": {"x": str(tmp_path / "X.npy"), "y": str(tmp_path / "y.npy")},
+           "seed": 3, "max_depth": 2, "leaf_model": "cp", "CP_reg_rank": 1}
+    models = []
+    for name, keys in (("int", numbers), ("float", _floats(numbers))):
+        out = tmp_path / f"{name}.json"
+        cfg = write_config(tmp_path / f"{name}-cfg.json", {**run, **keys})
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        models.append(out.read_bytes())
+    capsys.readouterr()
+    assert models[0] == models[1]
 
 
 def _library_configs():

@@ -1,8 +1,10 @@
-"""Config objects reject non-finite or bool numbers and non-integer counts when built.
+"""Config objects reject non-finite or bool numbers, non-integer counts and
+non-bool flags when built.
 
 A bare ``v < 0`` check passes a NaN, an infinity, a float or a bool,
-which then fails, or silently misbehaves, deep inside a fit.  The CLI
-side, exit code 2 with one ``error:`` line, is checked in ``test_cli``.
+which then fails, or silently misbehaves, deep inside a fit.  These
+checks are the only ones a CLI config value gets; the CLI side, exit
+code 2 with one ``error:`` line, is checked in ``test_cli``.
 """
 
 import math
@@ -13,7 +15,9 @@ import pytest
 from tensortree.data import SyntheticSpec
 from tensortree.decomposition import AlsConfig
 from tensortree.ensemble import BoostingConfig, ForestConfig
+from tensortree.leaf_models import LeafModelSpec
 from tensortree.splitting import SearchStrategy
+from tensortree.tensor_output import OutputConfig
 from tensortree.tree import GrowConfig, PruneConfig
 
 # field -> a config built with that field set to ``v``
@@ -41,10 +45,16 @@ COUNTS = {
     "SearchStrategy.xi": lambda v: SearchStrategy(kind="bb", xi=v),
     "SearchStrategy.seed": lambda v: SearchStrategy(seed=v),
 }
-BUILDERS = {**NUMBERS, **COUNTS}
+FLAGS = {
+    "LeafModelSpec.intercept": lambda v: LeafModelSpec(intercept=v),
+    "ForestConfig.bootstrap": lambda v: ForestConfig(bootstrap=v),
+}
+BUILDERS = {**NUMBERS, **COUNTS, **FLAGS}
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+# an int beyond the float range is infinite as a float, and float() overflows on it
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)],
+                         ids=["nan", "inf", "-inf", "huge-int", "-huge-int"])
 @pytest.mark.parametrize("field", NUMBERS)
 def test_non_finite_number_rejected(field, value):
     with pytest.raises(ValueError, match="must be finite"):
@@ -83,3 +93,35 @@ def test_integer_count_accepted(field):
 def test_seed_may_be_negative():
     # seeds are masked to 64 bits, so any int keys a stream
     assert SearchStrategy(seed=-1).seed == -1
+
+
+@pytest.mark.parametrize("value", [None, "no", 1, 0.0], ids=["None", "str", "1", "0.0"])
+@pytest.mark.parametrize("field", FLAGS)
+def test_non_bool_flag_rejected(field, value):
+    with pytest.raises(ValueError, match="must be a bool"):
+        BUILDERS[field](value)
+
+
+@pytest.mark.parametrize("field", FLAGS)
+def test_bool_flag_accepted(field):
+    for value in (True, False, np.False_):
+        assert getattr(BUILDERS[field](value), field.split(".")[1]) == value
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LeafModelSpec(intercept="no"),
+    lambda: ForestConfig(bootstrap=None),
+    lambda: OutputConfig(approach="entrywise", rank="x"),
+    lambda: OutputConfig(approach="entrywise", decomp="cp", rank=(2, 2)),
+    lambda: SearchStrategy(tau=10 ** 400),
+    lambda: SyntheticSpec(["table2_linear"], 10),
+], ids=["intercept-str", "bootstrap-None", "entrywise-rank-str", "entrywise-cp-rank-tuple",
+        "tau-huge-int", "generator-list"])
+def test_value_rejected_by_the_config_class(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_entrywise_output_takes_a_valid_rank_or_none():
+    assert OutputConfig(approach="entrywise").rank is None
+    assert OutputConfig(approach="entrywise", decomp="tucker", rank=(2, 2)).rank == (2, 2)

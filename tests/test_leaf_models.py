@@ -8,6 +8,7 @@ from tensortree.leaf_models import (
     LeafModelSpec,
     contract,
     fit_leaf,
+    _parameter_count,
     min_viable_samples,
     predict_leaf,
 )
@@ -140,6 +141,21 @@ class TestCpLeaf:
         model = fit_leaf(x, y, spec)
         assert model.kind == "mean" and model.fell_back
         assert predict_leaf(model, x[:2]) == pytest.approx(y.mean())
+
+    @pytest.mark.parametrize("kind, rank, shape", [
+        ("cp", 1, (3, 3)), ("cp", 4, (3, 3)), ("cp", 3, (2, 5, 7)),
+        ("tucker", 2, (3, 3)), ("tucker", (1, 2, 3), (4, 4, 4)),
+    ])
+    def test_min_viable_matches_the_float_formula(self, kind, rank, shape):
+        spec = LeafModelSpec(kind=kind, rank=rank)
+        params = _parameter_count(spec, shape)
+        assert min_viable_samples(spec, shape) == int(np.ceil(max(2.0, params / np.prod(shape) + 1)))
+
+    def test_huge_rank_falls_back_without_overflow(self):
+        spec = LeafModelSpec(kind="cp", rank=10 ** 400)
+        assert min_viable_samples(spec, (2, 2)) > 10 ** 399
+        x, y, _ = make_rank1_problem(20, (2, 2), seed=3)
+        assert fit_leaf(x, y, spec).fell_back
 
     def test_deterministic(self):
         x, y, _ = make_rank1_problem(50, (3, 3), seed=10, noise=0.1)

@@ -178,6 +178,35 @@ def test_rejects_leaf_arrays_that_do_not_fit_the_feature_shape(leaf, edit):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("leaf, edit", [("cp", "weights_str"), ("cp", "factor_bool"),
+                                        ("tucker", "core_str")])
+def test_rejects_leaf_arrays_of_non_numbers(leaf, edit):
+    x, y = sample_problem(9)
+    doc = model_to_dict(grow(x, y, tree_config(LeafModelSpec(kind=leaf, rank=2))))
+    coef = _first_leaf_model(doc["node"])["coefficient"]
+    if edit == "weights_str":
+        coef["weights"] = [str(w) for w in coef["weights"]]
+    elif edit == "factor_bool":
+        coef["factors"][0] = [[v > 0 for v in row] for row in coef["factors"][0]]
+    else:
+        coef["core"] = np.asarray(coef["core"]).astype(str).tolist()
+    with pytest.raises(ValueError, match="not numbers"):
+        model_from_dict(doc)
+
+
+def test_integral_numbers_load_as_floats():
+    # a JSON integer is a number wherever a document holds one
+    x, y = sample_problem(4)
+    doc = model_to_dict(grow(x, y, tree_config(LeafModelSpec(kind="mean"))))
+    doc["node"]["rule"]["threshold"] = 0
+    _first_leaf_model(doc["node"])["mean"] = 2
+    node = model_from_dict(doc).root
+    assert type(node.rule.threshold) is float and node.rule.threshold == 0.0
+    while not hasattr(node, "model"):
+        node = node.left
+    assert type(node.model.mean) is float and node.model.mean == 2.0
+
+
 @pytest.mark.parametrize("approach, decomp, edit", [
     ("entrywise", "cp", "ensemble_missing"),
     ("lowrank", "cp", "ensemble_missing"), ("lowrank", "tucker", "ensemble_missing"),
