@@ -154,12 +154,11 @@ def _least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _solve_block(phi: np.ndarray, y: np.ndarray, intercept: bool) -> tuple[float, np.ndarray]:
-    if intercept:
-        design = np.hstack([np.ones((phi.shape[0], 1)), phi])
-        theta = _least_squares(design, y)
-        return float(theta[0]), theta[1:]
-    return 0.0, _least_squares(phi, y)
+def _solve_block(design, phi, y, intercept: int) -> tuple[float, np.ndarray]:
+    """``(intercept, coefficients)`` of ``design`` with ``phi`` written after its first ``intercept`` columns."""
+    design[:, intercept:] = phi
+    theta = _least_squares(design, y)
+    return (float(theta[0]) if intercept else 0.0), theta[intercept:]
 
 
 def _mode_unfold_stacked(x: np.ndarray, q: int) -> np.ndarray:
@@ -168,15 +167,14 @@ def _mode_unfold_stacked(x: np.ndarray, q: int) -> np.ndarray:
     return np.moveaxis(x, 1 + q, 1).reshape(n, x.shape[1 + q], -1)
 
 
-def _converged(losses: list[float], tol: float) -> bool:
-    if len(losses) < 2:
-        return False
-    prev, cur = losses[-2], losses[-1]
-    return abs(prev - cur) <= tol * max(prev, 1e-30)
+def _converged(losses: list[float], resid: np.ndarray, tol: float) -> bool:
+    """Record a sweep's loss ``resid . resid``; whether it moved by at most ``tol`` relative to the last."""
+    losses.append(float(np.dot(resid, resid)))
+    return len(losses) > 1 and abs(losses[-2] - losses[-1]) <= tol * max(losses[-2], 1e-30)
 
 
 def _fit_cp_regression(
-    x: np.ndarray, y: np.ndarray, rank: int, cfg: AlsConfig, intercept: bool
+    x: np.ndarray, y: np.ndarray, rank: int, cfg: AlsConfig, intercept: int
 ) -> tuple[float, CPDecomposition, tuple[float, ...]]:
     n = x.shape[0]
     feature_shape = x.shape[1:]
@@ -184,6 +182,9 @@ def _fit_cp_regression(
     rng = make_rng(cfg.seed)
     factors = [rng.standard_normal((d, rank)) for d in feature_shape]
     unfoldings = [_mode_unfold_stacked(x, q) for q in range(n_modes)]
+    # an intercept of 1 is a leading column of ones in each mode's design
+    designs = [np.ones((n, intercept + d * rank)) for d in feature_shape]
+    flat = x.reshape(n, -1)
 
     c = 0.0
     losses: list[float] = []
@@ -191,13 +192,10 @@ def _fit_cp_regression(
         for q in range(n_modes):
             others = factors[:q] + factors[q + 1 :]
             phi = (unfoldings[q] @ khatri_rao_all(others)).reshape(n, -1)
-            c, coef = _solve_block(phi, y, intercept)
+            c, coef = _solve_block(designs[q], phi, y, intercept)
             factors[q] = coef.reshape(feature_shape[q], rank)
         lead = factors[0] @ khatri_rao_all(factors[1:]).T
-        b = lead.reshape(feature_shape)
-        resid = y - c - contract(x, b)
-        losses.append(float(np.dot(resid, resid)))
-        if _converged(losses, cfg.rel_tolerance):
+        if _converged(losses, y - c - flat @ lead.ravel(), cfg.rel_tolerance):
             break
 
     weights, unit = _normalize_columns(factors)
@@ -205,7 +203,7 @@ def _fit_cp_regression(
 
 
 def _fit_tucker_regression(
-    x: np.ndarray, y: np.ndarray, ranks: tuple[int, ...], cfg: AlsConfig, intercept: bool
+    x: np.ndarray, y: np.ndarray, ranks: tuple[int, ...], cfg: AlsConfig, intercept: int
 ) -> tuple[float, TuckerDecomposition, tuple[float, ...]]:
     n = x.shape[0]
     feature_shape = x.shape[1:]
@@ -214,6 +212,9 @@ def _fit_tucker_regression(
     factors = [rng.standard_normal((d, r)) for d, r in zip(feature_shape, ranks)]
     core = rng.standard_normal(ranks)
     unfoldings = [_mode_unfold_stacked(x, q) for q in range(n_modes)]
+    widths = [d * r for d, r in zip(feature_shape, ranks)] + [math.prod(ranks)]  # the core's last
+    designs = [np.ones((n, intercept + w)) for w in widths]
+    flat = x.reshape(n, -1)
 
     c = 0.0
     losses: list[float] = []
@@ -222,17 +223,15 @@ def _fit_tucker_regression(
             h = _multiply(core, factors, [p for p in range(n_modes) if p != q])
             h_q = np.moveaxis(h, q, 0).reshape(ranks[q], -1)
             phi = (unfoldings[q] @ h_q.T).reshape(n, -1)
-            c, coef = _solve_block(phi, y, intercept)
+            c, coef = _solve_block(designs[q], phi, y, intercept)
             factors[q] = coef.reshape(feature_shape[q], ranks[q])
         z = x
         for p in range(n_modes):
             z = np.moveaxis(np.tensordot(z, factors[p], axes=([p + 1], [0])), -1, p + 1)
-        c, coef = _solve_block(z.reshape(n, -1), y, intercept)
+        c, coef = _solve_block(designs[-1], z.reshape(n, -1), y, intercept)
         core = coef.reshape(ranks)
         b = TuckerDecomposition(core=core, factors=tuple(factors)).to_tensor()
-        resid = y - c - contract(x, b)
-        losses.append(float(np.dot(resid, resid)))
-        if _converged(losses, cfg.rel_tolerance):
+        if _converged(losses, y - c - flat @ b.ravel(), cfg.rel_tolerance):
             break
 
     # Re-express the last sweep's coefficient ``b`` with orthonormal
@@ -276,10 +275,10 @@ def fit_leaf(x, y, spec: LeafModelSpec) -> FittedLeafModel:
         )
 
     if spec.kind == "cp":
-        c, decomp, losses = _fit_cp_regression(x, y, int(spec.rank), spec.als, spec.intercept)
+        c, decomp, losses = _fit_cp_regression(x, y, int(spec.rank), spec.als, int(spec.intercept))
     else:
         ranks = _resolve_ranks(spec.rank, feature_shape)
-        c, decomp, losses = _fit_tucker_regression(x, y, ranks, spec.als, spec.intercept)
+        c, decomp, losses = _fit_tucker_regression(x, y, ranks, spec.als, int(spec.intercept))
 
     return FittedLeafModel(
         kind=spec.kind,

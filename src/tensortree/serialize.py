@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .decomposition import CPDecomposition, TuckerDecomposition, _check_int, _check_number
+from .decomposition import CPDecomposition, TuckerDecomposition, _check_bool, _check_int, _check_number
 from .ensemble import BoostedModel, ForestModel
 from .leaf_models import FittedLeafModel
 from .tensor_output import TensorOutputModel
@@ -63,12 +63,11 @@ def _finite(value, name: str) -> float:
 
 
 def _finite_array(values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"array of {arr.dtype} entries, not numbers")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite array entry")
-    return arr.astype(np.float64, copy=False)
+    # each entry is checked before the cast, which would read a bool among numbers as 0 or 1
+    cells = np.asarray(values, dtype=object)
+    for value in cells.flat:
+        _finite(value, "array entry")
+    return cells.astype(np.float64)
 
 
 def _decomp_to_dict(d) -> dict:
@@ -142,8 +141,9 @@ def _leaf_model_from_dict(doc: dict, feature_shape: tuple[int, ...]) -> FittedLe
         kind=kind,
         feature_shape=feature_shape,
         n_samples=_integer(doc["n_samples"], "n_samples"),
-        fell_back=bool(doc.get("fell_back", False)),
+        fell_back=doc.get("fell_back", False),
     )
+    _check_bool(model.fell_back, "fell_back")
     if kind == "mean":
         model.mean = _finite(doc["mean"], "mean")
     else:

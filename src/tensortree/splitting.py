@@ -60,13 +60,14 @@ coords, threshold)`` order.  Scoring stops at the first bound that
 exceeds the best loss so far by more than the margin,
 ``max(BOUND_MARGIN, SSE_MARGIN (n+3)(2+sqrt(n)))`` times the node's sum
 of squared responses (:func:`_margin`); the margin absorbs the roundoff
-between a bound and the loss it bounds.  A scored rule computes its
-larger-bound child first and skips the other when that loss plus the
-other's bound already passes the same limit (the one-child exit).  A
-skipped rule could therefore never have won or tied, a scored loss is
-still the left child's plus the right child's, and ties are still
-broken by the key above, so every strategy returns the same rule and
-loss as a scan that scores every rule.
+between a bound and the loss it bounds.  A scored rule first computes
+the child with the larger bound, on equal bounds the one with more rows
+(likelier to pass the limit alone), on a full tie the left one, and
+skips the other when that loss plus the other's bound already passes
+the same limit (the one-child exit).  A skipped rule could therefore
+never have won or tied, a scored loss is still the left child's plus the
+right child's, and ties are still broken by the key above, so every
+strategy returns the same rule and loss as a scan that scores every rule.
 
 Observed-value ``sse`` and ``lre`` read each coordinate's rows in value
 order from a sorted-order cache: a dict from coordinate to the stable
@@ -604,11 +605,11 @@ def _score(x, y, pool: list, criterion, spec, margin: float) -> SplitEvaluation 
     ``spec`` is :func:`_lre_spec` of the criterion.  Scoring stops at the
     first rule whose bound exceeds the best loss so far by more than
     ``margin``; every later bound is at least as large.  A scored rule
-    computes its larger-bound child first and skips the other when that
-    child's loss plus the other's bound already passes the limit.  Either
-    way the skipped rules could not win or tie, and a scored loss is still
-    the left child's plus the right child's, so the result does not depend
-    on the visit order.
+    first computes the child with the larger bound, then more rows, then
+    the left one, and skips the other when its loss plus the other's bound
+    already passes the limit.  Either way skipped rules could not win or
+    tie, and a scored loss is still the left child's plus the right
+    child's, so the result does not depend on the visit order.
     """
     n = x.shape[0]
     best, limit = None, math.inf
@@ -618,7 +619,7 @@ def _score(x, y, pool: list, criterion, spec, margin: float) -> SplitEvaluation 
         rule = SplitRule(coords, thr)
         mask = _split_mask(x, rule)
         sides, bounds, losses = (mask, ~mask), (bl, br), [0.0, 0.0]
-        first = 0 if bl >= br else 1
+        first = 0 if (bl, nl) >= (br, n - nl) else 1
         losses[first] = _group_loss(x, y, criterion, spec, sides[first])
         if losses[first] + bounds[1 - first] > limit:
             continue

@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 
 from tensortree._rng import make_rng
+from tensortree.leaf_models import LeafModelSpec
 from tensortree.serialize import model_to_dict
 from tensortree.tree import GrowConfig, grow
 
 
 @pytest.fixture(params=["coords", "threshold", "leaf_n", "feature_shape", "top_level_list",
                         "threshold_nan", "leaf_mean_inf", "coords_float", "coords_bool",
-                        "leaf_feature_shape", "threshold_str", "leaf_mean_bool"])
+                        "leaf_feature_shape", "threshold_str", "leaf_mean_bool", "fell_back_str",
+                        "factor_bool_among_floats"])
 def malformed_tree_doc(request):
     """A valid one-split tree document with one value made malformed."""
     x = make_rng(0).uniform(size=(30, 2, 2))
-    doc = model_to_dict(grow(x, (x[:, 0, 0] > 0.5).astype(float), GrowConfig(max_depth=1)))
+    cp = request.param == "factor_bool_among_floats"
+    leaf = LeafModelSpec(kind="cp", rank=1) if cp else LeafModelSpec()
+    doc = model_to_dict(grow(x, (x[:, 0, 0] > 0.5).astype(float), GrowConfig(max_depth=1, leaf=leaf)))
     node = doc["node"]
     if request.param in ("coords", "threshold"):
         node["rule"][request.param] = None
@@ -37,6 +41,12 @@ def malformed_tree_doc(request):
         node["left"]["leaf"]["model"]["feature_shape"] = [2, 3]
     elif request.param == "leaf_n":
         node["left"]["leaf"]["n"] = None
+    elif request.param == "fell_back_str":
+        node["left"]["leaf"]["model"]["fell_back"] = "no"
+    elif request.param == "factor_bool_among_floats":
+        factor = node["left"]["leaf"]["model"]["coefficient"]["factors"][0]
+        assert all(type(v) is float for row in factor for v in row)
+        factor[0][0] = True
     elif request.param == "feature_shape":
         doc["feature_shape"] = 4
     else:

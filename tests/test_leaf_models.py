@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tensortree.decomposition import AlsConfig
+from tensortree._rng import make_rng
+from tensortree.decomposition import AlsConfig, _hosvd, _multiply, _normalize_columns
 from tensortree.leaf_models import (
     LeafModelSpec,
     contract,
@@ -12,7 +13,7 @@ from tensortree.leaf_models import (
     min_viable_samples,
     predict_leaf,
 )
-from tensortree.tensor_ops import frobenius_norm
+from tensortree.tensor_ops import frobenius_norm, khatri_rao_all
 
 
 def make_rank1_problem(n, shape, seed, noise=0.0):
@@ -190,6 +191,85 @@ class TestTuckerLeaf:
             x, y, LeafModelSpec(kind="tucker", rank=(2, 2), als=AlsConfig(max_iterations=30))
         )
         assert np.all(np.diff(model.losses) <= 1e-9)
+
+
+def reference_sweeps(x, y, spec):
+    """The CP or Tucker regression as plain sweeps: each block update stacks a
+    fresh design with ``np.hstack`` and solves it with ``np.linalg.lstsq``, and
+    each sweep's loss contracts ``x`` with the assembled coefficient tensor."""
+    n, shape = x.shape[0], x.shape[1:]
+    modes = len(shape)
+    rng = make_rng(spec.als.seed)
+    if spec.kind == "cp":
+        ranks = (spec.rank,) * modes
+        factors = [rng.standard_normal((d, spec.rank)) for d in shape]
+    else:
+        ranks = tuple(min(spec.rank, d) for d in shape)
+        factors = [rng.standard_normal((d, r)) for d, r in zip(shape, ranks)]
+        core = rng.standard_normal(ranks)
+    unfoldings = [np.moveaxis(x, 1 + q, 1).reshape(n, shape[q], -1) for q in range(modes)]
+
+    def solve(phi):
+        if spec.intercept:
+            theta = np.linalg.lstsq(np.hstack([np.ones((n, 1)), phi]), y, rcond=None)[0]
+            return float(theta[0]), theta[1:]
+        return 0.0, np.linalg.lstsq(phi, y, rcond=None)[0]
+
+    losses = []
+    for _ in range(spec.als.max_iterations):
+        for q in range(modes):
+            if spec.kind == "cp":
+                other = khatri_rao_all(factors[:q] + factors[q + 1:])
+            else:
+                h = _multiply(core, factors, [p for p in range(modes) if p != q])
+                other = np.moveaxis(h, q, 0).reshape(ranks[q], -1).T
+            c, coef = solve((unfoldings[q] @ other).reshape(n, -1))
+            factors[q] = coef.reshape(shape[q], ranks[q])
+        if spec.kind == "cp":
+            b = (factors[0] @ khatri_rao_all(factors[1:]).T).reshape(shape)
+        else:
+            z = x
+            for p in range(modes):
+                z = np.moveaxis(np.tensordot(z, factors[p], axes=([p + 1], [0])), -1, p + 1)
+            c, coef = solve(z.reshape(n, -1))
+            core = coef.reshape(ranks)
+            b = _multiply(core, factors, range(modes))
+        resid = y - c - contract(x, b)
+        losses.append(float(np.dot(resid, resid)))
+        if len(losses) > 1 and abs(losses[-2] - losses[-1]) <= (
+                spec.als.rel_tolerance * max(losses[-2], 1e-30)):
+            break
+    if spec.kind == "cp":
+        return c, _normalize_columns(factors), tuple(losses)
+    ortho = _hosvd(b, ranks)
+    return c, (_multiply(b, ortho, range(modes), transpose=True), ortho), tuple(losses)
+
+
+class TestSweepsMatchReference:
+    """The fitted sweeps give the bits of :func:`reference_sweeps`."""
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("kind", ["cp", "tucker"])
+    def test_bit_identical(self, kind, shape, intercept):
+        rng = np.random.default_rng(len(shape) + 2 * intercept)
+        for iterations in (1, 3, 10):
+            spec = LeafModelSpec(kind=kind, rank=2, intercept=intercept,
+                                 als=AlsConfig(max_iterations=iterations, seed=iterations))
+            params = _parameter_count(spec, shape)
+            assert min_viable_samples(spec, shape) < params - 4
+            # below, at and above the parameter count
+            for n in (params - 4, params, params + 10):
+                x = rng.uniform(-1.0, 1.0, size=(n,) + shape)
+                y = np.sin(3.0 * x.reshape(n, -1)).sum(axis=1) + rng.normal(0.0, 0.1, n)
+                model = fit_leaf(x, y, spec)
+                c, arrays, losses = reference_sweeps(x, y, spec)
+                coef = model.coefficient
+                got = (coef.weights, coef.factors) if kind == "cp" else (coef.core, coef.factors)
+                assert model.intercept == c and model.losses == losses
+                assert len(losses) == iterations or iterations == 10
+                assert np.array_equal(got[0], arrays[0])
+                assert all(np.array_equal(f, g) for f, g in zip(got[1], arrays[1]))
 
 
 class TestSpecValidation:

@@ -30,7 +30,7 @@ from tensortree.splitting import (
 )
 from tensortree.tree import GrowConfig, grow
 
-from test_splitting import enumerate_best
+from test_splitting import enumerate_best, reference_rule_search
 
 ALS = AlsConfig(max_iterations=5, rel_tolerance=1e-7, seed=0)
 
@@ -133,6 +133,31 @@ def test_bound_skips_fits(monkeypatch):
             candidates += nl >= 5 and x.shape[0] - nl >= 5
     # without the bound every candidate fits both children
     assert 0 < len(calls) < candidates
+
+
+def test_zero_bound_rules_fit_the_larger_child_first(monkeypatch):
+    # 25 rows on (5, 4) inputs: every child of 10-15 rows has at most
+    # features + 1 = 21, so every bound is 0 and only child sizes order the fits.
+    x, y = fig5(25, 0)
+    criterion, leaf = SPECS["cp"]
+    rows = np.hstack([_affine_design(x), y[:, None]])
+    margin = splitting._margin(x.shape[0], float(y @ y))
+    pool = [rule for coords in np.ndindex(*x.shape[1:])
+            for rule in splitting._eval_coord(x, y, coords, criterion, 10, {}, margin, rows)]
+    assert pool and all(rule[0] == 0.0 for rule in pool)
+    calls = []
+    real_fit = splitting.fit_leaf
+    monkeypatch.setattr(splitting, "fit_leaf", lambda *args: calls.append(1) or real_fit(*args))
+    best = find_best_split(x, y, criterion, SearchStrategy(), leaf, min_child=10)
+    # fitting the left child first on every bound tie made 172 fits here
+    assert len(calls) < 172
+    monkeypatch.undo()
+    want = reference_rule_search(x, y, criterion, SearchStrategy(), leaf, 10)
+    assert (best.rule, best.loss) == (want.rule, want.loss)
+    lae = SplitCriterion(kind="lae", split_rank=2, als=ALS)
+    want = reference_rule_search(x, y, lae, SearchStrategy(), None, 10)
+    got = find_best_split(x, y, lae, SearchStrategy(), min_child=10)
+    assert (got.rule, got.loss) == (want.rule, want.loss)
 
 
 # --- the search against the lazy per-coordinate loop it replaced -----------

@@ -190,7 +190,7 @@ def test_rejects_leaf_arrays_of_non_numbers(leaf, edit):
         coef["factors"][0] = [[v > 0 for v in row] for row in coef["factors"][0]]
     else:
         coef["core"] = np.asarray(coef["core"]).astype(str).tolist()
-    with pytest.raises(ValueError, match="not numbers"):
+    with pytest.raises(ValueError, match="must be a number"):
         model_from_dict(doc)
 
 
