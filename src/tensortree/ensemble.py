@@ -23,7 +23,7 @@ import numpy as np
 from ._rng import derive_seed, make_rng
 from .decomposition import _check_bool, _check_int, _check_number
 from .leaf_models import _check_stacked
-from .splitting import SearchStrategy
+from .splitting import SearchStrategy, _dense_ranks, _RankedOrders
 from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
 
 WEIGHT_CAP = 1e100
@@ -121,14 +121,18 @@ class ForestModel:
         return out / len(self.trees)
 
 
-def fit_boosting(x, y, config: BoostingConfig) -> BoostedModel:
+def fit_boosting(x, y, config: BoostingConfig, *, _orders: dict | None = None) -> BoostedModel:
     """Fit a gradient-boosted stack of tensor trees on plain residuals.
 
     With ``p_resample > 0`` each stage trains on ``ceil(n * p_resample)``
     indices drawn (with replacement) from the running sample weights;
     weights start uniform and are updated by ``exp(|residual|)`` after
-    every resampled stage.  Per-tree pruning is applied before the model
-    update when a prune config is given.
+    every resampled stage, and the fit ranks each column of ``x`` once so
+    that a stage sorts the ranks of its rows.  Per-tree pruning is
+    applied before the model update when a prune config is given.
+    ``_orders`` is a sorted-order cache for exactly this ``x``, as for
+    :func:`~tensortree.tree.grow`, shared by the stages that grow on all
+    of it.
     """
     x, y = _check_stacked(x, y)
     n = y.size
@@ -139,14 +143,16 @@ def fit_boosting(x, y, config: BoostingConfig) -> BoostedModel:
     weights = np.full(n, 1.0 / n, dtype=np.float64)
     trees: list[TensorTree] = []
     mse_trace: list[float] = []
-    orders: dict = {}  # sorted columns of x, shared by the stages that grow on all of it
+    orders = {} if _orders is None else _orders
+    ranks = _dense_ranks(x) if config.p_resample > 0 else None
 
     for _ in range(config.n_estimators):
         residual = y - current
         if config.p_resample > 0:
             size = int(math.ceil(n * config.p_resample))
             chosen = rng.choice(n, size=size, replace=True, p=weights)
-            tree = grow(x[chosen], residual[chosen], config.tree)
+            tree = grow(x[chosen], residual[chosen], config.tree,
+                        _orders=_RankedOrders(ranks, chosen))
             weights = weights * np.exp(np.minimum(np.abs(residual), _EXP_CAP))
             weights = np.minimum(weights, WEIGHT_CAP)
             weights = weights / weights.sum()
@@ -168,11 +174,15 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
     Each tree sees a bootstrap resample (size ``n``, with replacement)
     when ``config.bootstrap`` is set and searches splits with a
     leverage-score strategy at fraction ``config.tau``, re-seeded per
-    tree from the forest seed.
+    tree from the forest seed.  With bootstrap the forest ranks each
+    column of ``x`` once and a tree sorts the ranks of its rows; without
+    it the trees share one sorted-order cache of ``x``.
     """
     x, y = _check_stacked(x, y)
     n = y.size
     trees: list[TensorTree] = []
+    ranks = _dense_ranks(x) if config.bootstrap else None
+    orders: dict = {}
     for t_index in range(config.n_trees):
         strategy = SearchStrategy(
             kind="leverage", tau=config.tau, seed=derive_seed(config.seed, t_index, 1)
@@ -180,9 +190,9 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
         tree_cfg = replace(config.tree, strategy=strategy)
         if config.bootstrap:
             rows = make_rng(derive_seed(config.seed, t_index)).integers(0, n, size=n)
-            tree = grow(x[rows], y[rows], tree_cfg)
+            tree = grow(x[rows], y[rows], tree_cfg, _orders=_RankedOrders(ranks, rows))
         else:
-            tree = grow(x, y, tree_cfg)
+            tree = grow(x, y, tree_cfg, _orders=orders)
         tree.drop_training_data()
         trees.append(tree)
     return ForestModel(trees)

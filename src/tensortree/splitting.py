@@ -76,9 +76,16 @@ the node scans that coordinate.  After a split each child's cache is the
 parent's filtered to the child's rows (:func:`_child_orders`), which is
 exactly the child's own stable argsort.  So a column is sorted at most
 once on each path from the root, and an exhaustive search sorts it once
-per tree, or once per fit when boosting stages share one input.  ``lae``
-and mean-value ``sse`` sort a copy of the column and leave the cache
-empty.
+per tree, or once per fit when trees share one input: boosting stages
+without resampling, forest trees without bootstrap, and the per-entry
+or per-column jobs of a tensor-output fit.  Trees grown on row resamples
+(bootstrap forests, resampled boosting) share instead the fit's table of
+dense integer ranks of each input column (:func:`_dense_ranks`, uint16
+up to 2**16 rows).  Their caches also hold the node's rows of the full
+input, and a miss argsorts the node's ranks, which orders the rows as
+their values do (equal values share a rank) and for uint16 is a radix
+sort.  ``lae`` and mean-value ``sse`` sort a copy of the column and
+leave the cache empty.
 """
 
 from __future__ import annotations
@@ -418,30 +425,84 @@ def _admissible(col: np.ndarray, v: np.ndarray, value_mode: str, min_child: int)
     return thresholds[first:stop], n_left
 
 
-def _sse_scan(ys: np.ndarray, n_left: np.ndarray) -> tuple[float, int]:
-    """The smallest prefix-scan ``sse`` loss over rules sending the first ``n_left`` of ``ys`` left, and its index.
+def _sse_scan(v: np.ndarray, ys: np.ndarray, min_child: int) -> tuple[float, int] | None:
+    """The best observed-value ``sse`` rule of a sorted column as ``(scan loss, n_left)``; None if none is admissible.
 
-    ``ys`` are the node's responses in a column's sorted order and
-    ``n_left`` ascends, so ties go to the smallest threshold.  The loss
-    lies within :func:`_margin` of the rule's exact child loss.
+    ``v`` is the node's column sorted and ``ys`` its responses in the same
+    order (overwritten).  Only the window of cuts that leave each child at
+    least ``min_child`` rows (and one) is scanned, and a cut between two
+    equal values is masked.  Each cut's loss takes the same float
+    operations as a scan of every cut, so ties go to the smallest
+    threshold and the loss lies within :func:`_margin` of the rule's
+    exact child loss.
     """
     n = ys.size
+    low = max(min_child, 1)
+    if 2 * low > n:
+        return None
+    tied = v[low - 1:n - low] == v[low:n - low + 1]  # cut k lies between v[k - 1] and v[k]
+    if tied.all():
+        return None
     cum = np.cumsum(ys)
-    cumsq = np.cumsum(ys * ys)
-    k = np.arange(1.0, n)  # exact float counts: the quotients of int counts, with no casts
-    s_l = cum[:-1]
-    q_l = cumsq[:-1]
-    var_l = np.maximum(q_l / k - (s_l / k) ** 2, 0.0)
-    nr = n - k
-    var_r = np.maximum((cumsq[-1] - q_l) / nr - ((cum[-1] - s_l) / nr) ** 2, 0.0)
-    loss = (var_l + var_r)[n_left - 1]
+    cumsq = np.cumsum(np.multiply(ys, ys, out=ys))
+    s_l, q_l = cum[low - 1:n - low], cumsq[low - 1:n - low]
+    k = np.arange(float(low), float(n - low + 1))  # exact float counts, with no casts
+    # var_l = q_l / k - (s_l / k) ** 2 and var_r likewise over the suffixes, floored at 0
+    loss = q_l / k
+    t = s_l / k
+    loss -= np.multiply(t, t, out=t)
+    np.maximum(loss, 0.0, out=loss)
+    nr = np.subtract(float(n), k, out=k)
+    var_r = np.subtract(cumsq[-1], q_l)
+    var_r /= nr
+    t = np.subtract(cum[-1], s_l, out=t)
+    t /= nr
+    var_r -= np.multiply(t, t, out=t)
+    loss += np.maximum(var_r, 0.0, out=var_r)
+    # A loss is at most the node's sum of squared responses, which is
+    # finite, so a masked cut never wins.
+    loss[tied] = np.inf
     j = int(np.argmin(loss))
-    return float(loss[j]), j
+    return float(loss[j]), low + j
 
 
 def _order_dtype(n: int):
     """Index type of a sorted-order cache over ``n`` rows: int32 whenever it can hold them."""
     return np.int32 if n <= np.iinfo(np.int32).max else np.intp
+
+
+def _rank_dtype(n: int):
+    """Key type of a dense-rank column over ``n`` rows (ranks below ``n``): uint16 whenever it can hold them."""
+    return np.uint16 if n <= 2**16 else np.uint32 if n <= 2**32 else np.uint64
+
+
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Dense ranks of each column of stacked ``x``, shaped ``feature shape + (n,)``.
+
+    Equal values (-0.0 and 0.0 among them) share a rank and larger values
+    get larger ranks, so a stable argsort of a column's ranks over any
+    rows is the stable argsort of its values over those rows.  Built one
+    column at a time, so only one column's sort is held beside the table.
+    """
+    n = x.shape[0]
+    ranks = np.empty(x.shape[1:] + (n,), dtype=_rank_dtype(n))
+    for coords in np.ndindex(*x.shape[1:]):
+        ranks[coords] = np.unique(_column(x, coords), return_inverse=True)[1]
+    return ranks
+
+
+class _RankedOrders(dict):
+    """A sorted-order cache whose node rows are rows ``rows`` of an input with dense ranks ``ranks``.
+
+    Fits that grow trees on row resamples of one input share its
+    :func:`_dense_ranks`, so a miss argsorts the node's integer ranks
+    (a radix sort for uint16) rather than its float column.
+    """
+
+    def __init__(self, ranks: np.ndarray, rows: np.ndarray, orders=()):
+        super().__init__(orders)
+        self.ranks = ranks
+        self.rows = rows
 
 
 def _child_orders(orders: dict, side: np.ndarray) -> dict:
@@ -452,14 +513,18 @@ def _child_orders(orders: dict, side: np.ndarray) -> dict:
     exactly the stable argsort of the child's column.
     """
     position = np.cumsum(side, dtype=_order_dtype(side.size)) - 1
-    return {c: position.take(o.compress(side.take(o))) for c, o in orders.items()}
+    child = {c: position.take(o.compress(side.take(o))) for c, o in orders.items()}
+    if isinstance(orders, _RankedOrders):
+        return _RankedOrders(orders.ranks, orders.rows[side], child)
+    return child
 
 
 def _sorted_order(col: np.ndarray, coords: tuple[int, ...], orders: dict) -> np.ndarray:
     """The stable argsort of ``col`` from the node's cache, sorted and stored on a miss."""
     order = orders.get(coords)
     if order is None:
-        order = np.argsort(col, kind="stable").astype(_order_dtype(col.size), copy=False)
+        keys = orders.ranks[coords].take(orders.rows) if isinstance(orders, _RankedOrders) else col
+        order = np.argsort(keys, kind="stable").astype(_order_dtype(col.size), copy=False)
         orders[coords] = order
     return order
 
@@ -558,12 +623,16 @@ def _eval_coord(x, y, coords, criterion, min_child, orders, margin, rows=None) -
         thresholds, n_left = _admissible(col, np.sort(col), criterion.value_mode, min_child)
         return [(0.0, coords, t, k, 0.0, 0.0) for t, k in zip(thresholds.tolist(), n_left.tolist())]
     order = _sorted_order(col, coords, orders).astype(np.intp, copy=False)
-    thresholds, n_left = _admissible(col, col[order], criterion.value_mode, min_child)
+    v = col[order]
+    if scan:
+        best = _sse_scan(v, y[order], min_child)
+        if best is None:
+            return []
+        loss, k = best
+        return [(loss, coords, float(v[k - 1]), k, 0.0, 0.0)]
+    thresholds, n_left = _admissible(col, v, criterion.value_mode, min_child)
     if n_left.size == 0:
         return []
-    if scan:
-        loss, j = _sse_scan(y[order], n_left)
-        return [(loss, coords, float(thresholds[j]), int(n_left[j]), 0.0, 0.0)]
     rows = rows[order]
     left = _child_bounds(rows, n_left, margin / 4)
     right = _child_bounds(rows[::-1], (col.size - n_left)[::-1], margin / 4)[::-1]

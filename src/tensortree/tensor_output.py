@@ -108,10 +108,14 @@ def _check_output(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _fit_column(x, targets: np.ndarray, boosting: BoostingConfig, col: int) -> BoostedModel:
-    """The boosted ensemble of column ``col`` of ``targets``, seeded by the column index."""
+def _fit_column(x, targets: np.ndarray, boosting: BoostingConfig, orders: dict,
+                col: int) -> BoostedModel:
+    """The boosted ensemble of column ``col`` of ``targets``, seeded by the column index.
+
+    ``orders`` is the sorted-order cache of ``x`` that the columns' fits share.
+    """
     cfg = replace(boosting, seed=derive_seed(boosting.seed, col))
-    return fit_boosting(x, targets[:, col], cfg)
+    return fit_boosting(x, targets[:, col], cfg, _orders=orders)
 
 
 # The inputs of the running fit, in a worker process only; set by _start_worker.
@@ -131,22 +135,25 @@ def _fit_columns(x, targets: np.ndarray, boosting: BoostingConfig,
                  n_threads: int) -> list[BoostedModel]:
     """One boosted ensemble per column of ``targets``, in column order.
 
-    Up to ``n_threads`` forked workers fit the columns.  A forked worker
-    inherits ``x``, ``targets`` and ``boosting`` from this process, so a
-    job sends only its column index; a spawned worker would start a fresh
-    interpreter and re-import NumPy, which costs more than a whole fit.
+    The columns' fits share one sorted-order cache of ``x``, so a process
+    sorts each column of ``x`` once.  Up to ``n_threads`` forked workers
+    fit the columns.  A forked worker inherits ``x``, ``targets``,
+    ``boosting`` and the cache from this process, so a job sends only its
+    column index; a spawned worker would start a fresh interpreter and
+    re-import NumPy, which costs more than a whole fit.
     """
     columns = targets.shape[1]
     workers = min(n_threads, columns)
+    orders: dict = {}
     if workers <= 1 or sys.platform != "linux":
-        return [_fit_column(x, targets, boosting, col) for col in range(columns)]
+        return [_fit_column(x, targets, boosting, orders, col) for col in range(columns)]
     # Imported here, so that a process that never forks workers does not
     # load the 32 modules (about 1.3 MB) they bring.
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(x, targets, boosting))
+                               initializer=_start_worker, initargs=(x, targets, boosting, orders))
     try:
         return list(pool.map(_fit_worker_column, range(columns)))
     except BrokenProcessPool as exc:

@@ -230,9 +230,10 @@ def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, orders: dict):
     """The rule that splits rows ``indices`` and its left-row mask, or None for a leaf.
 
     A function of its own so that the node's row copies are freed before
-    its subtrees are grown.
+    its subtrees are grown.  Only the root holds every row, and in order,
+    so it reads ``x`` and ``y`` in place.
     """
-    xs, ys = x[indices], y[indices]
+    xs, ys = (x, y) if indices.size == x.shape[0] else (x[indices], y[indices])
     best = find_best_split(
         xs,
         ys,

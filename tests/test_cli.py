@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from tensortree import cli, serialize, tensor_output
+from tensortree import cli, ensemble, serialize, tensor_output
 from tensortree._rng import make_rng
 from tensortree.data import GENERATORS
 from tensortree.decomposition import AlsConfig
@@ -112,6 +112,32 @@ class TestFit:
             res = run_cli("fit", "--config", cfg, "--out", out, cwd=workdir)
             assert res.returncode == 0, res.stderr
         assert (workdir / "m1.json").read_bytes() == (workdir / "m2.json").read_bytes()
+
+    @pytest.mark.parametrize("run", [
+        {"model": "forest", "n_trees": 4, "forest_tau": 0.5, "max_depth": 4},
+        {"model": "boosting", "n_estimators": 4, "p_resample": 0.7, "max_depth": 3},
+    ], ids=["forest", "boosting-resampled"])
+    def test_rank_key_sorts_write_the_float_sort_bytes(self, tmp_path, capsys, monkeypatch, run):
+        rng = make_rng(12)
+        x = np.round(rng.normal(size=(150, 3, 3)) * 2) / 2  # ties between distinct rows
+        x[:, 0, 1] = np.where(x[:, 0, 1] > 0, 1.0, np.where(x[:, 0, 1] < 0, -1.0, -0.0))
+        x[:, 2, 2] = 0.0
+        x[::2, 1, 0] = 0.0
+        x[1::4, 1, 0] = -0.0
+        np.save(tmp_path / "X.npy", x)
+        np.save(tmp_path / "y.npy", x[:, 0, 0] - 2.0 * (x[:, 1, 0] < 0.0) + rng.normal(0.0, 0.1, 150))
+        cfg = write_config(tmp_path / "cfg.json", {
+            **run, "seed": 3, "min_samples_leaf": 2,
+            "data": {"x": str(tmp_path / "X.npy"), "y": str(tmp_path / "y.npy")}})
+        docs = []
+        for reference in (False, True):
+            if reference:  # every tree sorts its own float columns
+                monkeypatch.setattr(ensemble, "_RankedOrders", lambda ranks, rows: {})
+            out = tmp_path / f"m{int(reference)}.json"
+            assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 0
+            docs.append(out.read_bytes())
+        capsys.readouterr()
+        assert docs[0] == docs[1]
 
     def test_missing_file_exit_3(self, workdir):
         cfg = write_config(workdir / "cfg.json", {
@@ -310,7 +336,7 @@ class TestWorkerProcesses:
     @pytest.mark.skipif(sys.platform != "linux", reason="jobs run in process off Linux")
     def test_dead_worker_exit_3(self, tmp_path, capsys, monkeypatch):
         # forked workers inherit the patch
-        monkeypatch.setattr(tensor_output, "fit_boosting", lambda *args: os._exit(1))
+        monkeypatch.setattr(tensor_output, "fit_boosting", lambda *args, **kwargs: os._exit(1))
         code, err, out = _fit_output(tmp_path, capsys, "entrywise", 2)
         assert code == 3
         assert err == "error: a worker process ended before its job finished\n"
@@ -319,7 +345,7 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("config", ["entrywise", "lowrank-tucker"])
     def test_job_value_error_exit_3(self, tmp_path, capsys, monkeypatch, config):
-        def fail(x, y, cfg):
+        def fail(x, y, cfg, **kwargs):
             raise ValueError("residuals overflowed")
 
         monkeypatch.setattr(tensor_output, "fit_boosting", fail)

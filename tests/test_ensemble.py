@@ -220,7 +220,7 @@ class TestForestWithoutBootstrap:
         fit_forest(x, y, self.config(5))
         assert grown_on_x == [True] * 5
         columns = [x[:, i, j].tobytes() for i in range(3) for j in range(3)]
-        assert sorted(root_sorts) == sorted(5 * columns)
+        assert sorted(root_sorts) == sorted(columns)  # the trees share one cache
 
 
 def _overflowing_lowrank():

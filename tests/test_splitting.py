@@ -443,14 +443,23 @@ def sse_instance(kind, seed, n=40):
         x[:, 1, 0] = -x[:, 0, 0]
         x[:, 2, 1] = 2 * x[:, 0, 1]
         y = y + 1e3
+    elif kind == "signed_zeros":
+        # -0.0 and 0.0 tie, in rows of both signs
+        x[:, 0, 1] = np.array([-0.0, 0.0, 0.5])[rng.integers(0, 3, n)]
+    elif kind == "window_ties":
+        # Each column has two low rows: every cut but n_left = 2 ties.
+        x = np.ones_like(x)
+        for coords in np.ndindex(3, 2):
+            x[(rng.choice(n, 2, replace=False),) + coords] = 0.0
     return x, y
 
 
 class TestPresortedSse:
-    KINDS = ["plain", "tied", "constant_column", "offset", "duplicate_columns"]
+    KINDS = ["plain", "tied", "constant_column", "offset", "duplicate_columns", "signed_zeros",
+             "window_ties"]
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("min_child", [1, 2, 4, 20, 21])
+    @pytest.mark.parametrize("min_child", [0, 1, 2, 3, 4, 20, 21])
     @pytest.mark.parametrize(
         "strategy", [SearchStrategy(), SearchStrategy(kind="bb", xi=0)], ids=["exhaustive", "bb"])
     def test_matches_per_node_sort_and_full_rescore(self, kind, min_child, strategy):
@@ -459,7 +468,10 @@ class TestPresortedSse:
             expected = reference_sse_search(x, y, min_child)
             got = find_best_split(x, y, SplitCriterion(kind="sse"), strategy, min_child=min_child)
             assert got == expected
-            if min_child > 20:
+            if got is not None:  # == does not tell -0.0 from 0.0
+                assert repr(got.rule.threshold) == repr(expected.rule.threshold)
+            # 2 * min_child > 40 leaves no cut; past min_child 2 every window_ties cut ties
+            if min_child > 20 or (kind == "window_ties" and min_child > 2):
                 assert got is None
 
     def test_cache_holds_stable_orders_and_changes_no_result(self):
@@ -526,6 +538,8 @@ def prune_fn_instance(kind, seed, n=160):
         x[:, 1, 2, 3] = 0.5
     elif kind == "offset":
         y = y + 1e6
+    elif kind == "signed_zeros":
+        x[:, 0, 0, 0] = np.where(x[:, 0, 0, 0] < 0.3, -0.0, np.where(x[:, 0, 0, 0] < 0.6, 0.0, 1.0))
     return x, y
 
 
@@ -543,7 +557,7 @@ class TestPresortedModels:
             n_trees=3, bootstrap=False, tree=GrowConfig(max_depth=4))),
     }
 
-    @pytest.mark.parametrize("kind", ["plain", "tied", "constant_column", "offset"])
+    @pytest.mark.parametrize("kind", ["plain", "tied", "constant_column", "offset", "signed_zeros"])
     @pytest.mark.parametrize("fit", list(FITS))
     def test_model_bytes_match_per_node_sort(self, fit, kind, monkeypatch):
         x, y = prune_fn_instance(kind, seed=7)
@@ -566,6 +580,74 @@ class TestPresortedModels:
         columns = {x[(slice(None),) + c].tobytes() for c in np.ndindex(4, 4, 4)}
         assert len(sorted_columns) == len(set(sorted_columns)) == 64
         assert set(sorted_columns) == columns
+
+
+class TestRankKeys:
+    """Trees grown on row resamples sort dense integer ranks of the full input."""
+
+    @staticmethod
+    def tied_stack(n, seed=0):
+        """Columns with ties between distinct rows, -0.0 beside 0.0, and a constant column."""
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(n, 2, 2)) * 3) / 3
+        x[:, 0, 1] = np.array([-0.0, 0.0, -1.5, 2.0])[rng.integers(0, 4, n)]
+        x[:, 1, 1] = 0.25
+        return x
+
+    @pytest.mark.parametrize("n, dtype", [(40, np.uint16), (2**16, np.uint16), (2**16 + 1, np.uint32)])
+    def test_rank_dtype_and_sorts_match_float_sorts(self, n, dtype):
+        x = self.tied_stack(n)
+        ranks = splitting._dense_ranks(x)
+        assert ranks.dtype == dtype and ranks.shape == (2, 2, n)
+        rng = np.random.default_rng(1)
+        rows = rng.integers(0, n, size=n)  # a bootstrap draw: rows repeat
+        assert np.unique(rows).size < n
+        orders = splitting._RankedOrders(ranks, rows)
+        for coords in np.ndindex(2, 2):
+            col = x[(rows,) + coords]
+            order = splitting._sorted_order(col, coords, orders)
+            assert np.array_equal(order, np.argsort(col, kind="stable"))
+            assert orders[coords] is order
+
+    def test_equal_values_share_a_rank(self):
+        x = self.tied_stack(200)
+        ranks = splitting._dense_ranks(x)
+        for coords in np.ndindex(2, 2):
+            col = x[(slice(None),) + coords]
+            assert np.array_equal(ranks[coords], np.searchsorted(np.unique(col), col))
+        assert set(ranks[0, 1].tolist()) == {0, 1, 2}  # -1.5, then -0.0 with 0.0, then 2.0
+        assert not ranks[1, 1].any()
+
+    def test_child_caches_carry_their_rows(self):
+        x = self.tied_stack(60, seed=2)
+        rows = np.random.default_rng(3).integers(0, 60, size=60)
+        orders = splitting._RankedOrders(splitting._dense_ranks(x), rows)
+        xs = x[rows]
+        splitting._sorted_order(xs[:, 0, 0], (0, 0), orders)
+        go_left = xs[:, 1, 0] <= 0.0
+        for side in (go_left, ~go_left):
+            child = _child_orders(orders, side)
+            assert isinstance(child, splitting._RankedOrders) and child.ranks is orders.ranks
+            assert np.array_equal(child.rows, rows[side]) and list(child) == [(0, 0)]
+            for coords in np.ndindex(2, 2):  # a hit, then misses sorted from ranks
+                col = xs[side][(slice(None),) + coords]
+                assert np.array_equal(splitting._sorted_order(col, coords, child),
+                                      np.argsort(col, kind="stable"))
+
+    def test_bootstrap_trees_sort_uint16_rank_keys(self, monkeypatch):
+        x, y = prune_fn_instance("tied", seed=5, n=200)
+        keys = []
+        argsort = np.argsort
+
+        def recording_argsort(a, *args, **kwargs):
+            keys.append(np.asarray(a).dtype)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(splitting.np, "argsort", recording_argsort)
+        fit_forest(x, y, ForestConfig(n_trees=3, tau=1.0, tree=GrowConfig(max_depth=3)))
+        fit_boosting(x, y, BoostingConfig(n_estimators=3, p_resample=0.5, tree=GrowConfig(max_depth=3)))
+        column_sorts = [k for k in keys if k != np.float64]  # not the leverage sample keys
+        assert column_sorts and set(column_sorts) == {np.dtype(np.uint16)}
 
 
 # --- one bound-ordered scorer for every criterion ---------------------------

@@ -265,8 +265,28 @@ class TestWorkers:
         model = fit_entrywise(x, y, OutputConfig(boosting=boosting), n_threads=3)
         assert dumps(model) == dumps(TensorOutputModel("entrywise", y.shape[1:], plain))
 
+    @pytest.mark.parametrize("approach", ["entrywise", "lowrank"])
+    def test_jobs_sort_each_column_of_x_once(self, approach, monkeypatch):
+        x, y = linear_output_data(60, seed=21)
+        cfg = OutputConfig(approach=approach, rank=2 if approach == "lowrank" else None,
+                           boosting=small_boosting(depth=2))
+        fit = fit_entrywise if approach == "entrywise" else fit_lowrank
+        expected = dumps(fit(x, y, cfg))
+        sorted_columns = []
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            sorted_columns.append(np.asarray(a).tobytes())
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        assert dumps(fit(x, y, cfg)) == expected
+        columns = {x[(slice(None),) + c].tobytes() for c in np.ndindex(3, 4)}
+        assert len(sorted_columns) == len(set(sorted_columns)) == 12
+        assert set(sorted_columns) == columns
+
     def test_job_error_reaches_the_caller_unchanged(self, monkeypatch):
-        def fail(x, y, cfg):
+        def fail(x, y, cfg, **kwargs):
             raise ValueError(f"job with seed {cfg.seed} failed")
 
         monkeypatch.setattr(tensor_output, "fit_boosting", fail)
@@ -278,7 +298,7 @@ class TestWorkers:
     @pytest.mark.skipif(sys.platform != "linux", reason="jobs run in process off Linux")
     def test_dead_worker_is_an_os_error(self, monkeypatch):
         # forked workers inherit the patch
-        monkeypatch.setattr(tensor_output, "fit_boosting", lambda *args: os._exit(1))
+        monkeypatch.setattr(tensor_output, "fit_boosting", lambda *args, **kwargs: os._exit(1))
         x, y = linear_output_data(30, seed=19)
         with pytest.raises(OSError, match="worker process ended"):
             fit_entrywise(x, y, OutputConfig(boosting=small_boosting()), n_threads=2)

@@ -129,6 +129,23 @@ class TestGrow:
         assert np.array_equal(t1.apply(x), t2.apply(x))
 
 
+def test_root_search_reads_the_input_in_place(monkeypatch):
+    x, y, _ = piecewise_data(120, seed=3)
+    searched = []
+    search = tree_module.find_best_split
+
+    def recording(xs, ys, *args, **kwargs):
+        searched.append((xs, ys))
+        return search(xs, ys, *args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "find_best_split", recording)
+    grow(x, y, mean_config(max_depth=2))
+    assert len(searched) == 3
+    (root_x, root_y), *children = searched
+    assert root_x is x and np.shares_memory(root_y, y)
+    assert not any(np.shares_memory(xs, x) for xs, _ in children)
+
+
 class TestPredictApply:
     def test_depth_zero_mean_constant(self):
         rng = make_rng(7)
