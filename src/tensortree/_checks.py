@@ -1,0 +1,260 @@
+"""Value and array rules, the one place where input is checked.
+
+Each rule raises ``ValueError`` naming what it refuses, and the module
+imports nothing from the package.  Scalar rules: ``_is_int`` and
+``_check_int`` (an int or numpy integer, never a bool, at least a
+bound), ``_check_bool``, ``_check_choice`` (one of some strings),
+``_check_number`` (an int or float, finite, within an interval),
+``_check_rank`` (a CP or Tucker rank config) and ``_resolve_ranks``
+(per-mode ranks within a shape).  Array rules: ``_as_tensor`` and
+``_as_matrix`` (float64, 2 to 4 modes or 2), ``_check_squares`` (finite
+values whose squares sum to a finite value), ``_check_stacked`` (stacked
+inputs and responses), ``_check_features``, ``_check_output``,
+``_check_coords`` (one cell of a feature shape), ``_check_ranks`` (a
+grow config's tuple ranks), ``_check_keys`` (a config object's keys),
+``_finite_array`` (a model document's numbers) and
+``_finite_predictions`` (a predict whose output must be finite).  The
+int, bool and number rules return what they accept, with a fast path for
+a Python int or finite float: loading a model reads a few per node.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import sys
+
+import numpy as np
+
+MAX_MODES = 4
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int, if it is one (see :func:`_is_int`) of at least ``low``; else ``ValueError``."""
+    if not (type(value) is int or _is_int(value)) or (low is not None and value < low):
+        form = "an int" if low is None else f"an int >= {low}"
+        raise ValueError(f"{name} must be {form}, got {value!r}")
+    return int(value)
+
+
+def _check_bool(value, name: str):
+    """``value``, provided it is a bool or a numpy bool, or ``ValueError``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+def _check_choice(value, choices, what: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"unknown {what} {value!r}; choose from {sorted(choices)}")
+
+
+def _check_number(value, name: str, interval: str | None = None) -> float:
+    """``value`` as a float; ``ValueError`` unless it is an int or float, finite as a float.
+
+    A bool is neither here.  An int beyond the float range is not finite;
+    it is compared, not converted, since ``float()`` would overflow on it.
+    ``interval``, written as in mathematics (``"(0, 1]"``, ``"[0, inf)"``),
+    is the range the value must lie in.
+    """
+    if type(value) is float and math.isfinite(value):
+        number = value
+    elif not (_is_int(value) or isinstance(value, (float, np.floating))):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    elif not (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    else:
+        number = float(value)
+    if interval is not None:
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        if not ((low < number if interval[0] == "(" else low <= number)
+                and (number < high if interval[-1] == ")" else number <= high)):
+            raise ValueError(f"{name} must be in {interval}, got {value!r}")
+    return number
+
+
+def _check_rank(rank, family: str, name: str = "rank") -> None:
+    """Raise ``ValueError`` unless ``rank`` is a valid ``family`` rank config.
+
+    ``family`` is ``"cp"`` or ``"tucker"``.  A CP rank is an int >= 1; a
+    Tucker rank is an int >= 1 or a nonempty tuple of ints >= 1.  A bool
+    is not an int here.  Extents are checked later, by :func:`_resolve_ranks`.
+    """
+    _check_choice(family, ("cp", "tucker"), "decomposition")
+    if rank is None:
+        raise ValueError(f"{family} needs a {name}")
+
+    def positive_int(r) -> bool:
+        return _is_int(r) and r >= 1
+
+    if isinstance(rank, (tuple, list)):
+        ok = family == "tucker" and len(rank) > 0 and all(positive_int(r) for r in rank)
+    else:
+        ok = positive_int(rank)
+    if not ok:
+        form = "an int >= 1" if family == "cp" else "an int >= 1 or a tuple of ints >= 1"
+        raise ValueError(f"{family} {name} must be {form}, got {rank!r}")
+
+
+def _resolve_ranks(rank, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-mode Tucker ranks for a tensor of ``shape``.
+
+    An int is clamped to each mode's extent; a tuple needs one entry per
+    mode, each in ``[1, extent]``, or ``ValueError`` is raised.
+    """
+    if isinstance(rank, (int, np.integer)):
+        return tuple(min(int(rank), d) for d in shape)
+    ranks = tuple(int(r) for r in rank)
+    if len(ranks) != len(shape):
+        raise ValueError(f"need {len(shape)} ranks, got {len(ranks)}")
+    for q, (r, d) in enumerate(zip(ranks, shape)):
+        if not 1 <= r <= d:
+            raise ValueError(f"rank {r} invalid for mode {q} with extent {d}")
+    return ranks
+
+
+def _as_tensor(t, min_modes: int = 2) -> np.ndarray:
+    arr = np.asarray(t, dtype=np.float64)
+    if arr.ndim < min_modes or arr.ndim > MAX_MODES:
+        raise ValueError(
+            f"expected a tensor with {min_modes}..{MAX_MODES} modes, got shape {arr.shape}"
+        )
+    return arr
+
+
+def _as_matrix(m) -> np.ndarray:
+    arr = np.asarray(m, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {arr.shape}")
+    return arr
+
+
+def _check_squares(values: np.ndarray, total: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``values`` are finite and so is ``total``, their sum of squares.
+
+    ``total`` may also be its root.  Callers compute it anyway, with
+    overflow warnings silenced, and a non-finite value makes it NaN or
+    infinite, so valid values take no pass of their own.
+    """
+    if not math.isfinite(total):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} contain non-finite values")
+        raise ValueError(f"{name} too large: the sum of their squares overflows")
+
+
+def _check_stacked(x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stacked inputs ``x`` (and responses ``y``, flattened) as float64, validated.
+
+    ``x`` needs 2 or 3 feature modes, at least one sample and only finite
+    values, and ``y`` one value per sample that passes
+    :func:`_check_squares`, so that no mean, residual or variance a fit
+    takes of them overflows.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 3 or x.ndim > 4:
+        raise ValueError(f"stacked input must have 2 or 3 feature modes, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError("need at least one sample")
+    if not np.isfinite(x).all():
+        raise ValueError("inputs contain non-finite values")
+    if y is not None:
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if y.size != x.shape[0]:
+            raise ValueError(f"response length {y.size} does not match {x.shape[0]} samples")
+        with np.errstate(over="ignore"):
+            sum_sq = float(np.dot(y, y))
+        _check_squares(y, sum_sq, "responses")
+    return x, y
+
+
+def _check_features(x, feature_shape: tuple[int, ...]) -> np.ndarray:
+    """``x`` as float64, provided its feature modes have ``feature_shape``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1:] != feature_shape:
+        raise ValueError(
+            f"feature shape {x.shape[1:]} does not match training shape {feature_shape}"
+        )
+    return x
+
+
+def _check_output(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Checked stacked inputs, and a stacked output with one or two modes per row."""
+    x, _ = _check_stacked(x)
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim < 2 or y.ndim > 3:
+        raise ValueError(f"stacked output must have 1 or 2 feature modes, got shape {y.shape}")
+    if y.shape[0] != x.shape[0]:
+        raise ValueError(
+            f"input stacks {x.shape[0]} observations but output stacks {y.shape[0]}"
+        )
+    return x, y
+
+
+def _check_coords(coords, feature_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``coords`` as a tuple of ints, provided they index one cell of ``feature_shape``."""
+    coords = tuple([_check_int(c, "coords") for c in coords])
+    if len(coords) != len(feature_shape):
+        raise ValueError(f"coords {coords} do not index feature shape {feature_shape}")
+    for c, d in zip(coords, feature_shape):
+        if not 0 <= c < d:
+            raise ValueError(f"coords {coords} out of range for feature shape {feature_shape}")
+    return coords
+
+
+def _check_ranks(criterion, specs, feature_shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless the tuple ranks of a grow config fit ``feature_shape``.
+
+    ``specs`` are the config's leaf and ``lre`` model specs (None where
+    absent), whose ranks cover the feature modes.  An ``lae`` Tucker rank
+    of the split ``criterion`` leads with the observation mode, whose
+    extent is the node size (a smaller node falls back to the mean), so
+    only its length and feature entries are checked here.
+    """
+    for spec in specs:
+        if spec is not None and spec.kind == "tucker":
+            _resolve_ranks(spec.rank, feature_shape)
+    rank = criterion.split_rank
+    if criterion.kind == "lae" and criterion.decomp == "tucker" and isinstance(rank, (tuple, list)):
+        _resolve_ranks(rank, (rank[0],) + tuple(feature_shape))
+
+
+def _check_keys(doc, allowed: set, where: str) -> None:
+    """Raise ``ValueError`` unless the ``where`` object ``doc`` is a dict with keys in ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _finite_array(values) -> np.ndarray:
+    """Nested number lists as a float64 array, each entry a :func:`_check_number`."""
+    # each entry is checked before the cast, which would read a bool among numbers as 0 or 1
+    cells = np.asarray(values, dtype=object)
+    for value in cells.flat:
+        _check_number(value, "array entry")
+    return cells.astype(np.float64)
+
+
+def _finite_predictions(predict):
+    """Decorate a public predict: non-finite output raises ``ValueError``.
+
+    Overflow inside the model's arithmetic is silenced and caught by one
+    check of the returned array, so no ``inf`` or ``nan`` reaches a caller.
+    """
+
+    @functools.wraps(predict)
+    def checked(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = predict(*args)
+        if not np.isfinite(out).all():
+            raise ValueError("non-finite prediction: the model's arithmetic overflowed")
+        return out
+
+    return checked

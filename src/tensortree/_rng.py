@@ -18,7 +18,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return a Philox-keyed :class:`numpy.random.Generator` for ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
 def _splitmix64(z: int) -> int:
@@ -35,7 +35,7 @@ def derive_seed(seed: int, *indices: int) -> int:
     (seed, indices) pair always yields the same derived seed and
     distinct indices yield decorrelated ones.
     """
-    z = seed & _MASK64
+    z = int(seed) & _MASK64
     for ix in indices:
-        z = _splitmix64(z ^ (((ix & _MASK64) * _GOLDEN) & _MASK64))
+        z = _splitmix64(z ^ (((int(ix) & _MASK64) * _GOLDEN) & _MASK64))
     return z

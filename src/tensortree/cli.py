@@ -47,8 +47,9 @@ import time
 
 import numpy as np
 
+from ._checks import _check_choice, _check_keys, _check_number
 from .data import SyntheticSpec, evaluate, generate, train_test_split
-from .decomposition import AlsConfig, _check_number
+from .decomposition import AlsConfig
 from .ensemble import BoostingConfig, ForestConfig, fit_boosting, fit_forest
 from .leaf_models import LeafModelSpec
 from .serialize import load_model, save_model
@@ -106,12 +107,6 @@ _SYNTHETIC = ("generator", "n", "noise_sigma", "noise_scale", "seed")
 _MODELS = ("tree", "boosting", "forest", "entrywise", "lowrank")
 
 
-def _check_keys(cfg: dict, allowed: set, where: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
 def _checked(build, *args, **kwargs):
     """``build(*args, **kwargs)``; the value a config check rejects is a ConfigError (exit 2)."""
     try:
@@ -137,18 +132,13 @@ def _fields(cfg: dict, obj: str) -> dict:
 def _flatten_als(cfg: dict) -> dict:
     """``cfg`` with each key of its ``als`` object also present as ``als.<key>``."""
     als = cfg.get("als", {})
-    if not isinstance(als, dict):
-        raise ConfigError("als must be an object")
-    _check_keys(als, _ALS_KEYS, "als")
+    _checked(_check_keys, als, _ALS_KEYS, "als")
     return {**cfg, **{f"als.{key}": value for key, value in als.items()}}
 
 
 def _validate_fit_config(cfg: dict, allowed: set = _RUN_KEYS) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError("run config must be a JSON object")
-    _check_keys(cfg, allowed, "config")
-    if cfg.get("model") not in _MODELS:
-        raise ConfigError(f"model must be one of {_MODELS}")
+    _checked(_check_keys, cfg, allowed, "config")
+    _checked(_check_choice, cfg.get("model"), _MODELS, "model")
 
 
 def _load_array(path: str) -> np.ndarray:
@@ -204,8 +194,6 @@ def _fit_model(model_kind: str, config, x: np.ndarray, y: np.ndarray, threads: i
     """Fit a ``model_kind`` model with its ``_model_config``; bad arrays raise ValueError."""
     if model_kind in ("tree", "boosting", "forest") and y.ndim != 1:
         raise ValueError(f"model {model_kind!r} needs a scalar response, got shape {y.shape}")
-    if model_kind in ("entrywise", "lowrank") and y.ndim < 2:
-        raise ValueError(f"model {model_kind!r} needs a stacked tensor response")
     if model_kind == "tree":
         grow_cfg, prune_cfg = config
         tree = grow(x, y, grow_cfg)
@@ -276,10 +264,7 @@ def _cmd_predict(args) -> int:
     pred = model.predict(_load_array(args.x))
     _save_array(args.out, pred)
     if args.y is not None:
-        y = _load_array(args.y)
-        if y.shape != pred.shape:
-            raise ValueError(f"reference shape {y.shape} does not match predictions {pred.shape}")
-        print(json.dumps(_score(y, pred), sort_keys=True))
+        print(json.dumps(_score(_load_array(args.y), pred), sort_keys=True))
     return 0
 
 
@@ -293,27 +278,20 @@ def _synthetic_fields(cfg: dict) -> dict | None:
             raise ConfigError("bench config needs 'synthetic' or 'data'")
         return None
     doc = cfg["synthetic"]
-    if not isinstance(doc, dict):
-        raise ConfigError("synthetic must be an object")
-    _check_keys(doc, set(_SYNTHETIC), "synthetic")
+    _checked(_check_keys, doc, set(_SYNTHETIC), "synthetic")
     return {k: _value(v, k) for k, v in doc.items()}
 
 
 def _cmd_bench(args) -> int:
     cfg = _read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("bench config must be a JSON object")
-    _check_keys(cfg, _BENCH_KEYS, "bench")
+    _checked(_check_keys, cfg, _BENCH_KEYS, "bench")
     sweep = cfg.get("sweep", {})
     if not isinstance(sweep, dict) or not all(isinstance(v, list) and v for v in sweep.values()):
         raise ConfigError("sweep must map parameter names to nonempty lists")
     base = cfg.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError("base must be an object")
-    fraction = cfg.get("test_fraction", 0.25)
-    _checked(_check_number, fraction, "test_fraction")
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("test_fraction must be in (0, 1)")
+    fraction = _checked(_check_number, cfg.get("test_fraction", 0.25), "test_fraction", "(0, 1)")
     threads = _resolve_threads(args.threads)
     synthetic = _synthetic_fields(cfg)
     datasets = {}  # SyntheticSpec (None when data is read) -> (x, y)

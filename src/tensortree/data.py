@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_choice, _check_int, _check_number, _check_squares
 from ._rng import make_rng
-from .decomposition import _check_int, _check_number, cp_als, tucker_als
+from .decomposition import cp_als, tucker_als
 
 # Standard deviation for the piecewise-constant generator's default
 # noise variance of 0.1.
@@ -35,17 +36,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.generator, str) and self.generator in GENERATORS):
-            raise ValueError(
-                f"unknown generator {self.generator!r}; choose from {sorted(GENERATORS)}")
+        _check_choice(self.generator, GENERATORS, "generator")
         _check_int(self.n, "n", 1)
         _check_int(self.seed, "seed")
         for name in ("noise_sigma", "noise_scale"):
-            v = getattr(self, name)
-            if v is not None:
-                _check_number(v, name)
-                if v < 0:
-                    raise ValueError(f"{name} must be >= 0, got {v!r}")
+            if getattr(self, name) is not None:
+                _check_number(getattr(self, name), name, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -171,18 +167,23 @@ def evaluate(y_true, y_pred) -> Metrics:
 
     RPE is the squared Frobenius norm of the error divided by the
     squared Frobenius norm of the truth; it is 1 for the zero predictor
-    and undefined (raises) for an all-zero truth.
+    and undefined (raises) for an all-zero truth.  Non-finite values, and
+    a truth or error whose squares overflow, raise ``ValueError``, so
+    every metric is finite.
     """
     t = np.asarray(y_true, dtype=np.float64)
     p = np.asarray(y_pred, dtype=np.float64)
     if t.shape != p.shape:
-        raise ValueError(f"shape mismatch: {t.shape} vs {p.shape}")
+        raise ValueError(f"reference shape {t.shape} does not match predictions {p.shape}")
     if t.size == 0:
         raise ValueError("cannot score empty arrays")
-    diff = (t - p).ravel()
-    sq = float(np.dot(diff, diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = (t - p).ravel()
+        sq = float(np.dot(diff, diff))
+        denom = float(np.dot(t.ravel(), t.ravel()))
+    _check_squares(t, denom, "reference values")
+    _check_squares(diff, sq, "prediction errors")
     mse = sq / t.size
-    denom = float(np.dot(t.ravel(), t.ravel()))
     if denom == 0.0:
         raise ValueError("RPE undefined for an all-zero reference")
     return Metrics(mse=mse, rmse=math.sqrt(mse), rpe=sq / denom)
@@ -190,8 +191,8 @@ def evaluate(y_true, y_pred) -> Metrics:
 
 def train_test_split(x, y, fraction: float = 0.75, seed: int = 0):
     """Seeded shuffle split; the training part gets ``ceil(fraction * n)`` rows."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
+    _check_int(seed, "seed")
+    _check_number(fraction, "fraction", "(0, 1)")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]

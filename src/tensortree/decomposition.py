@@ -21,21 +21,21 @@ start would be computed and thrown away unread.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._rng import make_rng
-from .tensor_ops import (
+from ._checks import (
     _as_tensor,
-    frobenius_norm,
-    khatri_rao_all,
-    mode_product,
-    unfold,
+    _check_int,
+    _check_number,
+    _check_rank,
+    _check_squares,
+    _resolve_ranks,
 )
+from ._rng import make_rng
+from .tensor_ops import frobenius_norm, khatri_rao_all, mode_product, unfold
 
 RIDGE = 1e-12
 
@@ -56,9 +56,7 @@ class AlsConfig:
     def __post_init__(self) -> None:
         _check_int(self.max_iterations, "max_iterations", 1)
         _check_int(self.seed, "seed")
-        _check_number(self.rel_tolerance, "rel_tolerance")
-        if self.rel_tolerance < 0:
-            raise ValueError(f"rel_tolerance must be >= 0, got {self.rel_tolerance!r}")
+        _check_number(self.rel_tolerance, "rel_tolerance", "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -124,82 +122,6 @@ def _multiply(t: np.ndarray, factors: Sequence[np.ndarray], modes, transpose: bo
     return t
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer; a bool is neither here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_int(value, name: str, low: int | None = None) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int (see :func:`_is_int`) of at least ``low``."""
-    if not (_is_int(value) and (low is None or value >= low)):
-        form = "an int" if low is None else f"an int >= {low}"
-        raise ValueError(f"{name} must be {form}, got {value!r}")
-
-
-def _check_bool(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a bool or a numpy bool."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
-
-
-def _check_number(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int or float, finite as a float.
-
-    A bool is neither here.  An int beyond the float range is not finite;
-    it is compared, not converted, since ``float()`` would overflow on it.
-    """
-    if not (_is_int(value) or isinstance(value, (float, np.floating))):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _check_rank(rank, family: str, name: str = "rank") -> None:
-    """Raise ``ValueError`` unless ``rank`` is a valid ``family`` rank config.
-
-    ``family`` is ``"cp"`` or ``"tucker"``.  A CP rank is an int >= 1; a
-    Tucker rank is an int >= 1 or a nonempty tuple of ints >= 1.  A bool
-    is not an int here.  Extents are checked later, by :func:`_resolve_ranks`.
-    """
-    if family not in ("cp", "tucker"):
-        raise ValueError(f"unknown decomposition {family!r}")
-    if rank is None:
-        raise ValueError(f"{family} needs a {name}")
-
-    def positive_int(r) -> bool:
-        return _is_int(r) and r >= 1
-
-    if isinstance(rank, (tuple, list)):
-        ok = family == "tucker" and len(rank) > 0 and all(positive_int(r) for r in rank)
-    else:
-        ok = positive_int(rank)
-    if not ok:
-        form = "an int >= 1" if family == "cp" else "an int >= 1 or a tuple of ints >= 1"
-        raise ValueError(f"{family} {name} must be {form}, got {rank!r}")
-
-
-def _resolve_ranks(rank, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-mode Tucker ranks for a tensor of ``shape``.
-
-    An int is clamped to each mode's extent; a tuple needs one entry per
-    mode, each in ``[1, extent]``, or ``ValueError`` is raised.
-    """
-    if isinstance(rank, (int, np.integer)):
-        return tuple(min(int(rank), d) for d in shape)
-    ranks = tuple(int(r) for r in rank)
-    if len(ranks) != len(shape):
-        raise ValueError(f"need {len(shape)} ranks, got {len(ranks)}")
-    for q, (r, d) in enumerate(zip(ranks, shape)):
-        if not 1 <= r <= d:
-            raise ValueError(f"rank {r} invalid for mode {q} with extent {d}")
-    return ranks
-
-
-def _check_finite(t: np.ndarray) -> None:
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tensor contains non-finite entries")
-
-
 def _leading_left_singular(m: np.ndarray, r: int) -> np.ndarray:
     """First ``r`` left singular vectors of ``m``; requires ``r <= m.shape[0]``."""
     if r <= min(m.shape):
@@ -238,7 +160,8 @@ def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomp
     Parameters
     ----------
     tensor : ndarray
-        2- to 4-mode array of finite floats.
+        2- to 4-mode array of finite floats whose squares sum to a finite
+        value, or ``ValueError`` before any solve.
     rank : int
         Number of rank-one components, >= 1.
     config : AlsConfig, optional
@@ -262,11 +185,12 @@ def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomp
     recorded error sequence is non-increasing up to that jitter.
     """
     t = _as_tensor(tensor)
-    _check_finite(t)
     _check_rank(rank, "cp")
     cfg = config or AlsConfig()
 
-    norm_t = frobenius_norm(t)
+    with np.errstate(over="ignore"):
+        norm_t = frobenius_norm(t)
+    _check_squares(t, norm_t, "tensor entries")
     if norm_t == 0.0:
         weights, unit_factors = _normalize_columns([np.zeros((d, rank)) for d in t.shape])
         decomp = CPDecomposition(weights=weights, factors=tuple(unit_factors))
@@ -326,7 +250,8 @@ def tucker_als(
     Parameters
     ----------
     tensor : ndarray
-        2- to 4-mode array of finite floats.
+        2- to 4-mode array of finite floats whose squares sum to a finite
+        value, or ``ValueError`` before any solve.
     ranks : int or sequence of int
         One rank per mode, each in ``[1, extent(mode)]``; an int ``>= 1``
         is clamped to each mode's extent.
@@ -349,14 +274,15 @@ def tucker_als(
     updated that projection is the sweep's core.
     """
     t = _as_tensor(tensor)
-    _check_finite(t)
     if not isinstance(ranks, (int, np.integer)):
         ranks = tuple(ranks)
     _check_rank(ranks, "tucker", "rank")
     ranks = _resolve_ranks(ranks, t.shape)
     cfg = config or AlsConfig()
 
-    norm_t = frobenius_norm(t)
+    with np.errstate(over="ignore"):
+        norm_t = frobenius_norm(t)
+    _check_squares(t, norm_t, "tensor entries")
     if norm_t == 0.0:
         factors = tuple(np.eye(t.shape[q], r) for q, r in enumerate(ranks))
         return (

@@ -14,38 +14,18 @@ per tree, and averages their predictions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._checks import _check_bool, _check_int, _check_number, _check_stacked, _finite_predictions
 from ._rng import derive_seed, make_rng
-from .decomposition import _check_bool, _check_int, _check_number
-from .leaf_models import _check_stacked
 from .splitting import SearchStrategy, _dense_ranks, _RankedOrders
 from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
 
 WEIGHT_CAP = 1e100
 _EXP_CAP = math.log(WEIGHT_CAP)
-
-
-def _finite_predictions(predict):
-    """Decorate a public predict: non-finite output raises ``ValueError``.
-
-    Overflow inside the model's arithmetic is silenced and caught by one
-    check of the returned array, so no ``inf`` or ``nan`` reaches a caller.
-    """
-
-    @functools.wraps(predict)
-    def checked(*args):
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = predict(*args)
-        if not np.isfinite(out).all():
-            raise ValueError("non-finite prediction: the model's arithmetic overflowed")
-        return out
-
-    return checked
 
 
 @dataclass(frozen=True)
@@ -60,12 +40,8 @@ class BoostingConfig:
     def __post_init__(self) -> None:
         _check_int(self.n_estimators, "n_estimators", 1)
         _check_int(self.seed, "seed")
-        _check_number(self.learning_rate, "learning_rate")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
-        _check_number(self.p_resample, "p_resample")
-        if not 0.0 <= self.p_resample <= 1.0:
-            raise ValueError("p_resample must be in [0, 1]")
+        _check_number(self.learning_rate, "learning_rate", "(0, inf)")
+        _check_number(self.p_resample, "p_resample", "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -80,9 +56,7 @@ class ForestConfig:
         _check_int(self.n_trees, "n_trees", 1)
         _check_int(self.seed, "seed")
         _check_bool(self.bootstrap, "bootstrap")
-        _check_number(self.tau, "tau")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
+        _check_number(self.tau, "tau", "(0, 1]")
 
 
 class BoostedModel:

@@ -19,17 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import _check_bool, _check_choice, _check_features, _check_rank, _check_stacked, _resolve_ranks
 from ._rng import make_rng
 from .decomposition import (
     AlsConfig,
     CPDecomposition,
     TuckerDecomposition,
-    _check_bool,
-    _check_rank,
     _hosvd,
     _multiply,
     _normalize_columns,
-    _resolve_ranks,
 )
 from .tensor_ops import khatri_rao_all
 
@@ -49,8 +47,7 @@ class LeafModelSpec:
     intercept: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("mean", "cp", "tucker"):
-            raise ValueError(f"unknown leaf kind {self.kind!r}")
+        _check_choice(self.kind, ("mean", "cp", "tucker"), "leaf kind")
         if self.kind == "mean" and self.rank is not None:
             raise ValueError("mean leaves take no rank")
         if self.kind != "mean":
@@ -88,42 +85,6 @@ def contract(x, b):
     if x.shape[1:] == b.shape:
         return x.reshape(x.shape[0], -1) @ b.ravel()
     raise ValueError(f"shape mismatch: {x.shape} vs {b.shape}")
-
-
-def _check_stacked(x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stacked inputs ``x`` (and responses ``y``, flattened) as float64, validated.
-
-    ``x`` needs 2 or 3 feature modes and at least one sample, ``y`` one
-    value per sample, and both only finite values.  The squares of ``y``
-    must also sum to a finite value, so that no mean, residual or
-    variance a fit takes of them overflows.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 3 or x.ndim > 4:
-        raise ValueError(f"stacked input must have 2 or 3 feature modes, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    if y is not None:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if y.size != x.shape[0]:
-            raise ValueError(f"response length {y.size} does not match {x.shape[0]} samples")
-    if not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
-        raise ValueError("inputs contain non-finite values")
-    with np.errstate(over="ignore"):
-        overflows = y is not None and not np.isfinite(np.dot(y, y))
-    if overflows:
-        raise ValueError("responses too large: the sum of their squares overflows")
-    return x, y
-
-
-def _check_features(x, feature_shape: tuple[int, ...]) -> np.ndarray:
-    """``x`` as float64, provided its feature modes have ``feature_shape``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != feature_shape:
-        raise ValueError(
-            f"feature shape {x.shape[1:]} does not match training shape {feature_shape}"
-        )
-    return x
 
 
 def _parameter_count(spec: LeafModelSpec, feature_shape: tuple[int, ...]) -> int:

@@ -30,44 +30,16 @@ from typing import Any
 
 import numpy as np
 
-from .decomposition import CPDecomposition, TuckerDecomposition, _check_bool, _check_int, _check_number
+from ._checks import _check_bool, _check_choice, _check_coords, _check_int, _check_number, _finite_array
+from .decomposition import CPDecomposition, TuckerDecomposition
 from .ensemble import BoostedModel, ForestModel
 from .leaf_models import FittedLeafModel
 from .tensor_output import TensorOutputModel
 from .tree import LeafNode, SplitNode, TensorTree
-from .splitting import SplitRule, _check_coords
+from .splitting import SplitRule
 
 FORMAT = "tensortree-model"
 VERSION = 1
-
-
-# A document's ints and numbers follow the config classes' rules.  Loading
-# reads a few scalars per node and leaf, so the type a written document
-# holds takes a fast path.
-def _integer(value, name: str) -> int:
-    if type(value) is int:
-        return value
-    _check_int(value, name)
-    return int(value)
-
-
-def _integers(values, name: str) -> tuple[int, ...]:
-    return tuple([_integer(v, name) for v in values])
-
-
-def _finite(value, name: str) -> float:
-    if type(value) is float and math.isfinite(value):
-        return value
-    _check_number(value, name)
-    return float(value)
-
-
-def _finite_array(values) -> np.ndarray:
-    # each entry is checked before the cast, which would read a bool among numbers as 0 or 1
-    cells = np.asarray(values, dtype=object)
-    for value in cells.flat:
-        _finite(value, "array entry")
-    return cells.astype(np.float64)
 
 
 def _decomp_to_dict(d) -> dict:
@@ -135,22 +107,20 @@ def _leaf_model_from_dict(doc: dict, feature_shape: tuple[int, ...]) -> FittedLe
     if tuple(doc["feature_shape"]) != feature_shape:
         raise ValueError(f"leaf feature shape {doc['feature_shape']!r} is not the tree's")
     kind = doc["kind"]
-    if kind not in ("mean", "cp", "tucker"):
-        raise ValueError(f"unknown leaf kind {kind!r}")
+    _check_choice(kind, ("mean", "cp", "tucker"), "leaf kind")
     model = FittedLeafModel(
         kind=kind,
         feature_shape=feature_shape,
-        n_samples=_integer(doc["n_samples"], "n_samples"),
-        fell_back=doc.get("fell_back", False),
+        n_samples=_check_int(doc["n_samples"], "n_samples"),
+        fell_back=_check_bool(doc.get("fell_back", False), "fell_back"),
     )
-    _check_bool(model.fell_back, "fell_back")
     if kind == "mean":
-        model.mean = _finite(doc["mean"], "mean")
+        model.mean = _check_number(doc["mean"], "mean")
     else:
         coefficient = doc["coefficient"]
         if coefficient["type"] != kind:
             raise ValueError(f"{kind} leaf holds a {coefficient['type']!r} coefficient")
-        model.intercept = _finite(doc["intercept"], "intercept")
+        model.intercept = _check_number(doc["intercept"], "intercept")
         model.coefficient = _decomp_from_dict(coefficient, feature_shape)
     return model
 
@@ -178,15 +148,14 @@ def _node_from_dict(doc: dict, feature_shape: tuple[int, ...]):
         return LeafNode(
             model=_leaf_model_from_dict(leaf["model"], feature_shape),
             indices=None,
-            n=_integer(leaf["n"], "n"),
-            response_variance=_finite(leaf["response_variance"], "response_variance"),
-            model_mse=_finite(leaf["model_mse"], "model_mse"),
+            n=_check_int(leaf["n"], "n"),
+            response_variance=_check_number(leaf["response_variance"], "response_variance"),
+            model_mse=_check_number(leaf["model_mse"], "model_mse"),
         )
     rule = SplitRule(
-        coords=_integers(doc["rule"]["coords"], "coords"),
-        threshold=_finite(doc["rule"]["threshold"], "threshold"),
+        coords=_check_coords(doc["rule"]["coords"], feature_shape),
+        threshold=_check_number(doc["rule"]["threshold"], "threshold"),
     )
-    _check_coords(rule.coords, feature_shape)
     return SplitNode(
         rule=rule,
         left=_node_from_dict(doc["left"], feature_shape),
@@ -203,7 +172,7 @@ def _tree_to_dict(t: TensorTree) -> dict:
 
 
 def _tree_from_dict(doc: dict) -> TensorTree:
-    feature_shape = _integers(doc["feature_shape"], "feature_shape")
+    feature_shape = tuple([_check_int(d, "feature_shape") for d in doc["feature_shape"]])
     return TensorTree(
         root=_node_from_dict(doc["node"], feature_shape),
         feature_shape=feature_shape,
@@ -222,7 +191,7 @@ def _boosting_to_dict(m: BoostedModel) -> dict:
 
 def _boosting_from_dict(doc: dict) -> BoostedModel:
     trees = [_tree_from_dict(t) for t in doc["trees"]]
-    return BoostedModel(_finite(doc["f0"], "f0"), _finite(doc["eta"], "eta"), trees)
+    return BoostedModel(_check_number(doc["f0"], "f0"), _check_number(doc["eta"], "eta"), trees)
 
 
 def _forest_to_dict(m: ForestModel) -> dict:
@@ -251,11 +220,10 @@ def _output_to_dict(m: TensorOutputModel) -> dict:
 
 
 def _output_from_dict(doc: dict) -> TensorOutputModel:
-    if doc["approach"] not in ("entrywise", "lowrank"):
-        raise ValueError(f"unknown tensor-output approach {doc['approach']!r}")
-    if doc["approach"] == "lowrank" and doc["decomp"] not in ("cp", "tucker"):
-        raise ValueError(f"unknown output decomposition {doc['decomp']!r}")
-    shape = _integers(doc["output_shape"], "output_shape")
+    _check_choice(doc["approach"], ("entrywise", "lowrank"), "tensor-output approach")
+    if doc["approach"] == "lowrank":
+        _check_choice(doc["decomp"], ("cp", "tucker"), "output decomposition")
+    shape = tuple([_check_int(d, "output_shape") for d in doc["output_shape"]])
     ensembles = [_boosting_from_dict(e) for e in doc["ensembles"]]
     if doc["approach"] == "entrywise":
         if len(ensembles) != math.prod(shape):

@@ -96,18 +96,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import _check_choice, _check_coords, _check_int, _check_number, _check_rank, _check_stacked
 from ._rng import make_rng
-from .decomposition import (
-    AlsConfig,
-    _check_int,
-    _check_number,
-    _check_rank,
-    _resolve_ranks,
-    approximation_error,
-    cp_als,
-    tucker_als,
-)
-from .leaf_models import LeafModelSpec, _check_stacked, fit_leaf, predict_leaf
+from .decomposition import AlsConfig, approximation_error, cp_als, tucker_als
+from .leaf_models import LeafModelSpec, fit_leaf, predict_leaf
 
 # Relative slack on the least-squares bound of an ``lre`` candidate, as a
 # fraction of the node's sum of squared responses.
@@ -150,12 +142,9 @@ class SplitCriterion:
     als: AlsConfig = field(default_factory=AlsConfig)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sse", "lae", "lre"):
-            raise ValueError(f"unknown criterion {self.kind!r}")
-        if self.decomp not in ("cp", "tucker"):
-            raise ValueError(f"unknown decomposition {self.decomp!r}")
-        if self.value_mode not in ("observed", "mean"):
-            raise ValueError(f"unknown value mode {self.value_mode!r}")
+        _check_choice(self.kind, ("sse", "lae", "lre"), "criterion")
+        _check_choice(self.decomp, ("cp", "tucker"), "decomposition")
+        _check_choice(self.value_mode, ("observed", "mean"), "value mode")
         if self.kind == "sse" and self.split_rank is not None:
             raise ValueError("sse takes no split_rank")
         if self.kind != "sse":
@@ -179,11 +168,8 @@ class SearchStrategy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("exhaustive", "leverage", "bb"):
-            raise ValueError(f"unknown strategy {self.kind!r}")
-        _check_number(self.tau, "tau")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
+        _check_choice(self.kind, ("exhaustive", "leverage", "bb"), "strategy")
+        _check_number(self.tau, "tau", "(0, 1]")
         _check_int(self.xi, "xi", 0)
         _check_int(self.seed, "seed")
 
@@ -196,15 +182,6 @@ class SplitEvaluation:
     loss: float
     left_count: int
     right_count: int
-
-
-def _check_coords(coords: tuple[int, ...], feature_shape: tuple[int, ...]) -> None:
-    """Raise ``ValueError`` unless ``coords`` index one cell of ``feature_shape``."""
-    if len(coords) != len(feature_shape):
-        raise ValueError(f"coords {coords} do not index feature shape {feature_shape}")
-    for c, d in zip(coords, feature_shape):
-        if not 0 <= c < d:
-            raise ValueError(f"coords {coords} out of range for feature shape {feature_shape}")
 
 
 def _column(x: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
@@ -226,10 +203,9 @@ def candidate_thresholds(x, coords: tuple[int, ...], value_mode: str) -> np.ndar
     Observed mode returns the sorted distinct values of the coordinate's
     column; mean mode returns the single node-local column mean.
     """
-    if value_mode not in ("observed", "mean"):
-        raise ValueError(f"unknown value mode {value_mode!r}")
+    _check_choice(value_mode, ("observed", "mean"), "value mode")
     x, _ = _check_stacked(x)
-    _check_coords(tuple(coords), x.shape[1:])
+    coords = _check_coords(coords, x.shape[1:])
     return _thresholds(_column(x, coords), value_mode)
 
 
@@ -247,7 +223,7 @@ def _lae_term(x_group: np.ndarray, crit: SplitCriterion) -> float:
     if crit.decomp == "cp":
         decomp, _ = cp_als(x_group, int(rank), crit.als)
     else:
-        decomp, _ = tucker_als(x_group, _resolve_ranks(rank, x_group.shape), crit.als)
+        decomp, _ = tucker_als(x_group, rank, crit.als)
     return approximation_error(x_group, decomp)
 
 
@@ -269,23 +245,6 @@ def _lre_spec(criterion: SplitCriterion, leaf: LeafModelSpec | None) -> LeafMode
     return LeafModelSpec(
         kind=kind, rank=criterion.split_rank, als=criterion.als, intercept=intercept
     )
-
-
-def _check_ranks(criterion: SplitCriterion, leaf: LeafModelSpec | None,
-                 feature_shape: tuple[int, ...]) -> None:
-    """Raise ``ValueError`` unless the tuple ranks of a grow config fit ``feature_shape``.
-
-    Leaf and ``lre`` ranks cover the feature modes.  An ``lae`` Tucker
-    rank leads with the observation mode, whose extent is the node size
-    (a smaller node falls back to the mean), so only its length and
-    feature entries are checked here.
-    """
-    for spec in (leaf, _lre_spec(criterion, leaf)):
-        if spec is not None and spec.kind == "tucker":
-            _resolve_ranks(spec.rank, feature_shape)
-    rank = criterion.split_rank
-    if criterion.kind == "lae" and criterion.decomp == "tucker" and isinstance(rank, (tuple, list)):
-        _resolve_ranks(rank, (rank[0],) + tuple(feature_shape))
 
 
 def _lre_term(x_group: np.ndarray, y_group: np.ndarray, spec: LeafModelSpec) -> float:
@@ -314,24 +273,25 @@ def _children_loss(x, y, mask: np.ndarray, criterion: SplitCriterion, spec) -> f
             + _group_loss(x, y, criterion, spec, ~mask))
 
 
-def _responses(x, y, criterion: SplitCriterion):
-    """``y``, or zeros in its place under ``lae``; ``ValueError`` on None under the others.
+def _inputs(x, y, criterion: SplitCriterion):
+    """Checked ``(x, y)``; a ``y`` of None is zeros under ``lae`` and ``ValueError`` otherwise.
 
     ``lae`` reads no responses and bounds every rule by 0, so the margin
     that ``y`` sets never decides its winner.
     """
     if y is not None:
-        return y
+        return _check_stacked(x, y)
     if criterion.kind != "lae":
         raise ValueError(f"criterion {criterion.kind!r} needs responses y; only 'lae' takes y=None")
-    return np.zeros(_check_stacked(x)[0].shape[0])
+    x, _ = _check_stacked(x)
+    return x, np.zeros(x.shape[0])
 
 
 def _checked_split(x, y, rule: SplitRule, criterion: SplitCriterion):
     """Validated ``(x, y, mask)`` for ``rule``; ``mask`` is None when a child is empty."""
-    x, y = _check_stacked(x, _responses(x, y, criterion))
-    _check_coords(tuple(rule.coords), x.shape[1:])
-    mask = _split_mask(x, rule)
+    x, y = _inputs(x, y, criterion)
+    coords = _check_coords(rule.coords, x.shape[1:])
+    mask = _split_mask(x, SplitRule(coords, _check_number(rule.threshold, "threshold")))
     return x, y, mask if 0 < int(mask.sum()) < x.shape[0] else None
 
 
@@ -376,7 +336,7 @@ def node_criterion_value(x, y, criterion: SplitCriterion, leaf: LeafModelSpec | 
     directly comparable to a candidate split's loss, which is how tree
     growth decides whether a split actually improves on not splitting.
     """
-    x, y = _check_stacked(x, _responses(x, y, criterion))
+    x, y = _inputs(x, y, criterion)
     return _group_loss(x, y, criterion, _lre_spec(criterion, leaf))
 
 
@@ -751,11 +711,10 @@ def _bb_order(feature_shape: tuple[int, ...], xi: int) -> list[tuple[int, ...]]:
 def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEvaluation | None:
     """Pool the bounded rules of the strategy's coordinates, in order, and score them once.
 
-    ``orders`` is the node's sorted-order cache (see :func:`find_best_split`),
-    or None to start an empty one.  :func:`_score` picks the best rule
-    under the tie-break.
+    ``x`` and ``y`` are checked.  ``orders`` is the node's sorted-order
+    cache (see :func:`find_best_split`), or None to start an empty one.
+    :func:`_score` picks the best rule under the tie-break.
     """
-    x, y = _check_stacked(x, y)
     if x.shape[0] < 2:
         raise ValueError("need at least two samples to split")
     if orders is None:
@@ -791,9 +750,11 @@ def find_best_split(
     ``tau=1`` reproduces the exhaustive result), and ``bb`` the box
     midpoints of a bisection walk (:func:`_bb_order`; ``xi=0`` reproduces
     it, and for ``xi > 0`` a midpoint stands for its box unrelaxed, so the
-    search is a heuristic).  Each child keeps at least ``min_child`` rows.
-    ``_orders`` is a sorted-order cache for exactly this ``x`` (an empty
-    dict to start one); without it the call starts its own.  It saves
-    sorts only and never changes the result.
+    search is a heuristic).  Each child keeps at least ``min_child`` rows,
+    an int >= 0.  ``_orders`` is a sorted-order cache for exactly this
+    ``x`` (an empty dict to start one); without it the call starts its
+    own.  It saves sorts only and never changes the result.
     """
-    return _search(x, _responses(x, y, criterion), criterion, strategy, leaf, min_child, _orders)
+    x, y = _inputs(x, y, criterion)
+    _check_int(min_child, "min_child", 0)
+    return _search(x, y, criterion, strategy, leaf, min_child, _orders)

@@ -22,23 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-MAX_MODES = 4
-
-
-def _as_tensor(t, min_modes: int = 2) -> np.ndarray:
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim < min_modes or arr.ndim > MAX_MODES:
-        raise ValueError(
-            f"expected a tensor with {min_modes}..{MAX_MODES} modes, got shape {arr.shape}"
-        )
-    return arr
-
-
-def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {arr.shape}")
-    return arr
+from ._checks import MAX_MODES, _as_matrix, _as_tensor
 
 
 def _mode_first(ndim: int, mode: int) -> list[int]:

@@ -30,19 +30,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._checks import _check_choice, _check_int, _check_output, _check_rank, _finite_predictions, _resolve_ranks
 from ._rng import derive_seed
-from .decomposition import (
-    AlsConfig,
-    CPDecomposition,
-    TuckerDecomposition,
-    _check_int,
-    _check_rank,
-    _resolve_ranks,
-    cp_als,
-    tucker_als,
-)
-from .ensemble import BoostedModel, BoostingConfig, _finite_predictions, fit_boosting
-from .leaf_models import _check_stacked
+from .decomposition import AlsConfig, CPDecomposition, TuckerDecomposition, cp_als, tucker_als
+from .ensemble import BoostedModel, BoostingConfig, fit_boosting
 
 
 @dataclass(frozen=True)
@@ -62,10 +53,8 @@ class OutputConfig:
     als: AlsConfig = field(default_factory=AlsConfig)
 
     def __post_init__(self) -> None:
-        if self.approach not in ("entrywise", "lowrank"):
-            raise ValueError(f"unknown approach {self.approach!r}")
-        if self.decomp not in ("cp", "tucker"):
-            raise ValueError(f"unknown decomposition {self.decomp!r}")
+        _check_choice(self.approach, ("entrywise", "lowrank"), "approach")
+        _check_choice(self.decomp, ("cp", "tucker"), "decomposition")
         if self.approach == "lowrank" or self.rank is not None:
             _check_rank(self.rank, self.decomp, "output rank")
 
@@ -93,19 +82,6 @@ class TensorOutputModel:
 
     def predict(self, x) -> np.ndarray:
         return predict_tensor(self, x)
-
-
-def _check_output(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Checked stacked inputs, and a stacked output with one or two modes per row."""
-    x, _ = _check_stacked(x)
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim < 2 or y.ndim > 3:
-        raise ValueError(f"stacked output must have 1 or 2 feature modes, got shape {y.shape}")
-    if y.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"input stacks {x.shape[0]} observations but output stacks {y.shape[0]}"
-        )
-    return x, y
 
 
 def _fit_column(x, targets: np.ndarray, boosting: BoostingConfig, orders: dict,

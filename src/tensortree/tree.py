@@ -27,20 +27,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomposition import AlsConfig, _check_int, _check_number, _check_rank
-from .leaf_models import (
-    FittedLeafModel,
-    LeafModelSpec,
+from ._checks import (
+    _check_choice,
     _check_features,
+    _check_int,
+    _check_number,
+    _check_rank,
+    _check_ranks,
     _check_stacked,
-    fit_leaf,
-    predict_leaf,
 )
+from .decomposition import AlsConfig
+from .leaf_models import FittedLeafModel, LeafModelSpec, fit_leaf, predict_leaf
 from .splitting import (
     SearchStrategy,
     SplitCriterion,
     SplitRule,
-    _check_ranks,
     _child_orders,
     _group_loss,
     _lae_term,
@@ -84,11 +85,8 @@ class PruneConfig:
     als: AlsConfig = field(default_factory=AlsConfig)
 
     def __post_init__(self) -> None:
-        _check_number(self.alpha, "alpha")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
-        if self.quality not in ("variance", "tensor_loss", "lae"):
-            raise ValueError(f"unknown quality {self.quality!r}")
+        _check_number(self.alpha, "alpha", "[0, inf)")
+        _check_choice(self.quality, ("variance", "tensor_loss", "lae"), "quality")
         if self.quality == "lae" or self.lae_rank is not None:
             _check_rank(self.lae_rank, self.lae_decomp, "lae_rank")
 
@@ -290,8 +288,8 @@ def grow(x, y, config: GrowConfig, *, _orders: dict | None = None) -> TensorTree
     fits on the same input; it saves sorts only and never changes the tree.
     """
     x, y = _check_stacked(x, y)
-    _check_ranks(config.criterion, config.leaf, x.shape[1:])
     spec = _lre_spec(config.criterion, config.leaf)
+    _check_ranks(config.criterion, (config.leaf, spec), x.shape[1:])
     root = _build(x, y, np.arange(x.shape[0]), 0, config, spec, _orders)
     return TensorTree(root, x.shape[1:], config, x_train=x, y_train=y)
 
@@ -354,6 +352,6 @@ def prune(tree: TensorTree, p: PruneConfig) -> TensorTree:
     if tree._x is None or tree._y is None or tree.config is None:
         raise ValueError("pruning needs a tree fitted in this process with retained data")
     if p.quality == "lae":
-        _check_ranks(_lae_criterion(p), None, tree.feature_shape)
+        _check_ranks(_lae_criterion(p), (), tree.feature_shape)
     root, _, _ = _prune(tree.root, tree._x, tree._y, tree.config.leaf, p)
     return TensorTree(root, tree.feature_shape, tree.config, x_train=tree._x, y_train=tree._y)

@@ -859,3 +859,40 @@ def test_fit_on_responses_whose_squares_overflow_exit_3(workdir):
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("error: responses too large") and res.stderr.count("\n") == 1
     assert not (workdir / "m.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    {"model": "lowrank", "data": {"x": "X.npy", "y": "Y.npy"}, "output_rank": 1,
+     "n_estimators": 2},
+    {"criterion": "lae", "split_rank": 1, "data": {"x": "Xbig.npy", "y": "y.npy"}},
+    {"criterion": "lae", "split_decomp": "tucker", "split_rank": [2, 2, 2],
+     "data": {"x": "Xbig.npy", "y": "y.npy"}},
+], ids=["lowrank", "lae-cp", "lae-tucker"])
+def test_als_on_values_whose_squares_overflow_exit_3_with_empty_stdout(workdir, edit):
+    x = make_rng(13).uniform(size=(40, 3, 2))
+    np.save(workdir / "X.npy", x)
+    np.save(workdir / "Xbig.npy", x * 1e160)
+    np.save(workdir / "y.npy", x[:, 0, 0])
+    np.save(workdir / "Y.npy", np.full((40, 2, 2), 1e200))
+    cfg = write_config(workdir / "cfg.json", {**FIT_BASE, **edit})
+    res = run_cli("fit", "--config", cfg, "--out", "m.json", "--threads", "1", cwd=workdir)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert res.stderr == "error: tensor entries too large: the sum of their squares overflows\n"
+    assert not (workdir / "m.json").exists()
+
+
+def test_predict_reference_with_nan_exit_3(workdir):
+    x = make_rng(14).uniform(size=(30, 3, 2))
+    y = x[:, 0, 0].copy()
+    np.save(workdir / "X.npy", x)
+    np.save(workdir / "y.npy", y)
+    y[4] = np.nan
+    np.save(workdir / "ref.npy", y)
+    cfg = write_config(workdir / "cfg.json", FIT_BASE)
+    assert run_cli("fit", "--config", cfg, "--out", "m.json", cwd=workdir).returncode == 0
+    res = run_cli("predict", "--model", "m.json", "--x", "X.npy", "--y", "ref.npy",
+                  "--out", "p.npy", cwd=workdir)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert res.stderr == "error: reference values contain non-finite values\n"

@@ -150,6 +150,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("truth, pred, match", [
+        ([1.0, np.nan], [1.0, 2.0], "reference values contain non-finite"),
+        ([1.0, np.inf], [1.0, 2.0], "reference values contain non-finite"),
+        ([1.0, 2.0], [np.nan, 2.0], "prediction errors contain non-finite"),
+        ([1.0, 2.0], [1.0, -np.inf], "prediction errors contain non-finite"),
+        ([1e200, 1.0], [1e200, 1.0], "reference values too large"),
+        ([1e150, 1.0], [-1e155, 1.0], "prediction errors too large"),
+    ])
+    def test_non_finite_or_overflowing_values_rejected(self, truth, pred, match):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=match):
+            evaluate(np.array(truth), np.array(pred))
+
 
 class TestTrainTestSplit:
     def test_disjoint_exhaustive(self):

@@ -93,6 +93,22 @@ class TestCpAls:
             cp_als(t, 1)
 
 
+@pytest.mark.parametrize("fit, rank", [(cp_als, 1), (tucker_als, 1), (tucker_als, (2, 2))])
+@pytest.mark.parametrize("value, match", [(1e200, "too large"), (np.inf, "non-finite"),
+                                          (np.nan, "non-finite")])
+def test_als_refuses_values_whose_squares_overflow_before_any_solve(fit, rank, value, match,
+                                                                    monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
+    t = np.ones((3, 3))
+    t[1, 2] = value
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=match):
+        fit(t, rank)
+
+
 class TestTuckerAls:
     def test_full_rank_lossless(self):
         rng = np.random.default_rng(21)
