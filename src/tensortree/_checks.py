@@ -36,10 +36,11 @@ def _is_int(value) -> bool:
 
 def _check_int(value, name: str, low: int | None = None) -> int:
     """``value`` as an int, if it is one (see :func:`_is_int`) of at least ``low``; else ``ValueError``."""
-    if not (type(value) is int or _is_int(value)) or (low is not None and value < low):
+    number = value if type(value) is int else int(value) if _is_int(value) else None
+    if number is None or (low is not None and number < low):
         form = "an int" if low is None else f"an int >= {low}"
         raise ValueError(f"{name} must be {form}, got {value!r}")
-    return int(value)
+    return number
 
 
 def _check_bool(value, name: str):
@@ -194,6 +195,14 @@ def _check_output(x, y) -> tuple[np.ndarray, np.ndarray]:
             f"input stacks {x.shape[0]} observations but output stacks {y.shape[0]}"
         )
     return x, y
+
+
+def _check_shape(extents, name: str, modes: tuple[int, int]) -> tuple[int, ...]:
+    """``extents`` as a tuple of ints >= 1, provided there are ``modes[0]`` to ``modes[1]`` of them."""
+    shape = tuple([_check_int(d, name, 1) for d in extents])
+    if not modes[0] <= len(shape) <= modes[1]:
+        raise ValueError(f"{name} must have {modes[0]} to {modes[1]} extents, got {list(shape)}")
+    return shape
 
 
 def _check_coords(coords, feature_shape: tuple[int, ...]) -> tuple[int, ...]:

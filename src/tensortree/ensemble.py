@@ -21,7 +21,7 @@ import numpy as np
 
 from ._checks import _check_bool, _check_int, _check_number, _check_stacked, _finite_predictions
 from ._rng import derive_seed, make_rng
-from .splitting import SearchStrategy, _dense_ranks, _RankedOrders
+from .splitting import SearchStrategy, _RankTable
 from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
 
 WEIGHT_CAP = 1e100
@@ -95,18 +95,17 @@ class ForestModel:
         return out / len(self.trees)
 
 
-def fit_boosting(x, y, config: BoostingConfig, *, _orders: dict | None = None) -> BoostedModel:
+def fit_boosting(x, y, config: BoostingConfig, *, _ranks: _RankTable | None = None) -> BoostedModel:
     """Fit a gradient-boosted stack of tensor trees on plain residuals.
 
     With ``p_resample > 0`` each stage trains on ``ceil(n * p_resample)``
     indices drawn (with replacement) from the running sample weights;
     weights start uniform and are updated by ``exp(|residual|)`` after
-    every resampled stage, and the fit ranks each column of ``x`` once so
-    that a stage sorts the ranks of its rows.  Per-tree pruning is
-    applied before the model update when a prune config is given.
-    ``_orders`` is a sorted-order cache for exactly this ``x``, as for
-    :func:`~tensortree.tree.grow`, shared by the stages that grow on all
-    of it.
+    every resampled stage.  Per-tree pruning is applied before the model
+    update when a prune config is given.  Every stage reads one rank table
+    of ``x``, so the fit ranks each column at most once.  ``_ranks`` is
+    such a table whose rows are exactly this ``x``'s, as for
+    :func:`~tensortree.tree.grow`, shared by other fits on the same input.
     """
     x, y = _check_stacked(x, y)
     n = y.size
@@ -117,21 +116,19 @@ def fit_boosting(x, y, config: BoostingConfig, *, _orders: dict | None = None) -
     weights = np.full(n, 1.0 / n, dtype=np.float64)
     trees: list[TensorTree] = []
     mse_trace: list[float] = []
-    orders = {} if _orders is None else _orders
-    ranks = _dense_ranks(x) if config.p_resample > 0 else None
+    ranks = _RankTable(x) if _ranks is None else _ranks
 
     for _ in range(config.n_estimators):
         residual = y - current
         if config.p_resample > 0:
             size = int(math.ceil(n * config.p_resample))
             chosen = rng.choice(n, size=size, replace=True, p=weights)
-            tree = grow(x[chosen], residual[chosen], config.tree,
-                        _orders=_RankedOrders(ranks, chosen))
+            tree = grow(x[chosen], residual[chosen], config.tree, _ranks=ranks.take(chosen))
             weights = weights * np.exp(np.minimum(np.abs(residual), _EXP_CAP))
             weights = np.minimum(weights, WEIGHT_CAP)
             weights = weights / weights.sum()
         else:
-            tree = grow(x, residual, config.tree, _orders=orders)
+            tree = grow(x, residual, config.tree, _ranks=ranks)
         if config.prune is not None:
             tree = prune(tree, config.prune)
         tree.drop_training_data()
@@ -148,15 +145,13 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
     Each tree sees a bootstrap resample (size ``n``, with replacement)
     when ``config.bootstrap`` is set and searches splits with a
     leverage-score strategy at fraction ``config.tau``, re-seeded per
-    tree from the forest seed.  With bootstrap the forest ranks each
-    column of ``x`` once and a tree sorts the ranks of its rows; without
-    it the trees share one sorted-order cache of ``x``.
+    tree from the forest seed.  The trees read one rank table of ``x``,
+    so the forest ranks each column at most once.
     """
     x, y = _check_stacked(x, y)
     n = y.size
     trees: list[TensorTree] = []
-    ranks = _dense_ranks(x) if config.bootstrap else None
-    orders: dict = {}
+    ranks = _RankTable(x)
     for t_index in range(config.n_trees):
         strategy = SearchStrategy(
             kind="leverage", tau=config.tau, seed=derive_seed(config.seed, t_index, 1)
@@ -164,9 +159,9 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
         tree_cfg = replace(config.tree, strategy=strategy)
         if config.bootstrap:
             rows = make_rng(derive_seed(config.seed, t_index)).integers(0, n, size=n)
-            tree = grow(x[rows], y[rows], tree_cfg, _orders=_RankedOrders(ranks, rows))
+            tree = grow(x[rows], y[rows], tree_cfg, _ranks=ranks.take(rows))
         else:
-            tree = grow(x, y, tree_cfg, _orders=orders)
+            tree = grow(x, y, tree_cfg, _ranks=ranks)
         tree.drop_training_data()
         trees.append(tree)
     return ForestModel(trees)

@@ -17,9 +17,10 @@ another type than its leaf's kind, a tensor-output ``approach`` other
 than ``entrywise``/``lowrank`` or ``decomp`` other than ``cp``/``tucker``,
 a factor, CP weight vector or Tucker core whose shape does not fit the
 leaf's feature shape (or the output shape, and one ensemble per output
-entry or observation-mode component), a non-finite number, a
-non-integer shape, count or split coordinate, or a missing key or
-wrongly typed value.
+entry or observation-mode component), a feature shape of other than 2
+or 3 extents or an output shape of other than 1 or 2, an extent or leaf
+row count below 1, a non-finite number, a non-integer shape, count or
+split coordinate, or a missing key or wrongly typed value.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from ._checks import _check_bool, _check_choice, _check_coords, _check_int, _check_number, _finite_array
+from ._checks import _check_bool, _check_choice, _check_coords, _check_int, _check_number, _check_shape, _finite_array
 from .decomposition import CPDecomposition, TuckerDecomposition
 from .ensemble import BoostedModel, ForestModel
 from .leaf_models import FittedLeafModel
@@ -111,7 +112,7 @@ def _leaf_model_from_dict(doc: dict, feature_shape: tuple[int, ...]) -> FittedLe
     model = FittedLeafModel(
         kind=kind,
         feature_shape=feature_shape,
-        n_samples=_check_int(doc["n_samples"], "n_samples"),
+        n_samples=_check_int(doc["n_samples"], "n_samples", 1),
         fell_back=_check_bool(doc.get("fell_back", False), "fell_back"),
     )
     if kind == "mean":
@@ -148,7 +149,7 @@ def _node_from_dict(doc: dict, feature_shape: tuple[int, ...]):
         return LeafNode(
             model=_leaf_model_from_dict(leaf["model"], feature_shape),
             indices=None,
-            n=_check_int(leaf["n"], "n"),
+            n=_check_int(leaf["n"], "n", 1),
             response_variance=_check_number(leaf["response_variance"], "response_variance"),
             model_mse=_check_number(leaf["model_mse"], "model_mse"),
         )
@@ -172,7 +173,7 @@ def _tree_to_dict(t: TensorTree) -> dict:
 
 
 def _tree_from_dict(doc: dict) -> TensorTree:
-    feature_shape = tuple([_check_int(d, "feature_shape") for d in doc["feature_shape"]])
+    feature_shape = _check_shape(doc["feature_shape"], "feature_shape", (2, 3))
     return TensorTree(
         root=_node_from_dict(doc["node"], feature_shape),
         feature_shape=feature_shape,
@@ -223,7 +224,7 @@ def _output_from_dict(doc: dict) -> TensorOutputModel:
     _check_choice(doc["approach"], ("entrywise", "lowrank"), "tensor-output approach")
     if doc["approach"] == "lowrank":
         _check_choice(doc["decomp"], ("cp", "tucker"), "output decomposition")
-    shape = tuple([_check_int(d, "output_shape") for d in doc["output_shape"]])
+    shape = _check_shape(doc["output_shape"], "output_shape", (1, 2))
     ensembles = [_boosting_from_dict(e) for e in doc["ensembles"]]
     if doc["approach"] == "entrywise":
         if len(ensembles) != math.prod(shape):

@@ -70,22 +70,18 @@ right child's, and ties are still broken by the key above, so every
 strategy returns the same rule and loss as a scan that scores every rule.
 
 Observed-value ``sse`` and ``lre`` read each coordinate's rows in value
-order from a sorted-order cache: a dict from coordinate to the stable
-argsort of the node's column (int32 positions), filled the first time
-the node scans that coordinate.  After a split each child's cache is the
-parent's filtered to the child's rows (:func:`_child_orders`), which is
-exactly the child's own stable argsort.  So a column is sorted at most
-once on each path from the root, and an exhaustive search sorts it once
-per tree, or once per fit when trees share one input: boosting stages
-without resampling, forest trees without bootstrap, and the per-entry
-or per-column jobs of a tensor-output fit.  Trees grown on row resamples
-(bootstrap forests, resampled boosting) share instead the fit's table of
-dense integer ranks of each input column (:func:`_dense_ranks`, uint16
-up to 2**16 rows).  Their caches also hold the node's rows of the full
-input, and a miss argsorts the node's ranks, which orders the rows as
-their values do (equal values share a rank) and for uint16 is a radix
-sort.  ``lae`` and mean-value ``sse`` sort a copy of the column and
-leave the cache empty.
+order from the fit's rank table (:class:`_RankTable`): the dense ranks of
+each input column, computed the first time a search reads the column
+(uint16 up to 2**16 rows).  Equal values (-0.0 and 0.0 among them) share
+a rank and larger values get larger ranks, so the stable argsort of a
+node's ranks is the stable argsort of its values, and for uint16 a radix
+sort.  Every node argsorts the ranks of its own rows of the table's
+input.  The table also keeps each ranked column's order over the whole
+input, which the roots of trees grown on all of it read: boosting stages
+without resampling, forest trees without bootstrap, and the per-entry or
+per-column jobs of a tensor-output fit.  Trees grown on row resamples
+(bootstrap forests, resampled boosting) share the ranks.  ``lae`` and
+mean-value ``sse`` sort a copy of the column and rank nothing.
 """
 
 from __future__ import annotations
@@ -426,67 +422,41 @@ def _sse_scan(v: np.ndarray, ys: np.ndarray, min_child: int) -> tuple[float, int
     return float(loss[j]), low + j
 
 
-def _order_dtype(n: int):
-    """Index type of a sorted-order cache over ``n`` rows: int32 whenever it can hold them."""
-    return np.int32 if n <= np.iinfo(np.int32).max else np.intp
-
-
 def _rank_dtype(n: int):
     """Key type of a dense-rank column over ``n`` rows (ranks below ``n``): uint16 whenever it can hold them."""
     return np.uint16 if n <= 2**16 else np.uint32 if n <= 2**32 else np.uint64
 
 
-def _dense_ranks(x: np.ndarray) -> np.ndarray:
-    """Dense ranks of each column of stacked ``x``, shaped ``feature shape + (n,)``.
+class _RankTable:
+    """Dense ranks of the columns of one stacked input ``x``, each ranked the first time a search reads it.
 
-    Equal values (-0.0 and 0.0 among them) share a rank and larger values
-    get larger ranks, so a stable argsort of a column's ranks over any
-    rows is the stable argsort of its values over those rows.  Built one
-    column at a time, so only one column's sort is held beside the table.
-    """
-    n = x.shape[0]
-    ranks = np.empty(x.shape[1:] + (n,), dtype=_rank_dtype(n))
-    for coords in np.ndindex(*x.shape[1:]):
-        ranks[coords] = np.unique(_column(x, coords), return_inverse=True)[1]
-    return ranks
-
-
-class _RankedOrders(dict):
-    """A sorted-order cache whose node rows are rows ``rows`` of an input with dense ranks ``ranks``.
-
-    Fits that grow trees on row resamples of one input share its
-    :func:`_dense_ranks`, so a miss argsorts the node's integer ranks
-    (a radix sort for uint16) rather than its float column.
+    The table serves a fit or node that holds rows ``rows`` of ``x``, in
+    that order; None means every row in order, and then each column's
+    order is kept for later readers.  :meth:`take` gives the table of a
+    subset of those rows, which shares the ranks.
     """
 
-    def __init__(self, ranks: np.ndarray, rows: np.ndarray, orders=()):
-        super().__init__(orders)
-        self.ranks = ranks
-        self.rows = rows
+    def __init__(self, x: np.ndarray, rows: np.ndarray | None = None, ranks: dict | None = None):
+        self.x, self.rows = x, rows
+        self.ranks = {} if ranks is None else ranks
+        self.orders: dict = {}
 
+    def take(self, rows: np.ndarray) -> _RankTable:
+        """The table of the served rows at positions ``rows``."""
+        return _RankTable(self.x, rows if self.rows is None else self.rows[rows], self.ranks)
 
-def _child_orders(orders: dict, side: np.ndarray) -> dict:
-    """The sorted-order cache of the child holding the node's rows where ``side`` is True.
-
-    A child keeps its rows in node order, so the node order of a column
-    restricted to the child's rows, renumbered to child positions, is
-    exactly the stable argsort of the child's column.
-    """
-    position = np.cumsum(side, dtype=_order_dtype(side.size)) - 1
-    child = {c: position.take(o.compress(side.take(o))) for c, o in orders.items()}
-    if isinstance(orders, _RankedOrders):
-        return _RankedOrders(orders.ranks, orders.rows[side], child)
-    return child
-
-
-def _sorted_order(col: np.ndarray, coords: tuple[int, ...], orders: dict) -> np.ndarray:
-    """The stable argsort of ``col`` from the node's cache, sorted and stored on a miss."""
-    order = orders.get(coords)
-    if order is None:
-        keys = orders.ranks[coords].take(orders.rows) if isinstance(orders, _RankedOrders) else col
-        order = np.argsort(keys, kind="stable").astype(_order_dtype(col.size), copy=False)
-        orders[coords] = order
-    return order
+    def order(self, coords: tuple[int, ...]) -> np.ndarray:
+        """The stable argsort of column ``coords`` over the served rows."""
+        ranks = self.ranks.get(coords)
+        if ranks is None:
+            inverse = np.unique(_column(self.x, coords), return_inverse=True)[1]
+            ranks = self.ranks[coords] = inverse.astype(_rank_dtype(inverse.size))
+        if self.rows is not None:
+            return np.argsort(ranks.take(self.rows), kind="stable")
+        order = self.orders.get(coords)
+        if order is None:
+            order = self.orders[coords] = np.argsort(ranks, kind="stable")
+        return order
 
 
 def _prefix_moments(rows: np.ndarray, counts: np.ndarray):
@@ -563,26 +533,26 @@ def _child_bounds(rows: np.ndarray, sizes: np.ndarray, budget: float) -> np.ndar
     return bounds
 
 
-def _eval_coord(x, y, coords, criterion, min_child, orders, margin, rows=None) -> list:
+def _eval_coord(x, y, coords, criterion, min_child, ranks, margin, design=None) -> list:
     """The admissible rules at one coordinate as ``(bound, coords, threshold, n_left, left bound, right bound)``.
 
-    Fits nothing; :func:`_score` scores the pooled rules.  ``orders`` is
-    the node's sorted-order cache and ``margin`` the node's
+    Fits nothing; :func:`_score` scores the pooled rules.  ``ranks`` is
+    the node's :class:`_RankTable` and ``margin`` the node's
     :func:`_margin`.  Observed-value ``sse`` offers only the coordinate's
     best prefix-scan rule, bounded by its scan loss.  Under ``lre`` each
     rule carries its children's least-squares bounds over the node's
-    ``rows``, ``[1, vec(x_i), y_i]``: read in the column's sorted order, a
-    left child is a prefix of the rows and a right child a suffix, so both
-    sides come from running sums, the right side's over the reversed rows.
-    Every other bound is 0, and ``lae`` and mean-value ``sse`` sort the
-    column afresh rather than fill the cache.
+    ``design`` rows, ``[1, vec(x_i), y_i]``: read in the column's sorted
+    order, a left child is a prefix of the rows and a right child a suffix,
+    so both sides come from running sums, the right side's over the
+    reversed rows.  Every other bound is 0, and ``lae`` and mean-value
+    ``sse`` sort a copy of the column rather than rank it.
     """
     col = _column(x, coords)
     scan = criterion.kind == "sse" and criterion.value_mode == "observed"
     if not scan and criterion.kind != "lre":
         thresholds, n_left = _admissible(col, np.sort(col), criterion.value_mode, min_child)
         return [(0.0, coords, t, k, 0.0, 0.0) for t, k in zip(thresholds.tolist(), n_left.tolist())]
-    order = _sorted_order(col, coords, orders).astype(np.intp, copy=False)
+    order = ranks.order(coords)
     v = col[order]
     if scan:
         best = _sse_scan(v, y[order], min_child)
@@ -593,9 +563,9 @@ def _eval_coord(x, y, coords, criterion, min_child, orders, margin, rows=None) -
     thresholds, n_left = _admissible(col, v, criterion.value_mode, min_child)
     if n_left.size == 0:
         return []
-    rows = rows[order]
-    left = _child_bounds(rows, n_left, margin / 4)
-    right = _child_bounds(rows[::-1], (col.size - n_left)[::-1], margin / 4)[::-1]
+    design = design[order]
+    left = _child_bounds(design, n_left, margin / 4)
+    right = _child_bounds(design[::-1], (col.size - n_left)[::-1], margin / 4)[::-1]
     return [(bl + br, coords, t, k, bl, br) for t, k, bl, br
             in zip(thresholds.tolist(), n_left.tolist(), left.tolist(), right.tolist())]
 
@@ -708,17 +678,17 @@ def _bb_order(feature_shape: tuple[int, ...], xi: int) -> list[tuple[int, ...]]:
     return list(mids)
 
 
-def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEvaluation | None:
+def _search(x, y, criterion, strategy, leaf, min_child, ranks=None) -> SplitEvaluation | None:
     """Pool the bounded rules of the strategy's coordinates, in order, and score them once.
 
-    ``x`` and ``y`` are checked.  ``orders`` is the node's sorted-order
-    cache (see :func:`find_best_split`), or None to start an empty one.
+    ``x`` and ``y`` are checked.  ``ranks`` is the node's rank table (see
+    :func:`find_best_split`), or None to start one of ``x``.
     :func:`_score` picks the best rule under the tie-break.
     """
     if x.shape[0] < 2:
         raise ValueError("need at least two samples to split")
-    if orders is None:
-        orders = {}
+    if ranks is None:
+        ranks = _RankTable(x)
     if strategy.kind == "exhaustive":
         order = np.ndindex(*x.shape[1:])
     elif strategy.kind == "leverage":
@@ -726,10 +696,10 @@ def _search(x, y, criterion, strategy, leaf, min_child, orders=None) -> SplitEva
     else:
         order = _bb_order(x.shape[1:], int(strategy.xi))
     margin = _margin(x.shape[0], float(np.dot(y, y)))
-    rows = np.hstack([_affine_design(x), y[:, None]]) if criterion.kind == "lre" else None
+    design = np.hstack([_affine_design(x), y[:, None]]) if criterion.kind == "lre" else None
     pool = []
     for coords in order:
-        pool += _eval_coord(x, y, coords, criterion, min_child, orders, margin, rows)
+        pool += _eval_coord(x, y, coords, criterion, min_child, ranks, margin, design)
     return _score(x, y, pool, criterion, _lre_spec(criterion, leaf), margin)
 
 
@@ -741,7 +711,7 @@ def find_best_split(
     leaf: LeafModelSpec | None = None,
     *,
     min_child: int = 1,
-    _orders: dict | None = None,
+    _ranks: _RankTable | None = None,
 ) -> SplitEvaluation | None:
     """Best rule under the search named by ``strategy.kind``; None if nothing is admissible.
 
@@ -751,10 +721,10 @@ def find_best_split(
     midpoints of a bisection walk (:func:`_bb_order`; ``xi=0`` reproduces
     it, and for ``xi > 0`` a midpoint stands for its box unrelaxed, so the
     search is a heuristic).  Each child keeps at least ``min_child`` rows,
-    an int >= 0.  ``_orders`` is a sorted-order cache for exactly this
-    ``x`` (an empty dict to start one); without it the call starts its
-    own.  It saves sorts only and never changes the result.
+    an int >= 0.  ``_ranks`` is a rank table whose rows are exactly this
+    ``x``'s (:class:`_RankTable`); without it the call ranks ``x`` itself.
+    It saves ranking only and never changes the result.
     """
     x, y = _inputs(x, y, criterion)
     _check_int(min_child, "min_child", 0)
-    return _search(x, y, criterion, strategy, leaf, min_child, _orders)
+    return _search(x, y, criterion, strategy, leaf, min_child, _ranks)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import MAX_MODES, _as_matrix, _as_tensor
+from ._checks import MAX_MODES, _as_matrix, _as_tensor, _check_int
 
 
 def _mode_first(ndim: int, mode: int) -> list[int]:
@@ -48,6 +48,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
         fastest.
     """
     t = _as_tensor(tensor)
+    mode = _check_int(mode, "mode")
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
     return t.transpose(_mode_first(t.ndim, mode)).reshape(t.shape[mode], -1)
@@ -56,7 +57,8 @@ def unfold(tensor, mode: int) -> np.ndarray:
 def fold(matrix, mode: int, shape: Sequence[int]) -> np.ndarray:
     """Invert :func:`unfold`: rebuild the tensor of ``shape`` from ``matrix``."""
     m = _as_matrix(matrix)
-    shape = tuple(int(s) for s in shape)
+    mode = _check_int(mode, "mode")
+    shape = tuple([_check_int(s, "shape") for s in shape])
     if len(shape) < 2 or len(shape) > MAX_MODES:
         raise ValueError(f"target shape must have 2..{MAX_MODES} modes, got {shape}")
     if not 0 <= mode < len(shape):
@@ -80,6 +82,7 @@ def mode_product(tensor, matrix, mode: int) -> np.ndarray:
     """
     t = _as_tensor(tensor)
     m = _as_matrix(matrix)
+    mode = _check_int(mode, "mode")
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
     if m.shape[1] != t.shape[mode]:

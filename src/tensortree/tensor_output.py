@@ -34,6 +34,7 @@ from ._checks import _check_choice, _check_int, _check_output, _check_rank, _fin
 from ._rng import derive_seed
 from .decomposition import AlsConfig, CPDecomposition, TuckerDecomposition, cp_als, tucker_als
 from .ensemble import BoostedModel, BoostingConfig, fit_boosting
+from .splitting import _RankTable
 
 
 @dataclass(frozen=True)
@@ -84,14 +85,14 @@ class TensorOutputModel:
         return predict_tensor(self, x)
 
 
-def _fit_column(x, targets: np.ndarray, boosting: BoostingConfig, orders: dict,
+def _fit_column(x, targets: np.ndarray, boosting: BoostingConfig, ranks: _RankTable,
                 col: int) -> BoostedModel:
     """The boosted ensemble of column ``col`` of ``targets``, seeded by the column index.
 
-    ``orders`` is the sorted-order cache of ``x`` that the columns' fits share.
+    ``ranks`` is the rank table of ``x`` that the columns' fits share.
     """
     cfg = replace(boosting, seed=derive_seed(boosting.seed, col))
-    return fit_boosting(x, targets[:, col], cfg, _orders=orders)
+    return fit_boosting(x, targets[:, col], cfg, _ranks=ranks)
 
 
 # The inputs of the running fit, in a worker process only; set by _start_worker.
@@ -111,25 +112,26 @@ def _fit_columns(x, targets: np.ndarray, boosting: BoostingConfig,
                  n_threads: int) -> list[BoostedModel]:
     """One boosted ensemble per column of ``targets``, in column order.
 
-    The columns' fits share one sorted-order cache of ``x``, so a process
-    sorts each column of ``x`` once.  Up to ``n_threads`` forked workers
-    fit the columns.  A forked worker inherits ``x``, ``targets``,
-    ``boosting`` and the cache from this process, so a job sends only its
-    column index; a spawned worker would start a fresh interpreter and
-    re-import NumPy, which costs more than a whole fit.
+    The columns' fits share one rank table of ``x``, so a process ranks
+    and sorts each column of ``x`` at most once.  Up to ``n_threads``
+    forked workers fit the columns.  A forked worker inherits ``x``,
+    ``targets``, ``boosting`` and the table from this process (and fills
+    its own copy of the table), so a job sends only its column index; a
+    spawned worker would start a fresh interpreter and re-import NumPy,
+    which costs more than a whole fit.
     """
     columns = targets.shape[1]
     workers = min(n_threads, columns)
-    orders: dict = {}
+    ranks = _RankTable(x)
     if workers <= 1 or sys.platform != "linux":
-        return [_fit_column(x, targets, boosting, orders, col) for col in range(columns)]
+        return [_fit_column(x, targets, boosting, ranks, col) for col in range(columns)]
     # Imported here, so that a process that never forks workers does not
     # load the 32 modules (about 1.3 MB) they bring.
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(x, targets, boosting, orders))
+                               initializer=_start_worker, initargs=(x, targets, boosting, ranks))
     try:
         return list(pool.map(_fit_worker_column, range(columns)))
     except BrokenProcessPool as exc:

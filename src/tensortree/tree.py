@@ -42,10 +42,10 @@ from .splitting import (
     SearchStrategy,
     SplitCriterion,
     SplitRule,
-    _child_orders,
     _group_loss,
     _lae_term,
     _lre_spec,
+    _RankTable,
     _split_mask,
     find_best_split,
 )
@@ -224,14 +224,15 @@ def _searches(n: int, depth: int, config: GrowConfig) -> bool:
     return depth < config.max_depth and n >= max(2, 2 * config.min_samples_leaf)
 
 
-def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, orders: dict):
+def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, ranks: _RankTable):
     """The rule that splits rows ``indices`` and its left-row mask, or None for a leaf.
 
     A function of its own so that the node's row copies are freed before
     its subtrees are grown.  Only the root holds every row, and in order,
-    so it reads ``x`` and ``y`` in place.
+    so it reads ``x``, ``y`` and the rank table of ``x`` in place.
     """
-    xs, ys = (x, y) if indices.size == x.shape[0] else (x[indices], y[indices])
+    root = indices.size == x.shape[0]
+    xs, ys = (x, y) if root else (x[indices], y[indices])
     best = find_best_split(
         xs,
         ys,
@@ -239,7 +240,7 @@ def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, orders: dict):
         config.strategy,
         config.leaf,
         min_child=config.min_samples_leaf,
-        _orders=orders,
+        _ranks=ranks if root else ranks.take(indices),
     )
     if best is None:
         return None
@@ -250,47 +251,39 @@ def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, orders: dict):
     return best.rule, _split_mask(xs, best.rule)
 
 
-def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec, orders=None):
+def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec, ranks: _RankTable):
     """The subtree grown on rows ``indices`` of checked inputs, ``depth`` levels down.
 
-    ``orders`` is the node's sorted-order cache (see
-    :func:`~tensortree.splitting.find_best_split`), or None to start an
-    empty one.  Each child that will search inherits the columns its
-    parent sorted; a child that will not gets no cache, and each cache is
-    released once the subtrees that read it are built.  A module-level
-    function rather than a closure in :func:`grow`: a recursive closure is
-    a reference cycle, which would keep each tree's training arrays alive
-    until the next garbage collection.
+    ``ranks`` is the rank table of ``x``, which every node's search reads
+    at the node's rows.  A module-level function rather than a closure in
+    :func:`grow`: a recursive closure is a reference cycle, which would
+    keep each tree's training arrays alive until the next garbage
+    collection.
     """
     if _searches(indices.size, depth, config):
-        if orders is None:
-            orders = {}
-        split = _split(x, y, indices, config, spec, orders)
+        split = _split(x, y, indices, config, spec, ranks)
         if split is not None:
             rule, go_left = split
-            caches = [
-                _child_orders(orders, side) if _searches(int(side.sum()), depth + 1, config) else None
-                for side in (go_left, ~go_left)
-            ]
-            del orders  # still alive only where the caller shares it
             return SplitNode(
                 rule=rule,
-                left=_build(x, y, indices[go_left], depth + 1, config, spec, caches.pop(0)),
-                right=_build(x, y, indices[~go_left], depth + 1, config, spec, caches.pop()),
+                left=_build(x, y, indices[go_left], depth + 1, config, spec, ranks),
+                right=_build(x, y, indices[~go_left], depth + 1, config, spec, ranks),
             )
     return _make_leaf(x, y, indices, config.leaf)
 
 
-def grow(x, y, config: GrowConfig, *, _orders: dict | None = None) -> TensorTree:
+def grow(x, y, config: GrowConfig, *, _ranks: _RankTable | None = None) -> TensorTree:
     """Fit a tensor tree on stacked inputs ``x`` and responses ``y``.
 
-    ``_orders`` is a sorted-order cache for exactly this ``x``, shared by
-    fits on the same input; it saves sorts only and never changes the tree.
+    ``_ranks`` is a rank table whose rows are exactly this ``x``'s (see
+    :class:`~tensortree.splitting._RankTable`), shared by fits on the same
+    input; without it the tree ranks ``x`` itself.  It saves ranking only
+    and never changes the tree.
     """
     x, y = _check_stacked(x, y)
     spec = _lre_spec(config.criterion, config.leaf)
     _check_ranks(config.criterion, (config.leaf, spec), x.shape[1:])
-    root = _build(x, y, np.arange(x.shape[0]), 0, config, spec, _orders)
+    root = _build(x, y, np.arange(x.shape[0]), 0, config, spec, _RankTable(x) if _ranks is None else _ranks)
     return TensorTree(root, x.shape[1:], config, x_train=x, y_train=y)
 
 

@@ -15,7 +15,9 @@ from tensortree.tree import GrowConfig, grow
 @pytest.fixture(params=["coords", "threshold", "leaf_n", "feature_shape", "top_level_list",
                         "threshold_nan", "leaf_mean_inf", "coords_float", "coords_bool",
                         "leaf_feature_shape", "threshold_str", "leaf_mean_bool", "fell_back_str",
-                        "factor_bool_among_floats"])
+                        "factor_bool_among_floats", "feature_shape_one_mode",
+                        "feature_shape_four_modes", "feature_shape_zero_extent", "leaf_n_negative",
+                        "leaf_n_samples_zero"])
 def malformed_tree_doc(request):
     """A valid one-split tree document with one value made malformed."""
     x = make_rng(0).uniform(size=(30, 2, 2))
@@ -49,6 +51,19 @@ def malformed_tree_doc(request):
         factor[0][0] = True
     elif request.param == "feature_shape":
         doc["feature_shape"] = 4
+    elif request.param in ("feature_shape_one_mode", "feature_shape_four_modes"):
+        # rule and leaves agree with the shape, which no fit can have
+        shape = [2] if request.param == "feature_shape_one_mode" else [2, 2, 1, 1]
+        node["rule"]["coords"] = (node["rule"]["coords"] + [0, 0])[:len(shape)]
+        doc["feature_shape"] = node["left"]["leaf"]["model"]["feature_shape"] = shape
+        node["right"]["leaf"]["model"]["feature_shape"] = shape
+    elif request.param == "feature_shape_zero_extent":
+        doc["node"] = leaf = node["left"]  # a single leaf: no rule indexes the shape
+        doc["feature_shape"] = leaf["leaf"]["model"]["feature_shape"] = [0, 2]
+    elif request.param == "leaf_n_negative":
+        node["left"]["leaf"]["n"] = -5
+    elif request.param == "leaf_n_samples_zero":
+        node["left"]["leaf"]["model"]["n_samples"] = 0
     else:
         return [doc]
     return doc

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from tensortree import cli, ensemble, serialize, tensor_output
+from tensortree import cli, serialize, splitting, tensor_output
 from tensortree._rng import make_rng
 from tensortree.data import GENERATORS
 from tensortree.decomposition import AlsConfig
@@ -116,8 +116,13 @@ class TestFit:
     @pytest.mark.parametrize("run", [
         {"model": "forest", "n_trees": 4, "forest_tau": 0.5, "max_depth": 4},
         {"model": "boosting", "n_estimators": 4, "p_resample": 0.7, "max_depth": 3},
-    ], ids=["forest", "boosting-resampled"])
+        {"model": "boosting", "n_estimators": 4, "max_depth": 3},
+    ], ids=["forest", "boosting-resampled", "boosting"])
     def test_rank_key_sorts_write_the_float_sort_bytes(self, tmp_path, capsys, monkeypatch, run):
+        def float_order(table, coords):
+            rows = slice(None) if table.rows is None else table.rows
+            return np.argsort(table.x[(rows,) + coords], kind="stable")
+
         rng = make_rng(12)
         x = np.round(rng.normal(size=(150, 3, 3)) * 2) / 2  # ties between distinct rows
         x[:, 0, 1] = np.where(x[:, 0, 1] > 0, 1.0, np.where(x[:, 0, 1] < 0, -1.0, -0.0))
@@ -131,8 +136,8 @@ class TestFit:
             "data": {"x": str(tmp_path / "X.npy"), "y": str(tmp_path / "y.npy")}})
         docs = []
         for reference in (False, True):
-            if reference:  # every tree sorts its own float columns
-                monkeypatch.setattr(ensemble, "_RankedOrders", lambda ranks, rows: {})
+            if reference:  # every node sorts its own float columns
+                monkeypatch.setattr(splitting._RankTable, "order", float_order)
             out = tmp_path / f"m{int(reference)}.json"
             assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 0
             docs.append(out.read_bytes())

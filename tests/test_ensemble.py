@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tensortree import ensemble, splitting
+from tensortree import ensemble
 from tensortree._rng import derive_seed, make_rng
 from tensortree.ensemble import (
     BoostedModel,
@@ -21,6 +21,8 @@ from tensortree.leaf_models import LeafModelSpec
 from tensortree.serialize import dumps
 from tensortree.splitting import SearchStrategy, SplitCriterion
 from tensortree.tree import GrowConfig, PruneConfig, grow, prune
+
+from test_splitting import dense_ranks, record_ranking
 
 
 def step_data(n, seed, sigma=0.2):
@@ -203,24 +205,21 @@ class TestForestWithoutBootstrap:
 
     def test_trees_grow_on_x_and_sort_each_column_once(self, monkeypatch):
         x, y = step_data(120, seed=10)
-        grown_on_x, root_sorts = [], []
-        grow_tree, argsort = ensemble.grow, np.argsort
+        grown_on_x = []
+        grow_tree = ensemble.grow
 
         def recording_grow(a, b, config, **kwargs):
             grown_on_x.append(a is x and np.shares_memory(b, y))
             return grow_tree(a, b, config, **kwargs)
 
-        def counting_argsort(a, *args, **kwargs):
-            if np.shape(a) == (x.shape[0],):  # a root column, not the leverage sample keys
-                root_sorts.append(np.asarray(a).tobytes())
-            return argsort(a, *args, **kwargs)
-
         monkeypatch.setattr(ensemble, "grow", recording_grow)
-        monkeypatch.setattr(splitting.np, "argsort", counting_argsort)
+        ranked, root_sorts = record_ranking(monkeypatch, x.shape[0])
         fit_forest(x, y, self.config(5))
         assert grown_on_x == [True] * 5
-        columns = [x[:, i, j].tobytes() for i in range(3) for j in range(3)]
-        assert sorted(root_sorts) == sorted(columns)  # the trees share one cache
+        columns = [x[:, i, j] for i in range(3) for j in range(3)]
+        assert sorted(ranked) == sorted(c.tobytes() for c in columns)
+        # the trees share one rank table, which keeps each column's root order
+        assert sorted(root_sorts) == sorted(dense_ranks(c).tobytes() for c in columns)
 
 
 def _overflowing_lowrank():

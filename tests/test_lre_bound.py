@@ -143,7 +143,7 @@ def test_zero_bound_rules_fit_the_larger_child_first(monkeypatch):
     rows = np.hstack([_affine_design(x), y[:, None]])
     margin = splitting._margin(x.shape[0], float(y @ y))
     pool = [rule for coords in np.ndindex(*x.shape[1:])
-            for rule in splitting._eval_coord(x, y, coords, criterion, 10, {}, margin, rows)]
+            for rule in splitting._eval_coord(x, y, coords, criterion, 10, splitting._RankTable(x), margin, rows)]
     assert pool and all(rule[0] == 0.0 for rule in pool)
     calls = []
     real_fit = splitting.fit_leaf
@@ -167,7 +167,7 @@ def best_loss(best):
     return np.inf if best is None else best.loss
 
 
-def reference_lre_search(x, y, criterion, strategy, leaf, min_child, orders=None):
+def reference_lre_search(x, y, criterion, strategy, leaf, min_child, ranks=None):
     """Stands in for ``splitting._search`` under ``lre``: coordinates in the strategy's
     order, each scanned threshold by threshold, a rule fitted unless its summed
     least-squares bound passes the best loss so far (or the coordinate's own
@@ -207,10 +207,10 @@ def reference_lre_search(x, y, criterion, strategy, leaf, min_child, orders=None
 def with_reference_search(monkeypatch):
     real = splitting._search
 
-    def search(x, y, criterion, strategy, leaf, min_child, orders=None):
+    def search(x, y, criterion, strategy, leaf, min_child, ranks=None):
         if criterion.kind != "lre":
-            return real(x, y, criterion, strategy, leaf, min_child, orders)
-        return reference_lre_search(x, y, criterion, strategy, leaf, min_child, orders)
+            return real(x, y, criterion, strategy, leaf, min_child, ranks)
+        return reference_lre_search(x, y, criterion, strategy, leaf, min_child, ranks)
 
     monkeypatch.setattr(splitting, "_search", search)
 
@@ -281,7 +281,7 @@ def test_exact_tie_goes_to_the_smaller_key_whatever_the_bounds(monkeypatch):
     margin = splitting._margin(x.shape[0], sum_sq)
     pool = []
     for coords in np.ndindex(*x.shape[1:]):
-        pool += splitting._eval_coord(x, y, coords, criterion, 5, {}, margin, rows)
+        pool += splitting._eval_coord(x, y, coords, criterion, 5, splitting._RankTable(x), margin, rows)
     # a rule with the smaller key and the larger bound, and one with the larger key
     bound, keys = {c[1:3]: c[0] for c in pool}, sorted(c[1:3] for c in pool)
     small = next(k for k in keys if any(bound[other] < bound[k] for other in keys if other > k))
@@ -375,7 +375,7 @@ def test_candidates_carry_the_lstsq_bound_of_each_rule():
     sum_sq = float(y @ y)
     rows = np.hstack([design, y[:, None]])
     for coords in [(0, 0), (1, 2)]:
-        cands = splitting._eval_coord(x, y, coords, criterion, 5, {},
+        cands = splitting._eval_coord(x, y, coords, criterion, 5, splitting._RankTable(x),
                                       splitting._margin(x.shape[0], sum_sq), rows)
         col = x[(slice(None),) + coords]
         assert [c[2] for c in cands] == [

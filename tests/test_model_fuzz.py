@@ -2,8 +2,9 @@
 
 Each mutation replaces, deletes, scales or adds one entry anywhere in a
 document.  Loading the result must raise ``ValueError``; a document that
-loads must predict finite values or raise ``ValueError``.  No other
-exception, and no non-finite prediction, may escape.
+loads must hold only shapes and counts that a fit can give, and predict
+finite values or raise ``ValueError``.  No other exception, and no
+non-finite prediction, may escape.
 """
 
 import copy
@@ -79,11 +80,22 @@ def mutate(doc, rng):
     return doc
 
 
+def assert_fit_shapes(model):
+    """2 or 3 feature extents, 1 or 2 output extents, every extent and leaf row count at least 1."""
+    output_shape = getattr(model, "output_shape", (1,))
+    assert 1 <= len(output_shape) <= 2 and min(output_shape) >= 1
+    for ensemble in getattr(model, "ensembles", [model]):
+        for tree in getattr(ensemble, "trees", [ensemble]):
+            assert 2 <= len(tree.feature_shape) <= 3 and min(tree.feature_shape) >= 1
+            assert all(leaf.n >= 1 and leaf.model.n_samples >= 1 for leaf in tree.leaves())
+
+
 def outcome(doc, x):
     try:
         model = model_from_dict(doc)
     except ValueError:
         return "rejected"
+    assert_fit_shapes(model)
     try:
         prediction = model.predict(x)
     except ValueError:

@@ -234,3 +234,14 @@ def test_rejects_output_arrays_that_do_not_fit_the_output_shape(approach, decomp
         doc["core"] = doc["core"][0]
     with pytest.raises(ValueError, match="factor|ensembles"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("shape", [[], [1, 1, 1], [1, 1, 1, 1], [1, 0]])
+def test_rejects_output_shapes_no_fit_has(shape):
+    rng = make_rng(11)
+    x, y = rng.uniform(size=(40, 2, 2)), rng.normal(size=(40, 1))
+    boost = BoostingConfig(n_estimators=1, tree=tree_config(LeafModelSpec(kind="mean")))
+    doc = model_to_dict(fit_entrywise(x, y, OutputConfig(boosting=boost)))
+    doc["output_shape"] = shape
+    with pytest.raises(ValueError, match="output_shape"):
+        model_from_dict(doc)

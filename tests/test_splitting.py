@@ -24,7 +24,6 @@ from tensortree.splitting import (
     SplitCriterion,
     SplitEvaluation,
     SplitRule,
-    _child_orders,
     candidate_thresholds,
     evaluate_split,
     find_best_split,
@@ -476,35 +475,36 @@ class TestPresortedSse:
 
     def test_cache_holds_stable_orders_and_changes_no_result(self):
         x, y = sse_instance("tied", 3)
-        orders = {}
-        first = find_best_split(x, y, SplitCriterion(kind="sse"), SearchStrategy(), _orders=orders)
-        again = find_best_split(x, y + 1.0, SplitCriterion(kind="sse"), SearchStrategy(), _orders=orders)
+        table = splitting._RankTable(x)
+        first = find_best_split(x, y, SplitCriterion(kind="sse"), SearchStrategy(), _ranks=table)
+        again = find_best_split(x, y + 1.0, SplitCriterion(kind="sse"), SearchStrategy(), _ranks=table)
         assert first == reference_sse_search(x, y, 1)
         assert again == reference_sse_search(x, y + 1.0, 1)
-        assert sorted(orders) == sorted(np.ndindex(3, 2))
-        for coords, order in orders.items():
-            assert order.dtype == np.int32
+        assert sorted(table.ranks) == sorted(table.orders) == sorted(np.ndindex(3, 2))
+        for coords, order in table.orders.items():
+            assert table.ranks[coords].dtype == np.uint16
             assert np.array_equal(order, np.argsort(x[(slice(None),) + coords], kind="stable"))
 
     @pytest.mark.parametrize("kind", ["plain", "tied"])
     def test_child_orders_are_stable_child_argsorts(self, kind):
         x, _ = sse_instance(kind, 4)
-        orders = {c: np.argsort(x[(slice(None),) + c], kind="stable") for c in np.ndindex(3, 2)}
+        table = splitting._RankTable(x)
         go_left = x[:, 0, 1] <= np.median(x[:, 0, 1])
         for rows in (go_left, ~go_left):
-            child = _child_orders(orders, rows)
-            assert sorted(child) == sorted(orders)
-            for coords, order in child.items():
-                assert np.array_equal(order, np.argsort(x[rows][(slice(None),) + coords], kind="stable"))
+            child = table.take(np.flatnonzero(rows))
+            for coords in np.ndindex(3, 2):
+                assert np.array_equal(child.order(coords),
+                                      np.argsort(x[rows][(slice(None),) + coords], kind="stable"))
+        assert table.orders == {}  # only a reader of every row in order keeps its orders
 
     @pytest.mark.parametrize("kind", ["mean_value", "lae"])
     def test_other_criteria_leave_the_cache_empty(self, kind):
         x, y = sse_instance("plain", 5, n=12)
         criterion = (SplitCriterion(kind="sse", value_mode="mean") if kind == "mean_value"
                      else SplitCriterion(kind="lae", split_rank=1, als=FAST_ALS))
-        orders = {}
-        find_best_split(x, y, criterion, SearchStrategy(), _orders=orders)
-        assert orders == {}
+        table = splitting._RankTable(x)
+        find_best_split(x, y, criterion, SearchStrategy(), _ranks=table)
+        assert table.ranks == {} and table.orders == {}
 
 
 def strategy_order(x, strategy):
@@ -516,7 +516,7 @@ def strategy_order(x, strategy):
     return splitting._bb_order(x.shape[1:], int(strategy.xi))
 
 
-def reference_sse_order_search(x, y, criterion, strategy, leaf, min_child, orders=None):
+def reference_sse_order_search(x, y, criterion, strategy, leaf, min_child, ranks=None):
     """Stands in for ``splitting._search``: every coordinate in the strategy's
     order scored by :func:`reference_sse_coord`, with no cache and no skips,
     best under the library's tie-break."""
@@ -567,23 +567,50 @@ class TestPresortedModels:
 
     def test_boosting_sorts_each_coordinate_once(self, monkeypatch):
         x, y = prune_fn_instance("plain", seed=8, n=200)
-        sorted_columns = []
-        argsort = np.argsort
-
-        def counting_argsort(a, *args, **kwargs):
-            sorted_columns.append(np.asarray(a).tobytes())
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(splitting.np, "argsort", counting_argsort)
+        ranked, root_sorts = record_ranking(monkeypatch, x.shape[0])
         model = fit_boosting(x, y, BoostingConfig(n_estimators=10, tree=GrowConfig(max_depth=3)))
         assert sum(t.n_leaves > 1 for t in model.trees) == 10
-        columns = {x[(slice(None),) + c].tobytes() for c in np.ndindex(4, 4, 4)}
-        assert len(sorted_columns) == len(set(sorted_columns)) == 64
-        assert set(sorted_columns) == columns
+        columns = [x[(slice(None),) + c] for c in np.ndindex(4, 4, 4)]
+        assert sorted(ranked) == sorted(c.tobytes() for c in columns)
+        # every stage's root reads the whole-input orders the first stage sorted
+        assert sorted(root_sorts) == sorted(dense_ranks(c).tobytes() for c in columns)
+
+    @pytest.mark.parametrize("fit", ["grow", "boosting_resampled", "forest", "forest_no_bootstrap"])
+    def test_fits_rank_each_coordinate_at_most_once(self, fit, monkeypatch):
+        x, y = prune_fn_instance("tied", seed=9, n=200)
+        ranked, _ = record_ranking(monkeypatch, x.shape[0])
+        self.FITS[fit](x, y)
+        assert ranked and len(ranked) == len(set(ranked))
+        assert set(ranked) <= {x[(slice(None),) + c].tobytes() for c in np.ndindex(4, 4, 4)}
+
+
+def dense_ranks(col):
+    """The uint16 dense ranks of ``col``, computed apart from the library."""
+    return np.searchsorted(np.unique(col), col).astype(np.uint16)
+
+
+def record_ranking(monkeypatch, n):
+    """Two lists that fill as a fit runs: the bytes of each column ranked, and of each ``n``-row array argsorted."""
+    ranked, full_sorts = [], []
+    unique, argsort = np.unique, np.argsort
+
+    def recording_unique(a, *args, **kwargs):
+        if kwargs.get("return_inverse"):
+            ranked.append(np.asarray(a).tobytes())
+        return unique(a, *args, **kwargs)
+
+    def recording_argsort(a, *args, **kwargs):
+        if np.shape(a) == (n,):
+            full_sorts.append(np.asarray(a).tobytes())
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(splitting.np, "unique", recording_unique)
+    monkeypatch.setattr(splitting.np, "argsort", recording_argsort)
+    return ranked, full_sorts
 
 
 class TestRankKeys:
-    """Trees grown on row resamples sort dense integer ranks of the full input."""
+    """Every node argsorts the dense integer ranks of its rows of the fit's input."""
 
     @staticmethod
     def tied_stack(n, seed=0):
@@ -597,42 +624,41 @@ class TestRankKeys:
     @pytest.mark.parametrize("n, dtype", [(40, np.uint16), (2**16, np.uint16), (2**16 + 1, np.uint32)])
     def test_rank_dtype_and_sorts_match_float_sorts(self, n, dtype):
         x = self.tied_stack(n)
-        ranks = splitting._dense_ranks(x)
-        assert ranks.dtype == dtype and ranks.shape == (2, 2, n)
+        table = splitting._RankTable(x)
         rng = np.random.default_rng(1)
         rows = rng.integers(0, n, size=n)  # a bootstrap draw: rows repeat
         assert np.unique(rows).size < n
-        orders = splitting._RankedOrders(ranks, rows)
+        resample = table.take(rows)
         for coords in np.ndindex(2, 2):
             col = x[(rows,) + coords]
-            order = splitting._sorted_order(col, coords, orders)
-            assert np.array_equal(order, np.argsort(col, kind="stable"))
-            assert orders[coords] is order
+            assert np.array_equal(resample.order(coords), np.argsort(col, kind="stable"))
+            assert table.ranks[coords].dtype == dtype and table.ranks[coords].shape == (n,)
+            order = table.order(coords)
+            assert np.array_equal(order, np.argsort(x[(slice(None),) + coords], kind="stable"))
+            assert table.order(coords) is order
+        assert resample.ranks is table.ranks and resample.orders == {}
 
     def test_equal_values_share_a_rank(self):
         x = self.tied_stack(200)
-        ranks = splitting._dense_ranks(x)
+        table = splitting._RankTable(x)
         for coords in np.ndindex(2, 2):
-            col = x[(slice(None),) + coords]
-            assert np.array_equal(ranks[coords], np.searchsorted(np.unique(col), col))
-        assert set(ranks[0, 1].tolist()) == {0, 1, 2}  # -1.5, then -0.0 with 0.0, then 2.0
-        assert not ranks[1, 1].any()
+            table.order(coords)
+            assert np.array_equal(table.ranks[coords], dense_ranks(x[(slice(None),) + coords]))
+        assert set(table.ranks[0, 1].tolist()) == {0, 1, 2}  # -1.5, then -0.0 with 0.0, then 2.0
+        assert not table.ranks[1, 1].any()
 
     def test_child_caches_carry_their_rows(self):
         x = self.tied_stack(60, seed=2)
         rows = np.random.default_rng(3).integers(0, 60, size=60)
-        orders = splitting._RankedOrders(splitting._dense_ranks(x), rows)
+        table = splitting._RankTable(x).take(rows)
         xs = x[rows]
-        splitting._sorted_order(xs[:, 0, 0], (0, 0), orders)
         go_left = xs[:, 1, 0] <= 0.0
         for side in (go_left, ~go_left):
-            child = _child_orders(orders, side)
-            assert isinstance(child, splitting._RankedOrders) and child.ranks is orders.ranks
-            assert np.array_equal(child.rows, rows[side]) and list(child) == [(0, 0)]
-            for coords in np.ndindex(2, 2):  # a hit, then misses sorted from ranks
+            child = table.take(np.flatnonzero(side))
+            assert child.ranks is table.ranks and np.array_equal(child.rows, rows[side])
+            for coords in np.ndindex(2, 2):
                 col = xs[side][(slice(None),) + coords]
-                assert np.array_equal(splitting._sorted_order(col, coords, child),
-                                      np.argsort(col, kind="stable"))
+                assert np.array_equal(child.order(coords), np.argsort(col, kind="stable"))
 
     def test_bootstrap_trees_sort_uint16_rank_keys(self, monkeypatch):
         x, y = prune_fn_instance("tied", seed=5, n=200)
@@ -653,7 +679,7 @@ class TestRankKeys:
 # --- one bound-ordered scorer for every criterion ---------------------------
 
 
-def reference_rule_search(x, y, criterion, strategy, leaf, min_child, orders=None):
+def reference_rule_search(x, y, criterion, strategy, leaf, min_child, ranks=None):
     """Stands in for ``splitting._search``: every admissible rule of every
     coordinate in the strategy's order scored by ``_children_loss``, with no
     bound, no skip and no cache, best under the library's tie-break."""

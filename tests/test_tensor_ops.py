@@ -66,6 +66,26 @@ class TestUnfoldFold:
         with pytest.raises(ValueError):
             fold(np.zeros((2, 5)), 0, (2, 2, 2))
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda t: unfold(t, 1.5), "mode"),
+        (lambda t: unfold(t, True), "mode"),
+        (lambda t: unfold(t, "1"), "mode"),
+        (lambda t: mode_product(t, np.ones((2, 3)), 1.0), "mode"),
+        (lambda t: fold(unfold(t, 0), 0.0, (2, 3, 4)), "mode"),
+        (lambda t: fold(unfold(t, 0), 0, (2, 3.5, 4)), "shape"),
+        (lambda t: fold(unfold(t, 0), 0, (2, True, 12)), "shape"),
+    ], ids=["unfold_float", "unfold_bool", "unfold_str", "mode_product_float", "fold_mode_float",
+            "fold_extent_float", "fold_extent_bool"])
+    def test_modes_and_extents_must_be_ints(self, call, name):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            call(np.arange(24.0).reshape(2, 3, 4))
+
+    def test_numpy_int_modes_and_extents_accepted(self):
+        t = np.arange(24.0).reshape(2, 3, 4)
+        m = unfold(t, np.int64(1))
+        assert np.array_equal(fold(m, np.int32(1), (np.int64(2), 3, 4)), t)
+        assert np.array_equal(mode_product(t, np.eye(3), np.uint8(1)), t)
+
 
 class TestModeProduct:
     def test_identity_is_identity(self):

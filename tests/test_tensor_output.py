@@ -25,6 +25,8 @@ from tensortree.tensor_output import (
 )
 from tensortree.tree import GrowConfig
 
+from test_splitting import dense_ranks, record_ranking
+
 
 def small_boosting(seed=0, m=3, depth=1):
     return BoostingConfig(
@@ -272,18 +274,12 @@ class TestWorkers:
                            boosting=small_boosting(depth=2))
         fit = fit_entrywise if approach == "entrywise" else fit_lowrank
         expected = dumps(fit(x, y, cfg))
-        sorted_columns = []
-        argsort = np.argsort
-
-        def counting_argsort(a, *args, **kwargs):
-            sorted_columns.append(np.asarray(a).tobytes())
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", counting_argsort)
+        ranked, root_sorts = record_ranking(monkeypatch, x.shape[0])
         assert dumps(fit(x, y, cfg)) == expected
-        columns = {x[(slice(None),) + c].tobytes() for c in np.ndindex(3, 4)}
-        assert len(sorted_columns) == len(set(sorted_columns)) == 12
-        assert set(sorted_columns) == columns
+        columns = [x[(slice(None),) + c] for c in np.ndindex(3, 4)]
+        assert sorted(ranked) == sorted(c.tobytes() for c in columns)
+        # every job's every stage reads the one whole-input order of each column
+        assert sorted(root_sorts) == sorted(dense_ranks(c).tobytes() for c in columns)
 
     def test_job_error_reaches_the_caller_unchanged(self, monkeypatch):
         def fail(x, y, cfg, **kwargs):
