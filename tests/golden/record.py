@@ -10,8 +10,10 @@ The cases cover the sort paths of the split search (plain inputs, inputs
 with ties between distinct rows, and columns holding both -0.0 and 0.0)
 through single trees under each search strategy and value mode, forests
 with and without bootstrap, boosting with and without resampling and
-pruning, ``lre`` and ``lae`` trees, and entrywise and low-rank tensor
-outputs on one and two worker processes, plus two ALS fits.
+pruning, ``sse`` trees with CP and Tucker leaves, trees pruned under each
+quality, ``lre`` and ``lae`` trees, and entrywise and low-rank tensor
+outputs on one and two worker processes, plus ALS fits on 2-, 3- and
+4-mode tensors.
 
 Re-record only from a commit whose models are known to be right, and
 name each re-record in ``CHANGES.md``::
@@ -114,8 +116,14 @@ def _lae(kind, value_mode, strategy=SearchStrategy()):
                                                value_mode=value_mode, als=ALS))
 
 
+def _low_rank_leaves(kind):
+    return GrowConfig(max_depth=2, min_samples_leaf=8, leaf=LeafModelSpec(kind=kind, rank=1, als=ALS))
+
+
 MEAN_MODE = replace(TREE, criterion=SplitCriterion(value_mode="mean"))
 PRUNE = PruneConfig(alpha=0.5)
+PRUNE_TENSOR_LOSS = PruneConfig(alpha=5.0, quality="tensor_loss")
+PRUNE_LAE = PruneConfig(alpha=1.0, quality="lae", lae_rank=1, als=ALS)
 
 # name -> (input generator, input variant, fit of a model on that input)
 CASES = {
@@ -131,6 +139,10 @@ CASES = {
     "tree_mean_mode_plain": (_prune_fn, "plain", _tree(MEAN_MODE)),
     "tree_mean_mode_zeros": (_prune_fn, "zeros", _tree(MEAN_MODE)),
     "tree_pruned_variance": (_prune_fn, "tied", _tree(TREE, PRUNE)),
+    "tree_pruned_tensor_loss": (_prune_fn, "plain", _tree(_low_rank_leaves("cp"), PRUNE_TENSOR_LOSS)),
+    "tree_pruned_lae": (_prune_fn, "tied", _tree(SHALLOW, PRUNE_LAE)),
+    "tree_sse_cp_leaves": (_prune_fn, "plain", _tree(_low_rank_leaves("cp"))),
+    "tree_sse_tucker_leaves": (_prune_fn, "zeros", _tree(_low_rank_leaves("tucker"))),
     "forest_bootstrap_plain": (_prune_fn, "plain", _forest(True)),
     "forest_bootstrap_tied": (_prune_fn, "tied", _forest(True)),
     "forest_bootstrap_zeros": (_prune_fn, "zeros", _forest(True)),
@@ -157,11 +169,16 @@ CASES = {
         "lowrank", 2, p_resample=0.7, decomp="tucker")),
 }
 
-# Fitted to a (3, 3, 5) tensor.  A CP rank above the mode-0 extent takes
-# a uniform draw for mode 0 before mode 1 draws its start.
+# name -> (shape of the uniform tensor, fit of a decomposition to it).  A CP
+# rank above the mode-0 extent takes a uniform draw for mode 0 before mode 1
+# draws its start.
 DECOMPOSITIONS = {
-    "cp_als_rank_above_mode0": lambda t: cp_als(t, 4, ALS)[0],
-    "tucker_als": lambda t: tucker_als(t, (2, 2, 3), ALS)[0],
+    "cp_als_rank_above_mode0": ((3, 3, 5), lambda t: cp_als(t, 4, ALS)[0]),
+    "tucker_als": ((3, 3, 5), lambda t: tucker_als(t, (2, 2, 3), ALS)[0]),
+    "cp_als_2_modes": ((4, 6), lambda t: cp_als(t, 2, ALS)[0]),
+    "tucker_als_2_modes": ((4, 6), lambda t: tucker_als(t, (2, 3), ALS)[0]),
+    "cp_als_4_modes": ((3, 2, 4, 3), lambda t: cp_als(t, 3, ALS)[0]),
+    "tucker_als_4_modes": ((3, 2, 4, 3), lambda t: tucker_als(t, (2, 2, 3, 2), ALS)[0]),
 }
 
 
@@ -172,8 +189,8 @@ def _sha(data: bytes) -> str:
 def case_digest(name: str) -> dict[str, str]:
     """The ``model`` (dumps) and ``predictions`` digests of case ``name``."""
     if name in DECOMPOSITIONS:
-        t = np.random.default_rng(13).uniform(size=(3, 3, 5))
-        decomp = DECOMPOSITIONS[name](t)
+        shape, fit = DECOMPOSITIONS[name]
+        decomp = fit(np.random.default_rng(13).uniform(size=shape))
         arrays = [getattr(decomp, "weights", None), getattr(decomp, "core", None), *decomp.factors]
         return {"model": _sha(b"".join(a.tobytes() for a in arrays if a is not None)),
                 "predictions": _sha(decomp.to_tensor().tobytes())}
