@@ -6,10 +6,11 @@ imports nothing from the package.  Scalar rules: ``_is_int`` and
 bound), ``_check_bool``, ``_check_choice`` (one of some strings),
 ``_check_number`` (an int or float, finite, within an interval),
 ``_check_rank`` (a CP or Tucker rank config) and ``_resolve_ranks``
-(per-mode ranks within a shape).  Array rules: ``_as_tensor`` and
-``_as_matrix`` (float64, 2 to 4 modes or 2), ``_check_squares`` (finite
-values whose squares sum to a finite value), ``_check_stacked`` (stacked
-inputs and responses), ``_check_features``, ``_check_output``,
+(per-mode ranks within a shape).  Array rules: ``_check_array`` (the
+only code that turns an argument into an array: float64, real values,
+no mask, a mode count in range), ``_check_squares`` (finite values whose
+squares sum to a finite value), ``_check_stacked`` (stacked inputs and
+responses), ``_check_features``, ``_check_output``,
 ``_check_coords`` (one cell of a feature shape), ``_check_ranks`` (a
 grow config's tuple ranks), ``_check_keys`` (a config object's keys),
 ``_finite_array`` (a model document's numbers) and
@@ -27,6 +28,10 @@ import sys
 import numpy as np
 
 MAX_MODES = 4
+# the modes of a stacked input: an observation mode, then 2 or 3 feature modes
+STACKED_MODES = (3, MAX_MODES)
+_FLOAT64 = np.dtype(np.float64)
+_NO_RESPONSES = object()
 
 
 def _is_int(value) -> bool:
@@ -120,20 +125,29 @@ def _resolve_ranks(rank, shape: tuple[int, ...]) -> tuple[int, ...]:
     return ranks
 
 
-def _as_tensor(t, min_modes: int = 2) -> np.ndarray:
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim < min_modes or arr.ndim > MAX_MODES:
-        raise ValueError(
-            f"expected a tensor with {min_modes}..{MAX_MODES} modes, got shape {arr.shape}"
-        )
-    return arr
+def _check_array(a, name: str, modes: tuple[int, int]) -> np.ndarray:
+    """``a`` as a float64 ndarray of ``modes[0]`` to ``modes[1]`` modes, or ``ValueError``.
 
-
-def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {arr.shape}")
-    return arr
+    The one place where an argument becomes an array.  A float64 ndarray
+    is returned as it is, with no copy and no change of layout, since
+    :func:`~tensortree.tensor_ops.mode_product`'s bits depend on its
+    operands' layouts.  Bool, int, uint and float values are converted.
+    Complex, string, bytes, object, datetime and void values are refused,
+    and so is a masked array, whose mask a conversion would drop.
+    """
+    # dtype by identity: an equal dtype object takes the longer path, which returns ``a`` as it is
+    if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
+        if isinstance(a, np.ma.MaskedArray):
+            raise ValueError(f"{name} must not be a masked array")
+        a = np.asarray(a)
+        if a.dtype.kind not in "biuf":
+            raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+        a = a.astype(np.float64, copy=False)
+    low, high = modes
+    if not low <= a.ndim <= high:
+        count = low if low == high else f"{low} to {high}"
+        raise ValueError(f"{name} must have {count} modes, got shape {a.shape}")
+    return a
 
 
 def _check_squares(values: np.ndarray, total: float, name: str) -> None:
@@ -149,34 +163,34 @@ def _check_squares(values: np.ndarray, total: float, name: str) -> None:
         raise ValueError(f"{name} too large: the sum of their squares overflows")
 
 
-def _check_stacked(x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
+def _check_stacked(x, y=_NO_RESPONSES) -> tuple[np.ndarray, np.ndarray | None]:
     """Stacked inputs ``x`` (and responses ``y``, flattened) as float64, validated.
 
     ``x`` needs 2 or 3 feature modes, at least one sample and only finite
     values, and ``y`` one value per sample that passes
     :func:`_check_squares`, so that no mean, residual or variance a fit
-    takes of them overflows.
+    takes of them overflows.  Without ``y`` the responses returned are
+    None; a ``y`` of None is refused, like any other non-array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 3 or x.ndim > 4:
-        raise ValueError(f"stacked input must have 2 or 3 feature modes, got shape {x.shape}")
+    x = _check_array(x, "stacked input", STACKED_MODES)
     if x.shape[0] == 0:
         raise ValueError("need at least one sample")
     if not np.isfinite(x).all():
         raise ValueError("inputs contain non-finite values")
-    if y is not None:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if y.size != x.shape[0]:
-            raise ValueError(f"response length {y.size} does not match {x.shape[0]} samples")
-        with np.errstate(over="ignore"):
-            sum_sq = float(np.dot(y, y))
-        _check_squares(y, sum_sq, "responses")
+    if y is _NO_RESPONSES:
+        return x, None
+    y = _check_array(y, "responses", (1, MAX_MODES)).ravel()
+    if y.size != x.shape[0]:
+        raise ValueError(f"response length {y.size} does not match {x.shape[0]} samples")
+    with np.errstate(over="ignore"):
+        sum_sq = float(np.dot(y, y))
+    _check_squares(y, sum_sq, "responses")
     return x, y
 
 
 def _check_features(x, feature_shape: tuple[int, ...]) -> np.ndarray:
-    """``x`` as float64, provided its feature modes have ``feature_shape``."""
-    x = np.asarray(x, dtype=np.float64)
+    """Stacked inputs ``x`` as float64, provided their feature modes have ``feature_shape``."""
+    x = _check_array(x, "stacked input", STACKED_MODES)
     if x.shape[1:] != feature_shape:
         raise ValueError(
             f"feature shape {x.shape[1:]} does not match training shape {feature_shape}"
@@ -187,9 +201,7 @@ def _check_features(x, feature_shape: tuple[int, ...]) -> np.ndarray:
 def _check_output(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Checked stacked inputs, and a stacked output with one or two modes per row."""
     x, _ = _check_stacked(x)
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim < 2 or y.ndim > 3:
-        raise ValueError(f"stacked output must have 1 or 2 feature modes, got shape {y.shape}")
+    y = _check_array(y, "stacked output", (2, 3))
     if y.shape[0] != x.shape[0]:
         raise ValueError(
             f"input stacks {x.shape[0]} observations but output stacks {y.shape[0]}"
@@ -255,7 +267,8 @@ def _finite_predictions(predict):
     """Decorate a public predict: non-finite output raises ``ValueError``.
 
     Overflow inside the model's arithmetic is silenced and caught by one
-    check of the returned array, so no ``inf`` or ``nan`` reaches a caller.
+    check of the returned array, as is a non-finite input value that a
+    low-rank leaf reads, so no ``inf`` or ``nan`` reaches a caller.
     """
 
     @functools.wraps(predict)
@@ -263,7 +276,7 @@ def _finite_predictions(predict):
         with np.errstate(over="ignore", invalid="ignore"):
             out = predict(*args)
         if not np.isfinite(out).all():
-            raise ValueError("non-finite prediction: the model's arithmetic overflowed")
+            raise ValueError("non-finite prediction: a non-finite input value, or overflow in the model")
         return out
 
     return checked

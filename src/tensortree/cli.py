@@ -47,7 +47,7 @@ import time
 
 import numpy as np
 
-from ._checks import _check_choice, _check_keys, _check_number
+from ._checks import MAX_MODES, _check_array, _check_choice, _check_keys, _check_number
 from .data import SyntheticSpec, evaluate, generate, train_test_split
 from .decomposition import AlsConfig
 from .ensemble import BoostingConfig, ForestConfig, fit_boosting, fit_forest
@@ -143,8 +143,9 @@ def _validate_fit_config(cfg: dict, allowed: set = _RUN_KEYS) -> None:
 
 def _load_array(path: str) -> np.ndarray:
     # An OSError names the path; the error for an empty, non-NPY or non-numeric file does not.
+    # Arrays are C-ordered, whatever the file's layout, so that fits read the same bits.
     try:
-        return np.ascontiguousarray(np.load(path), dtype=np.float64)
+        return np.ascontiguousarray(_check_array(np.load(path), "the array", (1, MAX_MODES)))
     except (EOFError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_choice, _check_int, _check_number, _check_squares
+from ._checks import MAX_MODES, _check_array, _check_choice, _check_int, _check_number, _check_squares
 from ._rng import make_rng
 from .decomposition import cp_als, tucker_als
 
@@ -171,8 +171,8 @@ def evaluate(y_true, y_pred) -> Metrics:
     a truth or error whose squares overflow, raise ``ValueError``, so
     every metric is finite.
     """
-    t = np.asarray(y_true, dtype=np.float64)
-    p = np.asarray(y_pred, dtype=np.float64)
+    t = _check_array(y_true, "reference values", (1, MAX_MODES))
+    p = _check_array(y_pred, "predictions", (1, MAX_MODES))
     if t.shape != p.shape:
         raise ValueError(f"reference shape {t.shape} does not match predictions {p.shape}")
     if t.size == 0:
@@ -193,8 +193,8 @@ def train_test_split(x, y, fraction: float = 0.75, seed: int = 0):
     """Seeded shuffle split; the training part gets ``ceil(fraction * n)`` rows."""
     _check_int(seed, "seed")
     _check_number(fraction, "fraction", "(0, 1)")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = _check_array(x, "inputs", (1, MAX_MODES))
+    y = _check_array(y, "responses", (1, MAX_MODES))
     n = x.shape[0]
     if y.shape[0] != n:
         raise ValueError("inputs and responses disagree on the sample count")

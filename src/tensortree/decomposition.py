@@ -26,14 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import (
-    _as_tensor,
-    _check_int,
-    _check_number,
-    _check_rank,
-    _check_squares,
-    _resolve_ranks,
-)
+from ._checks import MAX_MODES, _check_array, _check_int, _check_number, _check_rank, _check_squares, _resolve_ranks
 from ._rng import make_rng
 from .tensor_ops import frobenius_norm, khatri_rao_all, mode_product, unfold
 
@@ -154,14 +147,26 @@ def _normalize_columns(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.n
     return weights, out
 
 
+def _als_input(tensor) -> tuple[np.ndarray, float]:
+    """``tensor`` checked as :func:`cp_als` describes it, and its Frobenius norm."""
+    t = _check_array(tensor, "tensor", (2, MAX_MODES))
+    if t.size == 0:
+        raise ValueError(f"cannot decompose a tensor with an empty mode, got shape {t.shape}")
+    with np.errstate(over="ignore"):
+        norm_t = frobenius_norm(t)
+    _check_squares(t, norm_t, "tensor entries")
+    return t, norm_t
+
+
 def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomposition, AlsInfo]:
     """Fit a rank-``rank`` CP decomposition of ``tensor`` by ALS.
 
     Parameters
     ----------
     tensor : ndarray
-        2- to 4-mode array of finite floats whose squares sum to a finite
-        value, or ``ValueError`` before any solve.
+        2- to 4-mode array of finite real numbers, with no empty mode,
+        whose squares sum to a finite value; else ``ValueError`` before
+        any solve.
     rank : int
         Number of rank-one components, >= 1.
     config : AlsConfig, optional
@@ -184,13 +189,9 @@ def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomp
     update solves the normal equations with a ``1e-12`` ridge, so the
     recorded error sequence is non-increasing up to that jitter.
     """
-    t = _as_tensor(tensor)
+    t, norm_t = _als_input(tensor)
     _check_rank(rank, "cp")
     cfg = config or AlsConfig()
-
-    with np.errstate(over="ignore"):
-        norm_t = frobenius_norm(t)
-    _check_squares(t, norm_t, "tensor entries")
     if norm_t == 0.0:
         weights, unit_factors = _normalize_columns([np.zeros((d, rank)) for d in t.shape])
         decomp = CPDecomposition(weights=weights, factors=tuple(unit_factors))
@@ -250,8 +251,7 @@ def tucker_als(
     Parameters
     ----------
     tensor : ndarray
-        2- to 4-mode array of finite floats whose squares sum to a finite
-        value, or ``ValueError`` before any solve.
+        As for :func:`cp_als`.
     ranks : int or sequence of int
         One rank per mode, each in ``[1, extent(mode)]``; an int ``>= 1``
         is clamped to each mode's extent.
@@ -273,16 +273,12 @@ def tucker_als(
     multiplies only by the factors after ``q``; once the last mode is
     updated that projection is the sweep's core.
     """
-    t = _as_tensor(tensor)
+    t, norm_t = _als_input(tensor)
     if not isinstance(ranks, (int, np.integer)):
         ranks = tuple(ranks)
     _check_rank(ranks, "tucker", "rank")
     ranks = _resolve_ranks(ranks, t.shape)
     cfg = config or AlsConfig()
-
-    with np.errstate(over="ignore"):
-        norm_t = frobenius_norm(t)
-    _check_squares(t, norm_t, "tensor entries")
     if norm_t == 0.0:
         factors = tuple(np.eye(t.shape[q], r) for q, r in enumerate(ranks))
         return (
@@ -313,7 +309,7 @@ def tucker_als(
 
 def approximation_error(tensor, decomposition) -> float:
     """Squared Frobenius norm of ``decomposition.to_tensor() - tensor``."""
-    t = _as_tensor(tensor)
+    t = _check_array(tensor, "tensor", (2, MAX_MODES))
     recon = decomposition.to_tensor()
     if recon.shape != t.shape:
         raise ValueError(f"shape mismatch: tensor {t.shape} vs decomposition {recon.shape}")

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import _check_bool, _check_int, _check_number, _check_stacked, _finite_predictions
+from ._checks import (STACKED_MODES, _check_array, _check_bool, _check_int, _check_number, _check_stacked,
+                      _finite_predictions)
 from ._rng import derive_seed, make_rng
 from .splitting import SearchStrategy, _RankTable
 from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
@@ -71,7 +72,7 @@ class BoostedModel:
 
     @_finite_predictions
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _check_array(x, "stacked input", STACKED_MODES)
         out = np.full(x.shape[0], self.base_value, dtype=np.float64)
         for t in self.trees:
             out += self.learning_rate * t.predict(x)
@@ -88,7 +89,7 @@ class ForestModel:
 
     @_finite_predictions
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _check_array(x, "stacked input", STACKED_MODES)
         out = np.zeros(x.shape[0], dtype=np.float64)
         for t in self.trees:
             out += t.predict(x)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _check_bool, _check_choice, _check_features, _check_rank, _check_stacked, _resolve_ranks
+from ._checks import (MAX_MODES, _check_array, _check_bool, _check_choice, _check_features, _check_rank,
+                      _check_stacked, _finite_predictions, _resolve_ranks)
 from ._rng import make_rng
 from .decomposition import (
     AlsConfig,
@@ -78,8 +79,8 @@ def contract(x, b):
     ``x`` may be a single tensor with ``b``'s shape (returns a float) or
     a stack of them with one extra leading mode (returns a vector).
     """
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    x = _check_array(x, "x", (2, MAX_MODES))
+    b = _check_array(b, "b", (2, MAX_MODES))
     if x.shape == b.shape:
         return float(np.dot(x.ravel(), b.ravel()))
     if x.shape[1:] == b.shape:
@@ -251,17 +252,14 @@ def fit_leaf(x, y, spec: LeafModelSpec) -> FittedLeafModel:
     )
 
 
+@_finite_predictions
 def predict_leaf(model: FittedLeafModel, x) -> np.ndarray:
     """Evaluate a fitted leaf on stacked inputs, returning one value per row.
 
-    A low-rank leaf reads every feature: a non-finite prediction (from a
-    non-finite input value, or overflow) raises ``ValueError``.
+    A low-rank leaf reads every feature, so a non-finite input value, like
+    overflow, gives a non-finite prediction, which raises ``ValueError``.
     """
     x = _check_features(x, model.feature_shape)
-    n = x.shape[0]
     if model.kind == "mean":
-        return np.full(n, model.mean, dtype=np.float64)
-    pred = model.intercept + contract(x, model.coefficient_tensor())
-    if not np.isfinite(pred).all():
-        raise ValueError("non-finite input value, or overflow, in a low-rank leaf prediction")
-    return pred
+        return np.full(x.shape[0], model.mean, dtype=np.float64)
+    return model.intercept + contract(x, model.coefficient_tensor())

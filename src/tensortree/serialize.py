@@ -19,8 +19,9 @@ a factor, CP weight vector or Tucker core whose shape does not fit the
 leaf's feature shape (or the output shape, and one ensemble per output
 entry or observation-mode component), a feature shape of other than 2
 or 3 extents or an output shape of other than 1 or 2, an extent or leaf
-row count below 1, a non-finite number, a non-integer shape, count or
-split coordinate, or a missing key or wrongly typed value.
+row count below 1, a boosting model with no tree, a non-finite number,
+a non-integer shape, count or split coordinate, or a missing key or
+wrongly typed value.
 """
 
 from __future__ import annotations
@@ -192,6 +193,8 @@ def _boosting_to_dict(m: BoostedModel) -> dict:
 
 def _boosting_from_dict(doc: dict) -> BoostedModel:
     trees = [_tree_from_dict(t) for t in doc["trees"]]
+    if not trees:
+        raise ValueError("boosting needs at least one tree")
     return BoostedModel(_check_number(doc["f0"], "f0"), _check_number(doc["eta"], "eta"), trees)
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import MAX_MODES, _as_matrix, _as_tensor, _check_int
+from ._checks import MAX_MODES, _check_array, _check_int
 
 
 def _mode_first(ndim: int, mode: int) -> list[int]:
@@ -47,7 +47,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
         columns ravel the remaining modes in original order, last
         fastest.
     """
-    t = _as_tensor(tensor)
+    t = _check_array(tensor, "tensor", (2, MAX_MODES))
     mode = _check_int(mode, "mode")
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
@@ -56,7 +56,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
 
 def fold(matrix, mode: int, shape: Sequence[int]) -> np.ndarray:
     """Invert :func:`unfold`: rebuild the tensor of ``shape`` from ``matrix``."""
-    m = _as_matrix(matrix)
+    m = _check_array(matrix, "matrix", (2, 2))
     mode = _check_int(mode, "mode")
     shape = tuple([_check_int(s, "shape") for s in shape])
     if len(shape) < 2 or len(shape) > MAX_MODES:
@@ -80,8 +80,8 @@ def mode_product(tensor, matrix, mode: int) -> np.ndarray:
     ``np.tensordot(matrix, tensor, axes=(1, mode))`` makes, so the result is
     bit for bit that of ``np.moveaxis(np.tensordot(...), 0, mode)``.
     """
-    t = _as_tensor(tensor)
-    m = _as_matrix(matrix)
+    t = _check_array(tensor, "tensor", (2, MAX_MODES))
+    m = _check_array(matrix, "matrix", (2, 2))
     mode = _check_int(mode, "mode")
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
@@ -102,8 +102,8 @@ def khatri_rao(a, b) -> np.ndarray:
     Column ``r`` of the result is ``kron(a[:, r], b[:, r])``; the first
     factor varies slowest, matching the unfolding convention above.
     """
-    a = _as_matrix(a)
-    b = _as_matrix(b)
+    a = _check_array(a, "matrix", (2, 2))
+    b = _check_array(b, "matrix", (2, 2))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column mismatch: {a.shape[1]} vs {b.shape[1]}")
     return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
@@ -114,7 +114,7 @@ def khatri_rao_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
     if not matrices:
         raise ValueError("need at least one matrix")
     if len(matrices) == 1:
-        return np.asarray(matrices[0], dtype=np.float64)
+        return _check_array(matrices[0], "matrix", (2, 2))
     return reduce(khatri_rao, matrices)
 
 
@@ -122,18 +122,12 @@ def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Rank-one tensor from 2 to 4 vectors: ``out[i, j, ...] = v0[i] * v1[j] * ...``."""
     if len(vectors) < 2 or len(vectors) > MAX_MODES:
         raise ValueError(f"need 2..{MAX_MODES} vectors, got {len(vectors)}")
-    arrays = []
-    for v in vectors:
-        arr = np.asarray(v, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise ValueError("vectors must be nonempty")
-        arrays.append(arr)
-    out = arrays[0]
-    for arr in arrays[1:]:
-        out = np.multiply.outer(out, arr)
-    return out
+    arrays = [_check_array(v, "vector", (1, 1)) for v in vectors]
+    if min(arr.size for arr in arrays) == 0:
+        raise ValueError("vectors must be nonempty")
+    return reduce(np.multiply.outer, arrays)
 
 
 def frobenius_norm(tensor) -> float:
     """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(tensor, dtype=np.float64).ravel()))
+    return float(np.linalg.norm(_check_array(tensor, "tensor", (2, MAX_MODES)).ravel()))

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import _check_choice, _check_int, _check_output, _check_rank, _finite_predictions, _resolve_ranks
+from ._checks import (STACKED_MODES, _check_array, _check_choice, _check_int, _check_output, _check_rank,
+                      _finite_predictions, _resolve_ranks)
 from ._rng import derive_seed
 from .decomposition import AlsConfig, CPDecomposition, TuckerDecomposition, cp_als, tucker_als
 from .ensemble import BoostedModel, BoostingConfig, fit_boosting
@@ -195,7 +196,7 @@ def reconstruct_from_observation_factor(model: TensorOutputModel, obs_factor: np
 @_finite_predictions
 def predict_tensor(model: TensorOutputModel, x) -> np.ndarray:
     """Predict a stacked output tensor of shape ``(n,) + output_shape``."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _check_array(x, "stacked input", STACKED_MODES)
     columns = np.column_stack([ens.predict(x) for ens in model.ensembles])
     if model.kind == "entrywise":
         return columns.reshape((x.shape[0],) + model.output_shape)

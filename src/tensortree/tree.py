@@ -22,20 +22,12 @@ ensembles, drop them, so they predict but cannot be pruned further.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import (
-    _check_choice,
-    _check_features,
-    _check_int,
-    _check_number,
-    _check_rank,
-    _check_ranks,
-    _check_stacked,
-)
+from ._checks import (_check_choice, _check_features, _check_int, _check_number, _check_rank, _check_ranks,
+                      _check_stacked, _finite_predictions)
 from .decomposition import AlsConfig
 from .leaf_models import FittedLeafModel, LeafModelSpec, fit_leaf, predict_leaf
 from .splitting import (
@@ -177,24 +169,19 @@ class TensorTree:
             stack.append((node.right, rows[~go_left]))
             stack.append((node.left, rows[go_left]))
 
+    @_finite_predictions
     def predict(self, x) -> np.ndarray:
         """Route each row to its leaf and evaluate that leaf's model.
 
-        Raises ``ValueError`` rather than return a non-finite prediction:
-        a low-rank leaf checks its own, and a mean leaf's value is checked
-        when a row reaches it (a leaf built in memory can hold ``inf``).
+        Raises ``ValueError`` rather than return a non-finite prediction,
+        such as a mean leaf built in memory with ``inf``.
         """
         x = _check_features(x, self.feature_shape)
         out = np.empty(x.shape[0], dtype=np.float64)
         for leaf, rows in self._route(x):
             # A mean leaf reads no features, so its rows are not gathered.
             model = leaf.model
-            if model.kind != "mean":
-                out[rows] = predict_leaf(model, x[rows])
-            elif math.isfinite(model.mean):
-                out[rows] = model.mean
-            else:
-                raise ValueError("non-finite prediction: a leaf mean overflowed")
+            out[rows] = model.mean if model.kind == "mean" else predict_leaf(model, x[rows])
         return out
 
     def apply(self, x) -> np.ndarray:

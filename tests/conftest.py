@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tensortree._rng import make_rng
+from tensortree.ensemble import BoostedModel
 from tensortree.leaf_models import LeafModelSpec
 from tensortree.serialize import model_to_dict
 from tensortree.tree import GrowConfig, grow
@@ -17,7 +18,7 @@ from tensortree.tree import GrowConfig, grow
                         "leaf_feature_shape", "threshold_str", "leaf_mean_bool", "fell_back_str",
                         "factor_bool_among_floats", "feature_shape_one_mode",
                         "feature_shape_four_modes", "feature_shape_zero_extent", "leaf_n_negative",
-                        "leaf_n_samples_zero"])
+                        "leaf_n_samples_zero", "boosting_no_trees"])
 def malformed_tree_doc(request):
     """A valid one-split tree document with one value made malformed."""
     x = make_rng(0).uniform(size=(30, 2, 2))
@@ -25,6 +26,9 @@ def malformed_tree_doc(request):
     leaf = LeafModelSpec(kind="cp", rank=1) if cp else LeafModelSpec()
     doc = model_to_dict(grow(x, (x[:, 0, 0] > 0.5).astype(float), GrowConfig(max_depth=1, leaf=leaf)))
     node = doc["node"]
+    if request.param == "boosting_no_trees":
+        # valid in memory, but no fit gives it
+        return model_to_dict(BoostedModel(0.5, 0.1, []))
     if request.param in ("coords", "threshold"):
         node["rule"][request.param] = None
     elif request.param == "threshold_nan":

@@ -1,22 +1,54 @@
 """Every value and array rule lives in ``_checks``, and public arguments meet it.
 
-A structural test reads each package module's syntax tree: no module but
-``_checks`` defines a check, and none imports one from elsewhere.  A
-table of bad arguments to public functions, each of which once escaped as
-a ``TypeError``/``IndexError`` or passed, must now raise ``ValueError``.
+Structural tests read each package module's syntax tree: no module but
+``_checks`` defines a check, none imports one from elsewhere, and none
+turns an argument into an array.  A table of bad arguments to public
+functions, each of which once escaped as a ``TypeError``/``IndexError``
+or passed, must now raise ``ValueError``.  A table of odd arrays (complex,
+string, masked, wrong-rank and others) runs through every array argument
+of the public functions and predicts: each is refused with ``ValueError``
+or gives a result, with no other exception and no warning.
 """
 
 import ast
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from tensortree import splitting
+from tensortree import (
+    BoostingConfig,
+    ForestConfig,
+    GrowConfig,
+    LeafModelSpec,
+    OutputConfig,
+    approximation_error,
+    contract,
+    cp_als,
+    evaluate,
+    fit_boosting,
+    fit_entrywise,
+    fit_forest,
+    fit_leaf,
+    fit_lowrank,
+    fold,
+    frobenius_norm,
+    grow,
+    khatri_rao,
+    mode_product,
+    outer,
+    predict_leaf,
+    predict_tensor,
+    splitting,
+    train_test_split,
+    tucker_als,
+    unfold,
+    variance_matrix,
+)
 from tensortree._rng import make_rng
-from tensortree.data import train_test_split
-from tensortree.ensemble import BoostingConfig, ForestConfig, fit_boosting, fit_forest
+from tensortree.decomposition import AlsConfig
 from tensortree.serialize import dumps
 from tensortree.splitting import (
     SearchStrategy,
@@ -49,6 +81,28 @@ def test_checks_are_defined_and_imported_only_in_checks(path):
         if isinstance(node, ast.ImportFrom) and not (node.level == 1 and node.module == "_checks"):
             names = [a.name for a in node.names if CHECK_NAME.match(a.name)]
             assert names == [], f"{path.name} imports {names} from {node.module!r}"
+
+
+CONVERTERS = ("array", "ascontiguousarray", "asfortranarray", "require", "astype")
+
+
+def _casts(call: ast.Call) -> bool:
+    """Whether ``call`` is ``np.asarray`` (in any form) or an array conversion to float64."""
+    name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", "")
+    return name in ("asarray", "asanyarray") or (
+        name in CONVERTERS and (any(k.arg == "dtype" for k in call.keywords) or "float64" in ast.unparse(call)))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_checks.py"),
+                         ids=lambda p: p.name)
+def test_only_checks_turns_arguments_into_arrays(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    # the CLI's writer casts the arrays it saves, which are outputs, not arguments
+    writers = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_save_array"]
+    exempt = {id(n) for w in writers for n in ast.walk(w)}
+    casts = [f"line {n.lineno}: {ast.unparse(n)}" for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and id(n) not in exempt and _casts(n)]
+    assert casts == [], f"{path.name} turns arguments into arrays outside _checks: {casts}"
 
 
 def test_checks_imports_nothing_from_the_package():
@@ -132,3 +186,110 @@ def test_lae_without_responses_checks_its_input_once(name, monkeypatch):
 ], ids=["boosting", "forest"])
 def test_numpy_integer_seed_fits_the_int_seed_model(fit, config):
     assert dumps(fit(X, Y, config(np.int64(7)))) == dumps(fit(X, Y, config(7)))
+
+
+# --- odd arrays at every array argument --------------------------------------
+
+RNG = make_rng(4)
+XS = RNG.uniform(size=(12, 2, 3))  # stacked inputs
+YS = XS[:, 0, 0] + 2 * (XS[:, 1, 2] > 0.5)  # responses
+OUT = np.stack([YS, XS[:, 0, 1]], axis=1)  # stacked outputs
+TENSOR = RNG.uniform(size=(3, 2, 4))
+MATRIX = RNG.uniform(size=(4, 2))
+VECTOR = RNG.uniform(size=3)
+ALS = AlsConfig(max_iterations=3)
+STUMP = GrowConfig(max_depth=1, min_samples_leaf=2)
+BOOST = BoostingConfig(n_estimators=2, tree=STUMP)
+FOREST = ForestConfig(n_trees=2, tree=STUMP)
+CP_LEAF = LeafModelSpec(kind="cp", rank=1, als=ALS)
+ENTRYWISE = OutputConfig(approach="entrywise", boosting=BOOST)
+LOWRANK = OutputConfig(approach="lowrank", rank=1, boosting=BOOST, als=ALS)
+TREE = grow(XS, YS, STUMP)
+LEAF = fit_leaf(XS, YS, CP_LEAF)
+ENTRYWISE_MODEL = fit_entrywise(XS, OUT, ENTRYWISE)
+RULE = SplitRule((0, 0), 0.5)
+
+
+def _with_second(f, good):
+    """``(call of one array, a valid value for it)`` for the array's two call positions."""
+    return {"first": (lambda a: f(a, good[1]), good[0]), "second": (lambda a: f(good[0], a), good[1])}
+
+
+def _pairs(name, f, good):
+    return {f"{name} {position}": case for position, case in _with_second(f, good).items()}
+
+
+# name -> (call of the odd array, a valid array in its place)
+ARRAY_ARGUMENTS = {
+    "unfold": (lambda a: unfold(a, 1), TENSOR),
+    "fold": (lambda a: fold(a, 0, (4, 2)), MATRIX),
+    "frobenius_norm": (frobenius_norm, TENSOR),
+    "outer": (lambda a: outer([a, VECTOR]), VECTOR),
+    "cp_als": (lambda a: cp_als(a, 2, ALS), TENSOR),
+    "tucker_als": (lambda a: tucker_als(a, 1, ALS), TENSOR),
+    "approximation_error": (lambda a: approximation_error(a, cp_als(TENSOR, 1, ALS)[0]), TENSOR),
+    "variance_matrix": (variance_matrix, XS),
+    "candidate_thresholds": (lambda a: candidate_thresholds(a, (0, 0), "observed"), XS),
+    "predict_leaf": (lambda a: predict_leaf(LEAF, a), XS),
+    "TensorTree.predict": (TREE.predict, XS),
+    "TensorTree.apply": (TREE.apply, XS),
+    "BoostedModel.predict": (fit_boosting(XS, YS, BOOST).predict, XS),
+    "ForestModel.predict": (fit_forest(XS, YS, FOREST).predict, XS),
+    "TensorOutputModel.predict": (ENTRYWISE_MODEL.predict, XS),
+    "predict_tensor": (lambda a: predict_tensor(fit_lowrank(XS, OUT, LOWRANK), a), XS),
+    **_pairs("mode_product", lambda t, m: mode_product(t, m, 0), (TENSOR, MATRIX[:3].T)),
+    **_pairs("khatri_rao", khatri_rao, (MATRIX, MATRIX)),
+    **_pairs("contract", contract, (XS, XS[0])),
+    **_pairs("evaluate", evaluate, (YS, YS + 0.5)),
+    **_pairs("train_test_split", train_test_split, (XS, YS)),
+    **_pairs("fit_leaf", lambda x, y: fit_leaf(x, y, CP_LEAF), (XS, YS)),
+    **_pairs("evaluate_split", lambda x, y: evaluate_split(x, y, RULE, SSE), (XS, YS)),
+    **_pairs("find_best_split", lambda x, y: find_best_split(x, y, SSE, STRATEGY), (XS, YS)),
+    **_pairs("node_criterion_value", lambda x, y: node_criterion_value(x, y, SSE), (XS, YS)),
+    **_pairs("split_gain", lambda x, y: split_gain(x, y, RULE, SSE), (XS, YS)),
+    **_pairs("grow", lambda x, y: grow(x, y, STUMP), (XS, YS)),
+    **_pairs("fit_boosting", lambda x, y: fit_boosting(x, y, BOOST), (XS, YS)),
+    **_pairs("fit_forest", lambda x, y: fit_forest(x, y, FOREST), (XS, YS)),
+    **_pairs("fit_entrywise", lambda x, y: fit_entrywise(x, y, ENTRYWISE), (XS, OUT)),
+    **_pairs("fit_lowrank", lambda x, y: fit_lowrank(x, y, LOWRANK), (XS, OUT)),
+}
+
+
+def _strided(a):
+    """``a``'s values in a view that steps over every other entry of its last mode."""
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
+# odd array -> (the array made from a valid one, the outcomes it may have)
+ODD_ARRAYS = {
+    "valid": (lambda a: a, "accepted"),
+    "scalar": (lambda a: 1.5, "refused"),
+    "None": (lambda a: None, "refused"),
+    "0-d": (lambda a: np.array(1.5), "refused"),
+    "complex": (lambda a: a + 0j, "refused"),
+    "numeric strings": (lambda a: a.astype(str), "refused"),
+    "object": (lambda a: a.astype(object), "refused"),
+    "masked": (lambda a: np.ma.masked_array(a, mask=np.zeros(a.shape, dtype=bool)), "refused"),
+    "five modes": (lambda a: a.reshape(a.shape + (1,) * (5 - a.ndim)), "refused"),
+    "bool": (lambda a: a > 0.5, "accepted"),
+    "Fortran-ordered": (np.asfortranarray, "accepted"),
+    "strided": (_strided, "accepted"),
+    "empty": (lambda a: a[:0], "either"),
+    "one mode fewer": (lambda a: a[0], "either"),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(ARRAY_ARGUMENTS))
+def test_odd_arrays_are_refused_with_value_error_or_accepted(argument):
+    call, good = ARRAY_ARGUMENTS[argument]
+    for odd, (make, allowed) in ODD_ARRAYS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call(make(good))
+                outcome = "accepted"
+            except ValueError:
+                outcome = "refused"
+            except Exception as exc:  # report the odd array that broke the contract
+                raise AssertionError(f"{argument} on {odd}: {type(exc).__name__}: {exc}") from exc
+        assert allowed in (outcome, "either"), f"{argument} on {odd}: {outcome}, expected {allowed}"

@@ -901,3 +901,21 @@ def test_predict_reference_with_nan_exit_3(workdir):
     assert res.returncode == 3, res.stderr
     assert res.stdout == ""
     assert res.stderr == "error: reference values contain non-finite values\n"
+
+
+@pytest.mark.parametrize("model", ["tree", "boosting", "forest"])
+def test_complex_arrays_exit_3_with_one_error_line_and_no_warning(workdir, model):
+    x = make_rng(15).uniform(size=(30, 3, 2))
+    np.save(workdir / "X.npy", x)
+    np.save(workdir / "y.npy", x[:, 0, 0])
+    np.save(workdir / "Xc.npy", x + 1j)
+    cfg = {**FIT_BASE, "model": model}
+    assert run_cli("fit", "--config", write_config(workdir / "cfg.json", cfg),
+                   "--out", "m.json", cwd=workdir).returncode == 0
+    bad_cfg = write_config(workdir / "bad.json", {**cfg, "data": {"x": "Xc.npy", "y": "y.npy"}})
+    for res in (run_cli("fit", "--config", bad_cfg, "--out", "m2.json", cwd=workdir),
+                run_cli("predict", "--model", "m.json", "--x", "Xc.npy", "--out", "p.npy", cwd=workdir)):
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error: cannot read Xc.npy: the array must hold real numbers")
+        assert res.stderr.count("\n") == 1 and "Warning" not in res.stderr
+    assert not (workdir / "m2.json").exists() and not (workdir / "p.npy").exists()

@@ -93,6 +93,18 @@ class TestCpAls:
             cp_als(t, 1)
 
 
+@pytest.mark.parametrize("fit, rank", [(cp_als, 2), (tucker_als, 2), (tucker_als, (1, 2, 2))])
+@pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0)])
+def test_als_refuses_an_empty_mode_before_any_solve(fit, rank, shape, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
+    with pytest.raises(ValueError, match="empty mode"):
+        fit(np.zeros(shape), rank)
+
+
 @pytest.mark.parametrize("fit, rank", [(cp_als, 1), (tucker_als, 1), (tucker_als, (2, 2))])
 @pytest.mark.parametrize("value, match", [(1e200, "too large"), (np.inf, "non-finite"),
                                           (np.nan, "non-finite")])

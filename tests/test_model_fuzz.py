@@ -4,7 +4,8 @@ Each mutation replaces, deletes, scales or adds one entry anywhere in a
 document.  Loading the result must raise ``ValueError``; a document that
 loads must hold only shapes and counts that a fit can give, and predict
 finite values or raise ``ValueError``.  No other exception, and no
-non-finite prediction, may escape.
+non-finite prediction, may escape.  An ensemble document emptied of its
+trees, which no fit gives, is rejected.
 """
 
 import copy
@@ -81,11 +82,13 @@ def mutate(doc, rng):
 
 
 def assert_fit_shapes(model):
-    """2 or 3 feature extents, 1 or 2 output extents, every extent and leaf row count at least 1."""
+    """2 or 3 feature extents, 1 or 2 output extents, every extent, tree count and leaf row count at least 1."""
     output_shape = getattr(model, "output_shape", (1,))
     assert 1 <= len(output_shape) <= 2 and min(output_shape) >= 1
     for ensemble in getattr(model, "ensembles", [model]):
-        for tree in getattr(ensemble, "trees", [ensemble]):
+        trees = getattr(ensemble, "trees", [ensemble])
+        assert len(trees) >= 1
+        for tree in trees:
             assert 2 <= len(tree.feature_shape) <= 3 and min(tree.feature_shape) >= 1
             assert all(leaf.n >= 1 and leaf.model.n_samples >= 1 for leaf in tree.leaves())
 
@@ -120,3 +123,12 @@ def test_single_mutations_load_and_predict_or_raise_value_error(name):
     # the mutations reach both sides of the contract
     assert seen["rejected"] > 0 and seen["predicted"] > 0
     assert outcome(copy.deepcopy(DOCS[name]), X) == "predicted"
+
+
+@pytest.mark.parametrize("name", ["boosting", "forest", "entrywise", "lowrank"])
+def test_ensembles_emptied_of_trees_are_rejected(name):
+    # an in-memory BoostedModel may have no trees, but no fit gives one
+    doc = copy.deepcopy(DOCS[name])
+    for ensemble in doc.get("ensembles", [doc]):
+        ensemble["trees"] = []
+    assert outcome(doc, X) == "rejected"

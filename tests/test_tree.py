@@ -390,9 +390,9 @@ class TestNonFiniteRouting:
         assert np.isfinite(tree.predict(x[:10])).all()
         x_new = x[:10].copy()
         x_new[(4,) + other] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite prediction: a non-finite input value"):
             tree.predict(x_new)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite prediction: a non-finite input value"):
             predict_leaf(tree.root.left.model, x_new)
 
 
