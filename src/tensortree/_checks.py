@@ -8,7 +8,8 @@ bound), ``_check_bool``, ``_check_choice`` (one of some strings),
 ``_check_rank`` (a CP or Tucker rank config) and ``_resolve_ranks``
 (per-mode ranks within a shape).  Array rules: ``_check_array`` (the
 only code that turns an argument into an array: float64, real values,
-no mask, a mode count in range), ``_check_squares`` (finite values whose
+no mask, a mode count in range), ``_check_arrays`` (a sequence of
+such arrays, of a length in range), ``_check_squares`` (finite values whose
 squares sum to a finite value), ``_check_stacked`` (stacked inputs and
 responses), ``_check_features``, ``_check_output``,
 ``_check_coords`` (one cell of a feature shape), ``_check_ranks`` (a
@@ -148,6 +149,21 @@ def _check_array(a, name: str, modes: tuple[int, int]) -> np.ndarray:
         count = low if low == high else f"{low} to {high}"
         raise ValueError(f"{name} must have {count} modes, got shape {a.shape}")
     return a
+
+
+def _check_arrays(arrays, name: str, modes: tuple[int, int], count: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """``arrays`` as a tuple of :func:`_check_array` results, or ``ValueError``.
+
+    ``arrays`` must be a list, tuple or ndarray of ``count[0]`` to
+    ``count[1]`` entries; an ndarray's entries are its sub-arrays along
+    its first mode, so a 0-d array is refused.
+    """
+    if not isinstance(arrays, (list, tuple, np.ndarray)) or getattr(arrays, "ndim", 1) == 0:
+        raise ValueError(f"{name}s must be a list, tuple or ndarray of one mode or more, "
+                         f"got {type(arrays).__name__}")
+    if not count[0] <= len(arrays) <= count[1]:
+        raise ValueError(f"need {count[0]}..{count[1]} {name}s, got {len(arrays)}")
+    return tuple([_check_array(a, name, modes) for a in arrays])
 
 
 def _check_squares(values: np.ndarray, total: float, name: str) -> None:

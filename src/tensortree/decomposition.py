@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import MAX_MODES, _check_array, _check_int, _check_number, _check_rank, _check_squares, _resolve_ranks
+from ._checks import (MAX_MODES, _check_array, _check_arrays, _check_int, _check_number, _check_rank, _check_squares,
+                      _resolve_ranks)
 from ._rng import make_rng
 from .tensor_ops import frobenius_norm, khatri_rao_all, mode_product, unfold
 
@@ -71,6 +72,10 @@ class CPDecomposition:
     weights: np.ndarray
     factors: tuple[np.ndarray, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", _check_array(self.weights, "CP weights", (1, 1)))
+        object.__setattr__(self, "factors", _check_arrays(self.factors, "factor", (2, 2), (2, MAX_MODES)))
+
     @property
     def rank(self) -> int:
         return int(self.weights.size)
@@ -95,6 +100,10 @@ class TuckerDecomposition:
 
     core: np.ndarray
     factors: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "core", _check_array(self.core, "Tucker core", (2, MAX_MODES)))
+        object.__setattr__(self, "factors", _check_arrays(self.factors, "factor", (2, 2), (2, MAX_MODES)))
 
     @property
     def ranks(self) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import MAX_MODES, _check_array, _check_int
+from ._checks import MAX_MODES, _check_array, _check_arrays, _check_int
 
 
 def _mode_first(ndim: int, mode: int) -> list[int]:
@@ -120,9 +120,7 @@ def khatri_rao_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
 
 def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Rank-one tensor from 2 to 4 vectors: ``out[i, j, ...] = v0[i] * v1[j] * ...``."""
-    if len(vectors) < 2 or len(vectors) > MAX_MODES:
-        raise ValueError(f"need 2..{MAX_MODES} vectors, got {len(vectors)}")
-    arrays = [_check_array(v, "vector", (1, 1)) for v in vectors]
+    arrays = _check_arrays(vectors, "vector", (1, 1), (2, MAX_MODES))
     if min(arr.size for arr in arrays) == 0:
         raise ValueError("vectors must be nonempty")
     return reduce(np.multiply.outer, arrays)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import (STACKED_MODES, _check_array, _check_choice, _check_int, _check_output, _check_rank,
+from ._checks import (STACKED_MODES, _check_array, _check_arrays, _check_choice, _check_int, _check_output, _check_rank,
                       _finite_predictions, _resolve_ranks)
 from ._rng import derive_seed
 from .decomposition import AlsConfig, CPDecomposition, TuckerDecomposition, cp_als, tucker_als
@@ -78,9 +78,10 @@ class TensorOutputModel:
         self.output_shape = tuple(output_shape)
         self.ensembles = list(ensembles)
         self.decomp_kind = decomp_kind
-        self.weights = weights
-        self.core = core
-        self.output_factors = tuple(output_factors)
+        self.weights = None if weights is None else _check_array(weights, "CP weights", (1, 1))
+        self.core = None if core is None else _check_array(core, "Tucker core", (2, 3))
+        # one factor per output mode; an entrywise model has none
+        self.output_factors = _check_arrays(output_factors, "output factor", (2, 2), (0, 2))
 
     def predict(self, x) -> np.ndarray:
         return predict_tensor(self, x)

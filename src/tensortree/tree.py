@@ -107,6 +107,12 @@ def _leaves(node) -> list[LeafNode]:
     return _leaves(node.left) + _leaves(node.right)
 
 
+def _partition(rows: np.ndarray, go_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``rows`` where ``go_left`` holds, then the rest, each in order."""
+    # compress, since rows[mask] takes several times as long on numpy 2 for the same entries
+    return rows.compress(go_left), rows.compress(~go_left)
+
+
 def _depth(node) -> int:
     if isinstance(node, LeafNode):
         return 0
@@ -151,8 +157,11 @@ class TensorTree:
     def _route(self, x: np.ndarray):
         """Yield ``(leaf, rows)`` for each leaf that rows of ``x`` reach.
 
-        Raises ``ValueError`` when a value that a split routes on is not
-        finite; values no split reads are not inspected.
+        Each split node partitions its rows with :func:`_partition`
+        (``ndarray.compress``), which keeps their order, so every leaf
+        gets its rows in ascending order.  Raises ``ValueError`` when a
+        value that a split routes on is not finite; values no split
+        reads are not inspected.
         """
         stack = [(self.root, np.arange(x.shape[0]))]
         while stack:
@@ -165,9 +174,9 @@ class TensorTree:
             col = x[(rows,) + tuple(node.rule.coords)]
             if not np.isfinite(col).all():
                 raise ValueError(f"non-finite input at split coords {tuple(node.rule.coords)}")
-            go_left = col <= node.rule.threshold
-            stack.append((node.right, rows[~go_left]))
-            stack.append((node.left, rows[go_left]))
+            left, right = _partition(rows, col <= node.rule.threshold)
+            stack.append((node.right, right))
+            stack.append((node.left, left))
 
     @_finite_predictions
     def predict(self, x) -> np.ndarray:
@@ -251,10 +260,11 @@ def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec, rank
         split = _split(x, y, indices, config, spec, ranks)
         if split is not None:
             rule, go_left = split
+            left, right = _partition(indices, go_left)
             return SplitNode(
                 rule=rule,
-                left=_build(x, y, indices[go_left], depth + 1, config, spec, ranks),
-                right=_build(x, y, indices[~go_left], depth + 1, config, spec, ranks),
+                left=_build(x, y, left, depth + 1, config, spec, ranks),
+                right=_build(x, y, right, depth + 1, config, spec, ranks),
             )
     return _make_leaf(x, y, indices, config.leaf)
 

@@ -6,8 +6,8 @@ turns an argument into an array.  A table of bad arguments to public
 functions, each of which once escaped as a ``TypeError``/``IndexError``
 or passed, must now raise ``ValueError``.  A table of odd arrays (complex,
 string, masked, wrong-rank and others) runs through every array argument
-of the public functions and predicts: each is refused with ``ValueError``
-or gives a result, with no other exception and no warning.
+of the public functions, constructors and predicts: each is refused with
+``ValueError`` or gives a result, with no other exception and no warning.
 """
 
 import ast
@@ -48,8 +48,9 @@ from tensortree import (
     variance_matrix,
 )
 from tensortree._rng import make_rng
-from tensortree.decomposition import AlsConfig
+from tensortree.decomposition import AlsConfig, CPDecomposition, TuckerDecomposition
 from tensortree.serialize import dumps
+from tensortree.tensor_output import TensorOutputModel
 from tensortree.splitting import (
     SearchStrategy,
     SplitCriterion,
@@ -208,6 +209,17 @@ TREE = grow(XS, YS, STUMP)
 LEAF = fit_leaf(XS, YS, CP_LEAF)
 ENTRYWISE_MODEL = fit_entrywise(XS, OUT, ENTRYWISE)
 RULE = SplitRule((0, 0), 0.5)
+CP = cp_als(TENSOR, 2, ALS)[0]
+TUCKER = tucker_als(TENSOR, 1, ALS)[0]
+CP_OUTPUT_MODEL = fit_lowrank(XS, OUT, LOWRANK)
+TUCKER_OUTPUT_MODEL = fit_lowrank(XS, OUT, OutputConfig(approach="lowrank", decomp="tucker", rank=1,
+                                                        boosting=BOOST, als=ALS))
+
+
+def _output_model(model, **arrays):
+    """``model``'s low-rank output model rebuilt in memory with ``arrays`` in place of its own."""
+    pieces = {"weights": model.weights, "core": model.core, "output_factors": model.output_factors, **arrays}
+    return TensorOutputModel(model.kind, model.output_shape, model.ensembles, model.decomp_kind, **pieces)
 
 
 def _with_second(f, good):
@@ -225,6 +237,19 @@ ARRAY_ARGUMENTS = {
     "fold": (lambda a: fold(a, 0, (4, 2)), MATRIX),
     "frobenius_norm": (frobenius_norm, TENSOR),
     "outer": (lambda a: outer([a, VECTOR]), VECTOR),
+    "outer vectors": (outer, np.stack([VECTOR, VECTOR])),
+    "CPDecomposition weights": (lambda a: CPDecomposition(a, CP.factors).to_tensor(), CP.weights),
+    "CPDecomposition factors": (lambda a: CPDecomposition(CP.weights, (a,) + CP.factors[1:]).to_tensor(),
+                                CP.factors[0]),
+    "TuckerDecomposition core": (lambda a: TuckerDecomposition(a, TUCKER.factors).to_tensor(), TUCKER.core),
+    "TuckerDecomposition factors": (
+        lambda a: TuckerDecomposition(TUCKER.core, TUCKER.factors[:-1] + (a,)).to_tensor(), TUCKER.factors[-1]),
+    "TensorOutputModel weights": (lambda a: _output_model(CP_OUTPUT_MODEL, weights=a).predict(XS),
+                                  CP_OUTPUT_MODEL.weights),
+    "TensorOutputModel core": (lambda a: _output_model(TUCKER_OUTPUT_MODEL, core=a).predict(XS),
+                               TUCKER_OUTPUT_MODEL.core),
+    "TensorOutputModel output_factors": (
+        lambda a: _output_model(CP_OUTPUT_MODEL, output_factors=(a,)).predict(XS), CP_OUTPUT_MODEL.output_factors[0]),
     "cp_als": (lambda a: cp_als(a, 2, ALS), TENSOR),
     "tucker_als": (lambda a: tucker_als(a, 1, ALS), TENSOR),
     "approximation_error": (lambda a: approximation_error(a, cp_als(TENSOR, 1, ALS)[0]), TENSOR),
@@ -236,7 +261,7 @@ ARRAY_ARGUMENTS = {
     "BoostedModel.predict": (fit_boosting(XS, YS, BOOST).predict, XS),
     "ForestModel.predict": (fit_forest(XS, YS, FOREST).predict, XS),
     "TensorOutputModel.predict": (ENTRYWISE_MODEL.predict, XS),
-    "predict_tensor": (lambda a: predict_tensor(fit_lowrank(XS, OUT, LOWRANK), a), XS),
+    "predict_tensor": (lambda a: predict_tensor(CP_OUTPUT_MODEL, a), XS),
     **_pairs("mode_product", lambda t, m: mode_product(t, m, 0), (TENSOR, MATRIX[:3].T)),
     **_pairs("khatri_rao", khatri_rao, (MATRIX, MATRIX)),
     **_pairs("contract", contract, (XS, XS[0])),

@@ -189,6 +189,65 @@ class TestPredictApply:
             tree.predict(np.zeros((3, 4, 4)))
 
 
+def _reference_leaf(node, row):
+    """The leaf that one input row reaches, walked rule by rule in plain Python."""
+    while isinstance(node, tree_module.SplitNode):
+        node = node.left if row[tuple(node.rule.coords)] <= node.rule.threshold else node.right
+    return node
+
+
+def _split_nodes(node):
+    if isinstance(node, tree_module.LeafNode):
+        return []
+    return [node] + _split_nodes(node.left) + _split_nodes(node.right)
+
+
+ROUTING_LEAVES = {
+    "mean": LeafModelSpec(kind="mean"),
+    "cp": LeafModelSpec(kind="cp", rank=1, als=AlsConfig(max_iterations=3)),
+    "tucker": LeafModelSpec(kind="tucker", rank=1, als=AlsConfig(max_iterations=3)),
+}
+
+
+class TestRoutingAgainstReferenceWalk:
+    """Trees route as a per-row walk does, and every leaf gets its rows in ascending order."""
+
+    @staticmethod
+    def _data(n, seed):
+        # values on a grid of five, so many rows sit exactly on a threshold; six
+        # steps of halving height, so every depth up to 6 finds a split
+        x = np.round(make_rng(seed).uniform(size=(n, 3, 3)) * 4) / 4
+        steps = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2)]
+        y = sum(2.0 ** (5 - k) * (x[:, i, j] > 0.5) for k, (i, j) in enumerate(steps))
+        return x, y + 0.1 * make_rng(seed + 1).normal(size=n)
+
+    @pytest.mark.parametrize("leaf", sorted(ROUTING_LEAVES))
+    @pytest.mark.parametrize("max_depth", range(7))
+    def test_predict_and_apply_match_the_reference(self, max_depth, leaf):
+        x, y = self._data(120, seed=30)
+        tree = grow(x, y, GrowConfig(max_depth=max_depth, min_samples_leaf=2, leaf=ROUTING_LEAVES[leaf]))
+        assert tree.depth() == max_depth
+        on_threshold = [(x[(slice(None),) + tuple(n.rule.coords)] == n.rule.threshold).any()
+                        for n in _split_nodes(tree.root)]
+        assert all(on_threshold)
+        fresh = np.concatenate([self._data(60, seed=32)[0], make_rng(34).uniform(size=(60, 3, 3))])
+        for rows_of, data in (("train", x), ("fresh", fresh)):
+            ids = np.array([_reference_leaf(tree.root, row).leaf_id for row in data])
+            assert np.array_equal(tree.apply(data), ids), rows_of
+            expect = np.empty(data.shape[0])
+            for leaf_node in tree.leaves():
+                rows = np.flatnonzero(ids == leaf_node.leaf_id)
+                if leaf_node.model.kind == "mean":
+                    expect[rows] = leaf_node.model.mean
+                elif rows.size:
+                    expect[rows] = predict_leaf(leaf_node.model, data[rows])
+                if rows_of == "train":
+                    assert np.array_equal(leaf_node.indices, rows)
+            assert tree.predict(data).tobytes() == expect.tobytes(), rows_of
+            for _, rows in tree._route(data):
+                assert np.all(np.diff(rows) > 0), rows_of
+
+
 class TestComplexity:
     def test_single_leaf_constant_response_alpha_zero(self):
         x = np.zeros((5, 2, 2))
