@@ -11,7 +11,8 @@ only code that turns an argument into an array: float64, real values,
 no mask, a mode count in range), ``_check_arrays`` (a sequence of
 such arrays, of a length in range), ``_check_squares`` (finite values whose
 squares sum to a finite value), ``_check_stacked`` (stacked inputs and
-responses), ``_check_features``, ``_check_output``,
+responses), ``_check_features`` (stacked inputs of a feature shape;
+``_check_feature_shape`` compares the shape alone), ``_check_output``,
 ``_check_coords`` (one cell of a feature shape), ``_check_ranks`` (a
 grow config's tuple ranks), ``_check_keys`` (a config object's keys),
 ``_finite_array`` (a model document's numbers) and
@@ -206,7 +207,11 @@ def _check_stacked(x, y=_NO_RESPONSES) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _check_features(x, feature_shape: tuple[int, ...]) -> np.ndarray:
     """Stacked inputs ``x`` as float64, provided their feature modes have ``feature_shape``."""
-    x = _check_array(x, "stacked input", STACKED_MODES)
+    return _check_feature_shape(_check_array(x, "stacked input", STACKED_MODES), feature_shape)
+
+
+def _check_feature_shape(x: np.ndarray, feature_shape: tuple[int, ...]) -> np.ndarray:
+    """Checked stacked inputs ``x``, provided their feature modes have ``feature_shape``."""
     if x.shape[1:] != feature_shape:
         raise ValueError(
             f"feature shape {x.shape[1:]} does not match training shape {feature_shape}"
@@ -291,6 +296,13 @@ def _finite_predictions(predict):
     def checked(*args):
         with np.errstate(over="ignore", invalid="ignore"):
             out = predict(*args)
+        # An ensemble checks only its result, not each tree's output: a
+        # non-finite tree output cannot turn finite on its way there.  Scaling
+        # by the learning rate keeps it non-finite (inf * eta is inf, or nan
+        # for eta = 0), so does each later sum (inf - inf and nan + v are nan)
+        # and the forest's division by its tree count, and a low-rank
+        # reconstruction multiplies it into every output entry of its row,
+        # where 0 * inf is nan.
         if not np.isfinite(out).all():
             raise ValueError("non-finite prediction: a non-finite input value, or overflow in the model")
         return out

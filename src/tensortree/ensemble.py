@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import (STACKED_MODES, _check_array, _check_bool, _check_int, _check_number, _check_stacked,
-                      _finite_predictions)
+from ._checks import _check_bool, _check_int, _check_number, _check_stacked, _finite_predictions
 from ._rng import derive_seed, make_rng
 from .splitting import SearchStrategy, _RankTable
-from .tree import GrowConfig, PruneConfig, TensorTree, grow, prune
+from .tree import GrowConfig, PruneConfig, TensorTree, _ColumnTable, grow, prune
 
 WEIGHT_CAP = 1e100
 _EXP_CAP = math.log(WEIGHT_CAP)
@@ -72,10 +71,19 @@ class BoostedModel:
 
     @_finite_predictions
     def predict(self, x) -> np.ndarray:
-        x = _check_array(x, "stacked input", STACKED_MODES)
-        out = np.full(x.shape[0], self.base_value, dtype=np.float64)
+        """``f0`` plus the learning rate times each tree's prediction, summed in tree order.
+
+        Checks ``x`` once, and every tree routes it through one column
+        table; only the sum is checked, and a non-finite one raises
+        ``ValueError``.
+        """
+        return self._predict(_ColumnTable(x))
+
+    def _predict(self, table: _ColumnTable) -> np.ndarray:
+        """:meth:`predict` on the table's checked batch, with no output check."""
+        out = np.full(table.x.shape[0], self.base_value, dtype=np.float64)
         for t in self.trees:
-            out += self.learning_rate * t.predict(x)
+            out += self.learning_rate * t._predict(table)
         return out
 
 
@@ -89,10 +97,19 @@ class ForestModel:
 
     @_finite_predictions
     def predict(self, x) -> np.ndarray:
-        x = _check_array(x, "stacked input", STACKED_MODES)
-        out = np.zeros(x.shape[0], dtype=np.float64)
+        """The mean of the trees' predictions, summed in tree order.
+
+        Checks ``x`` once, and every tree routes it through one column
+        table; only the mean is checked, and a non-finite one raises
+        ``ValueError``.
+        """
+        return self._predict(_ColumnTable(x))
+
+    def _predict(self, table: _ColumnTable) -> np.ndarray:
+        """:meth:`predict` on the table's checked batch, with no output check."""
+        out = np.zeros(table.x.shape[0], dtype=np.float64)
         for t in self.trees:
-            out += t.predict(x)
+            out += t._predict(table)
         return out / len(self.trees)
 
 

@@ -30,12 +30,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import (STACKED_MODES, _check_array, _check_arrays, _check_choice, _check_int, _check_output, _check_rank,
+from ._checks import (_check_array, _check_arrays, _check_choice, _check_int, _check_output, _check_rank,
                       _finite_predictions, _resolve_ranks)
 from ._rng import derive_seed
 from .decomposition import AlsConfig, CPDecomposition, TuckerDecomposition, cp_als, tucker_als
 from .ensemble import BoostedModel, BoostingConfig, fit_boosting
 from .splitting import _RankTable
+from .tree import _ColumnTable
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,14 @@ def reconstruct_from_observation_factor(model: TensorOutputModel, obs_factor: np
 
 @_finite_predictions
 def predict_tensor(model: TensorOutputModel, x) -> np.ndarray:
-    """Predict a stacked output tensor of shape ``(n,) + output_shape``."""
-    x = _check_array(x, "stacked input", STACKED_MODES)
-    columns = np.column_stack([ens.predict(x) for ens in model.ensembles])
+    """Predict a stacked output tensor of shape ``(n,) + output_shape``.
+
+    Checks ``x`` once, and every tree of every ensemble routes it through
+    one column table.  Only the output tensor is checked, and a
+    non-finite one raises ``ValueError``.
+    """
+    table = _ColumnTable(x)
+    columns = np.column_stack([ens._predict(table) for ens in model.ensembles])
     if model.kind == "entrywise":
-        return columns.reshape((x.shape[0],) + model.output_shape)
+        return columns.reshape((table.x.shape[0],) + model.output_shape)
     return reconstruct_from_observation_factor(model, columns)

@@ -26,14 +26,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import (_check_choice, _check_features, _check_int, _check_number, _check_rank, _check_ranks,
-                      _check_stacked, _finite_predictions)
+from ._checks import (STACKED_MODES, _check_array, _check_choice, _check_feature_shape, _check_int, _check_number,
+                      _check_rank, _check_ranks, _check_stacked, _finite_predictions)
 from .decomposition import AlsConfig
 from .leaf_models import FittedLeafModel, LeafModelSpec, fit_leaf, predict_leaf
 from .splitting import (
     SearchStrategy,
     SplitCriterion,
     SplitRule,
+    _column,
     _group_loss,
     _lae_term,
     _lre_spec,
@@ -113,6 +114,40 @@ def _partition(rows: np.ndarray, go_left: np.ndarray) -> tuple[np.ndarray, np.nd
     return rows.compress(go_left), rows.compress(~go_left)
 
 
+class _ColumnTable:
+    """The checked batch of one predict call and the full split columns read so far.
+
+    The predict-time sibling of :class:`~tensortree.splitting._RankTable`:
+    every tree of an ensemble (and every ensemble of a tensor-output model)
+    routes one batch through one table, so the batch is checked once and
+    a column that several roots split on is read once.  A node that holds
+    every row reads its column in full and the table keeps it; any other
+    node takes its rows from a kept column, or gathers them from the batch
+    without keeping them.
+    """
+
+    def __init__(self, x):
+        self.x = _check_array(x, "stacked input", STACKED_MODES)
+        self._full: dict = {}
+
+    def _read(self, coords: tuple[int, ...]) -> np.ndarray:
+        """Column ``coords`` of every row, as a contiguous copy."""
+        return _column(self.x, coords).copy()
+
+    def column(self, rows: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
+        """The values at ``coords`` of rows ``rows``.
+
+        A node's rows are ascending and distinct, so a node with as many
+        rows as the batch holds every row, in order.
+        """
+        full = self._full.get(coords)
+        if rows.size == self.x.shape[0]:
+            if full is None:
+                full = self._full[coords] = self._read(coords)
+            return full
+        return self.x[(rows,) + coords] if full is None else full[rows]
+
+
 def _depth(node) -> int:
     if isinstance(node, LeafNode):
         return 0
@@ -154,15 +189,17 @@ class TensorTree:
     def depth(self) -> int:
         return _depth(self.root)
 
-    def _route(self, x: np.ndarray):
-        """Yield ``(leaf, rows)`` for each leaf that rows of ``x`` reach.
+    def _route(self, table: _ColumnTable):
+        """Yield ``(leaf, rows)`` for each leaf that rows of the table's batch reach.
 
-        Each split node partitions its rows with :func:`_partition`
-        (``ndarray.compress``), which keeps their order, so every leaf
-        gets its rows in ascending order.  Raises ``ValueError`` when a
-        value that a split routes on is not finite; values no split
-        reads are not inspected.
+        Each split node reads its column through ``table`` and partitions
+        its rows with :func:`_partition` (``ndarray.compress``), which
+        keeps their order, so every leaf gets its rows in ascending order.
+        Raises ``ValueError`` when the batch's feature shape is not the
+        tree's, or when a value that a split routes on is not finite;
+        values no split reads are not inspected.
         """
+        x = _check_feature_shape(table.x, self.feature_shape)
         stack = [(self.root, np.arange(x.shape[0]))]
         while stack:
             node, rows = stack.pop()
@@ -171,9 +208,10 @@ class TensorTree:
             if isinstance(node, LeafNode):
                 yield node, rows
                 continue
-            col = x[(rows,) + tuple(node.rule.coords)]
+            coords = tuple(node.rule.coords)
+            col = table.column(rows, coords)
             if not np.isfinite(col).all():
-                raise ValueError(f"non-finite input at split coords {tuple(node.rule.coords)}")
+                raise ValueError(f"non-finite input at split coords {coords}")
             left, right = _partition(rows, col <= node.rule.threshold)
             stack.append((node.right, right))
             stack.append((node.left, left))
@@ -182,12 +220,17 @@ class TensorTree:
     def predict(self, x) -> np.ndarray:
         """Route each row to its leaf and evaluate that leaf's model.
 
-        Raises ``ValueError`` rather than return a non-finite prediction,
-        such as a mean leaf built in memory with ``inf``.
+        Checks ``x`` once and its output once: raises ``ValueError`` rather
+        than return a non-finite prediction, such as a mean leaf built in
+        memory with ``inf``.
         """
-        x = _check_features(x, self.feature_shape)
+        return self._predict(_ColumnTable(x))
+
+    def _predict(self, table: _ColumnTable) -> np.ndarray:
+        """:meth:`predict` on the table's checked batch, with no output check."""
+        x = table.x
         out = np.empty(x.shape[0], dtype=np.float64)
-        for leaf, rows in self._route(x):
+        for leaf, rows in self._route(table):
             # A mean leaf reads no features, so its rows are not gathered.
             model = leaf.model
             out[rows] = model.mean if model.kind == "mean" else predict_leaf(model, x[rows])
@@ -195,9 +238,9 @@ class TensorTree:
 
     def apply(self, x) -> np.ndarray:
         """Leaf id reached by each row (depth-first, left-to-right numbering)."""
-        x = _check_features(x, self.feature_shape)
-        out = np.empty(x.shape[0], dtype=np.int64)
-        for leaf, rows in self._route(x):
+        table = _ColumnTable(x)
+        out = np.empty(table.x.shape[0], dtype=np.int64)
+        for leaf, rows in self._route(table):
             out[rows] = leaf.leaf_id
         return out
 

@@ -1,6 +1,7 @@
 """Boosting and forest ensembles: update identities and determinism."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,8 @@ from tensortree.ensemble import (
 from tensortree.leaf_models import LeafModelSpec
 from tensortree.serialize import dumps
 from tensortree.splitting import SearchStrategy, SplitCriterion
-from tensortree.tree import GrowConfig, PruneConfig, grow, prune
+from tensortree.tree import GrowConfig, LeafNode, PruneConfig, grow, prune
+from tensortree.tree import _ColumnTable as ColumnTable
 
 from test_splitting import dense_ranks, record_ranking
 
@@ -273,9 +275,62 @@ def _overflowing(kind):
     return model, x
 
 
-@pytest.mark.parametrize("model", ["tree", "boosting", "forest", "lowrank"])
+def _one_non_finite_leaf(kind, value):
+    """A boosting, forest or entrywise model whose second tree has one mean leaf of ``value``.
+
+    Only the ensemble's sum is checked, so these show that no tree's
+    non-finite output is lost on its way there.
+    """
+    from tensortree.tensor_output import OutputConfig, fit_entrywise
+
+    x, y = step_data(40, 3)
+    tree = GrowConfig(max_depth=1)
+    boost = BoostingConfig(n_estimators=2, tree=tree)
+    if kind == "boosting":
+        fitted = fit_boosting(x, y, boost)
+        trees = fitted.trees
+    elif kind == "forest":
+        fitted = fit_forest(x, y, ForestConfig(n_trees=2, tree=tree))
+        trees = fitted.trees
+    else:
+        fitted = fit_entrywise(x, np.column_stack([y, -y]), OutputConfig(boosting=boost))
+        trees = fitted.ensembles[1].trees
+    trees[1].leaves()[0].model.mean = value
+    return fitted, x
+
+
+def _zero_factor_meets_inf_column():
+    """A low-rank CP model whose first output-factor column is zero and whose first column predicts ``inf``.
+
+    Every output entry of a row that reaches the ``inf`` leaf is ``0 * inf``,
+    so ``nan``, plus the finite other component.
+    """
+    from tensortree.tensor_output import OutputConfig, fit_lowrank
+
+    rng = make_rng(10)
+    x, y = rng.uniform(size=(40, 2, 2)), rng.normal(size=(40, 3))
+    boost = BoostingConfig(n_estimators=1, tree=GrowConfig(max_depth=1))
+    fitted = fit_lowrank(x, y, OutputConfig(approach="lowrank", rank=2, boosting=boost))
+    fitted.output_factors[0][:, 0] = 0.0
+    fitted.ensembles[0].trees[0].leaves()[0].model.mean = math.inf
+    return fitted, x
+
+
+OVERFLOWING_MODELS = {
+    "tree": lambda: _overflowing("tree"),
+    "boosting": lambda: _overflowing("boosting"),
+    "forest": lambda: _overflowing("forest"),
+    "lowrank": _overflowing_lowrank,
+    **{f"{kind}-{name}-leaf": lambda kind=kind, value=value: _one_non_finite_leaf(kind, value)
+       for kind in ("boosting", "forest", "entrywise")
+       for name, value in (("inf", math.inf), ("nan", math.nan))},
+    "lowrank-zero-factor-inf-column": _zero_factor_meets_inf_column,
+}
+
+
+@pytest.mark.parametrize("model", list(OVERFLOWING_MODELS))
 def test_every_public_predict_refuses_overflow(model):
-    fitted, x = _overflowing_lowrank() if model == "lowrank" else _overflowing(model)
+    fitted, x = OVERFLOWING_MODELS[model]()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no overflow warning escapes
         with pytest.raises(ValueError, match="non-finite prediction"):
@@ -308,3 +363,83 @@ def test_largest_accepted_responses_fit_the_same_tree():
     # the fit runs and finds the rule of the unscaled responses.
     x, y = step_data(40, 3)
     assert grow(x, 1e150 * y, GrowConfig()).root.rule == grow(x, y, GrowConfig()).root.rule
+
+
+def _routing_trees():
+    """Two trees rooted on coords (0, 0); only the first one's left child splits, on (1, 1)."""
+    rng = make_rng(40)
+    x = rng.uniform(size=(200, 3, 3))
+    child = grow(x, np.where(x[:, 0, 0] > 0.5, 5.0, 2.0 * (x[:, 1, 1] > 0.5)), mean_tree(max_depth=2))
+    root = grow(x, 3.0 * (x[:, 0, 0] > 0.5), mean_tree(max_depth=2))
+    assert child.root.rule.coords == root.root.rule.coords == (0, 0)
+    assert child.root.left.rule.coords == (1, 1)
+    assert isinstance(child.root.right, LeafNode) and isinstance(root.root.left, LeafNode)
+    return child, root, rng.uniform(size=(30, 3, 3))
+
+
+def _ensembles_of(trees):
+    """A boosting model, a forest and an entrywise tensor-output model over ``trees``."""
+    from tensortree.tensor_output import TensorOutputModel
+
+    boosted = [BoostedModel(0.0, 1.0, [t]) for t in trees]
+    return {
+        "boosting": BoostedModel(0.5, 0.3, trees).predict,
+        "forest": ForestModel(trees).predict,
+        "predict_tensor": TensorOutputModel("entrywise", (len(trees),), boosted).predict,
+    }
+
+
+ENSEMBLE_KINDS = ["boosting", "forest", "predict_tensor"]
+
+
+class TestSharedColumnTable:
+    """Every tree of a predict routes one checked batch as a single tree would."""
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_nan_that_no_reached_split_reads_raises_nothing(self, kind):
+        child, root, x = _routing_trees()
+        row = int(np.flatnonzero(x[:, 0, 0] > child.root.rule.threshold)[0])
+        x_nan = x.copy()
+        x_nan[row, 1, 1] = np.nan  # the row goes right at the root, where no split reads (1, 1)
+        for t in (child, root):
+            assert np.array_equal(t.predict(x_nan), t.predict(x))
+        predict = _ensembles_of([child, root])[kind]
+        assert np.array_equal(predict(x_nan), predict(x))
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    @pytest.mark.parametrize("coords", [(0, 0), (1, 1)], ids=["root", "reached-child"])
+    def test_nan_that_a_split_reads_raises(self, kind, coords):
+        child, root, x = _routing_trees()
+        row = int(np.flatnonzero(x[:, 0, 0] <= child.root.rule.threshold)[0])
+        x_nan = x.copy()
+        x_nan[(row,) + coords] = np.nan
+        message = re.escape(f"non-finite input at split coords {coords}")
+        with pytest.raises(ValueError, match=message):
+            child.predict(x_nan)
+        with pytest.raises(ValueError, match=message):
+            _ensembles_of([child, root])[kind](x_nan)
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_trees_of_another_feature_shape_raise_value_error(self, kind):
+        child, _, x = _routing_trees()
+        x4 = make_rng(41).uniform(size=(100, 4, 4))
+        wide = grow(x4, 3.0 * (x4[:, 3, 3] > 0.5), mean_tree(max_depth=1))
+        assert wide.root.rule.coords == (3, 3)  # out of range on a (3, 3) batch
+        with pytest.raises(ValueError, match="feature shape"):
+            _ensembles_of([child, wide])[kind](x)
+
+    def test_roots_on_one_coordinate_read_its_column_once_per_predict(self, monkeypatch):
+        x, y = step_data(200, seed=42)
+        model = fit_boosting(x, y, BoostingConfig(n_estimators=4, learning_rate=0.3, tree=mean_tree()))
+        assert {t.root.rule.coords for t in model.trees} == {(0, 0)}
+        reads = []
+        read = ColumnTable._read
+        monkeypatch.setattr(ColumnTable, "_read", lambda table, coords: reads.append(coords) or read(table, coords))
+        for _ in range(2):
+            reads.clear()
+            out = model.predict(x)
+            assert reads == [(0, 0)]
+        expect = np.full(y.size, model.base_value)
+        for t in model.trees:
+            expect += model.learning_rate * t.predict(x)
+        assert out.tobytes() == expect.tobytes()

@@ -244,7 +244,7 @@ class TestRoutingAgainstReferenceWalk:
                 if rows_of == "train":
                     assert np.array_equal(leaf_node.indices, rows)
             assert tree.predict(data).tobytes() == expect.tobytes(), rows_of
-            for _, rows in tree._route(data):
+            for _, rows in tree._route(tree_module._ColumnTable(data)):
                 assert np.all(np.diff(rows) > 0), rows_of
 
 
