@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -337,7 +338,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tensortree",
         description="Tensor-input regression trees: synthesize data, fit, predict, benchmark.",

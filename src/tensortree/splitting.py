@@ -50,9 +50,12 @@ Each rule carries a bound on its loss and one on each child's loss:
   and a child whose solve might be off by more than a quarter of the
   margin takes its ``lstsq`` residual instead.
 * observed-value ``sse``: a coordinate offers only the best threshold of
-  a prefix-sum scan over its sorted responses, bounded by the scan
-  loss, with child bounds 0.  The scan loss may lie on either side of
-  the exact loss, but never by more than the margin.
+  a prefix-sum scan over its responses in the column's value order,
+  bounded by the scan loss, with child bounds 0.  The scan reads rank
+  keys and responses: a cut between two equal keys is a cut between
+  equal values, and is masked.  The only feature value it reads is the
+  winning threshold.  The scan loss may lie on either side of the exact
+  loss, but never by more than the margin.
 * ``lae`` and mean-value ``sse``: every admissible rule, all bounds 0.
 
 In the score phase the pooled rules are visited in ascending ``(bound,
@@ -75,9 +78,11 @@ each input column, computed the first time a search reads the column
 (uint16 up to 2**16 rows).  Equal values (-0.0 and 0.0 among them) share
 a rank and larger values get larger ranks, so the stable argsort of a
 node's ranks is the stable argsort of its values, and for uint16 a radix
-sort.  Every node argsorts the ranks of its own rows of the table's
-input.  The table also keeps each ranked column's order over the whole
-input, which the roots of trees grown on all of it read: boosting stages
+sort.  The ranks in that order are equal exactly where the sorted values
+are, so they give the ``sse`` scan its ties.  Every node argsorts the
+ranks of its own rows of the table's input.  The table also keeps each
+ranked column's order over the whole input, which the roots of trees
+grown on all of it read: boosting stages
 without resampling, forest trees without bootstrap, and the per-entry or
 per-column jobs of a tensor-output fit.  Trees grown on row resamples
 (bootstrap forests, resampled boosting) share the ranks.  ``lae`` and
@@ -381,34 +386,51 @@ def _admissible(col: np.ndarray, v: np.ndarray, value_mode: str, min_child: int)
     return thresholds[first:stop], n_left
 
 
-def _sse_scan(v: np.ndarray, ys: np.ndarray, min_child: int) -> tuple[float, int] | None:
+def _scan_counts(n: int, min_child: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float child sizes ``(k, n - k)`` at each cut an observed-value ``sse`` scan reads, for a node of ``n`` rows.
+
+    Cut ``k`` sends the node's ``k`` smallest rows left.  The window holds
+    the cuts that leave each child at least ``min_child`` rows (and one),
+    from ``k = max(min_child, 1)`` up, and is empty when no cut does.  The
+    counts are exact floats, built with no casts once per node and read,
+    never written, by every coordinate's scan.
+    """
+    low = max(min_child, 1)
+    k = np.arange(float(low), float(n - low + 1))
+    return k, float(n) - k
+
+
+def _sse_scan(keys: np.ndarray, ys: np.ndarray, k: np.ndarray, nr: np.ndarray) -> tuple[float, int] | None:
     """The best observed-value ``sse`` rule of a sorted column as ``(scan loss, n_left)``; None if none is admissible.
 
-    ``v`` is the node's column sorted and ``ys`` its responses in the same
-    order (overwritten).  Only the window of cuts that leave each child at
-    least ``min_child`` rows (and one) is scanned, and a cut between two
-    equal values is masked.  Each cut's loss takes the same float
-    operations as a scan of every cut, so ties go to the smallest
-    threshold and the loss lies within :func:`_margin` of the rule's
-    exact child loss.
+    ``keys`` are the node's rank keys of the column in ascending order,
+    ``ys`` its responses in the same order, and ``(k, nr)`` the node's
+    :func:`_scan_counts`.  Equal keys mean equal values, so a cut between
+    two equal keys is masked, and the scan reads no feature value.  Each
+    cut's loss takes the same float operations as a scan of every cut, so
+    ties go to the smallest threshold and the loss lies within
+    :func:`_margin` of the rule's exact child loss.
     """
-    n = ys.size
-    low = max(min_child, 1)
-    if 2 * low > n:
+    if k.size == 0:
         return None
-    tied = v[low - 1:n - low] == v[low:n - low + 1]  # cut k lies between v[k - 1] and v[k]
-    if tied.all():
+    n, low = ys.size, int(k[0])
+    if keys[low - 1] == keys[n - low]:  # keys ascend, so every cut in the window is tied
         return None
-    cum = np.cumsum(ys)
-    cumsq = np.cumsum(np.multiply(ys, ys, out=ys))
+    tied = keys[low - 1:n - low] == keys[low:n - low + 1]  # cut k lies between rows k - 1 and k
+    # One complex cumsum runs both prefix sums: a complex addition adds the
+    # real and the imaginary parts apart, so each part is the float cumsum
+    # of its own terms, bit for bit, at about the cost of one.
+    z = np.empty(n, np.complex128)
+    z.real = ys
+    np.multiply(ys, ys, out=z.imag)
+    np.cumsum(z, out=z)
+    cum, cumsq = z.real, z.imag
     s_l, q_l = cum[low - 1:n - low], cumsq[low - 1:n - low]
-    k = np.arange(float(low), float(n - low + 1))  # exact float counts, with no casts
     # var_l = q_l / k - (s_l / k) ** 2 and var_r likewise over the suffixes, floored at 0
     loss = q_l / k
     t = s_l / k
     loss -= np.multiply(t, t, out=t)
     np.maximum(loss, 0.0, out=loss)
-    nr = np.subtract(float(n), k, out=k)
     var_r = np.subtract(cumsq[-1], q_l)
     var_r /= nr
     t = np.subtract(cum[-1], s_l, out=t)
@@ -417,7 +439,7 @@ def _sse_scan(v: np.ndarray, ys: np.ndarray, min_child: int) -> tuple[float, int
     loss += np.maximum(var_r, 0.0, out=var_r)
     # A loss is at most the node's sum of squared responses, which is
     # finite, so a masked cut never wins.
-    loss[tied] = np.inf
+    np.putmask(loss, tied, np.inf)
     j = int(np.argmin(loss))
     return float(loss[j]), low + j
 
@@ -433,7 +455,10 @@ class _RankTable:
     The table serves a fit or node that holds rows ``rows`` of ``x``, in
     that order; None means every row in order, and then each column's
     order is kept for later readers.  :meth:`take` gives the table of a
-    subset of those rows, which shares the ranks.
+    subset of those rows, which shares the ranks.  :meth:`keyed_order`
+    gives a column's order over the served rows with their ranks in that
+    order, both from one gather of the served rows' ranks; equal sorted
+    ranks are the ties an ``sse`` scan masks.
     """
 
     def __init__(self, x: np.ndarray, rows: np.ndarray | None = None, ranks: dict | None = None):
@@ -447,16 +472,26 @@ class _RankTable:
 
     def order(self, coords: tuple[int, ...]) -> np.ndarray:
         """The stable argsort of column ``coords`` over the served rows."""
+        return self.keyed_order(coords)[0]
+
+    def keyed_order(self, coords: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The stable argsort of column ``coords`` over the served rows, and the served rows' ranks in that order.
+
+        The sorted ranks ascend, and two of them are equal exactly when
+        their rows' values are.
+        """
         ranks = self.ranks.get(coords)
         if ranks is None:
             inverse = np.unique(_column(self.x, coords), return_inverse=True)[1]
             ranks = self.ranks[coords] = inverse.astype(_rank_dtype(inverse.size))
-        if self.rows is not None:
-            return np.argsort(ranks.take(self.rows), kind="stable")
-        order = self.orders.get(coords)
-        if order is None:
-            order = self.orders[coords] = np.argsort(ranks, kind="stable")
-        return order
+        if self.rows is None:
+            order = self.orders.get(coords)
+            if order is None:
+                order = self.orders[coords] = np.argsort(ranks, kind="stable")
+            return order, ranks.take(order)
+        keys = ranks.take(self.rows)
+        order = np.argsort(keys, kind="stable")
+        return order, keys.take(order)
 
 
 def _prefix_moments(rows: np.ndarray, counts: np.ndarray):
@@ -533,13 +568,16 @@ def _child_bounds(rows: np.ndarray, sizes: np.ndarray, budget: float) -> np.ndar
     return bounds
 
 
-def _eval_coord(x, y, coords, criterion, min_child, ranks, margin, design=None) -> list:
+def _eval_coord(x, y, coords, criterion, min_child, ranks, margin, design=None, counts=None) -> list:
     """The admissible rules at one coordinate as ``(bound, coords, threshold, n_left, left bound, right bound)``.
 
     Fits nothing; :func:`_score` scores the pooled rules.  ``ranks`` is
     the node's :class:`_RankTable` and ``margin`` the node's
     :func:`_margin`.  Observed-value ``sse`` offers only the coordinate's
-    best prefix-scan rule, bounded by its scan loss.  Under ``lre`` each
+    best prefix-scan rule, bounded by its scan loss: :func:`_sse_scan`
+    reads the column's sorted rank keys and responses, with the node's
+    ``counts`` (:func:`_scan_counts`), and the column is read once, at
+    the winning threshold.  Under ``lre`` each
     rule carries its children's least-squares bounds over the node's
     ``design`` rows, ``[1, vec(x_i), y_i]``: read in the column's sorted
     order, a left child is a prefix of the rows and a right child a suffix,
@@ -552,14 +590,15 @@ def _eval_coord(x, y, coords, criterion, min_child, ranks, margin, design=None) 
     if not scan and criterion.kind != "lre":
         thresholds, n_left = _admissible(col, np.sort(col), criterion.value_mode, min_child)
         return [(0.0, coords, t, k, 0.0, 0.0) for t, k in zip(thresholds.tolist(), n_left.tolist())]
-    order = ranks.order(coords)
-    v = col[order]
     if scan:
-        best = _sse_scan(v, y[order], min_child)
+        order, keys = ranks.keyed_order(coords)
+        best = _sse_scan(keys, y.take(order), *counts)
         if best is None:
             return []
         loss, k = best
-        return [(loss, coords, float(v[k - 1]), k, 0.0, 0.0)]
+        return [(loss, coords, float(col[order[k - 1]]), k, 0.0, 0.0)]
+    order = ranks.order(coords)
+    v = col[order]
     thresholds, n_left = _admissible(col, v, criterion.value_mode, min_child)
     if n_left.size == 0:
         return []
@@ -697,9 +736,10 @@ def _search(x, y, criterion, strategy, leaf, min_child, ranks=None) -> SplitEval
         order = _bb_order(x.shape[1:], int(strategy.xi))
     margin = _margin(x.shape[0], float(np.dot(y, y)))
     design = np.hstack([_affine_design(x), y[:, None]]) if criterion.kind == "lre" else None
+    counts = _scan_counts(x.shape[0], min_child)
     pool = []
     for coords in order:
-        pool += _eval_coord(x, y, coords, criterion, min_child, ranks, margin, design)
+        pool += _eval_coord(x, y, coords, criterion, min_child, ranks, margin, design, counts)
     return _score(x, y, pool, criterion, _lre_spec(criterion, leaf), margin)
 
 

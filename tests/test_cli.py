@@ -119,9 +119,12 @@ class TestFit:
         {"model": "boosting", "n_estimators": 4, "max_depth": 3},
     ], ids=["forest", "boosting-resampled", "boosting"])
     def test_rank_key_sorts_write_the_float_sort_bytes(self, tmp_path, capsys, monkeypatch, run):
-        def float_order(table, coords):
+        def float_keyed_order(table, coords):
             rows = slice(None) if table.rows is None else table.rows
-            return np.argsort(table.x[(rows,) + coords], kind="stable")
+            col = table.x[(rows,) + coords]
+            order = np.argsort(col, kind="stable")
+            v = col[order]
+            return order, np.concatenate([[0], np.cumsum(v[1:] != v[:-1])])  # ties found on floats
 
         rng = make_rng(12)
         x = np.round(rng.normal(size=(150, 3, 3)) * 2) / 2  # ties between distinct rows
@@ -136,8 +139,8 @@ class TestFit:
             "data": {"x": str(tmp_path / "X.npy"), "y": str(tmp_path / "y.npy")}})
         docs = []
         for reference in (False, True):
-            if reference:  # every node sorts its own float columns
-                monkeypatch.setattr(splitting._RankTable, "order", float_order)
+            if reference:  # every node sorts its own float columns and finds ties between floats
+                monkeypatch.setattr(splitting._RankTable, "keyed_order", float_keyed_order)
             out = tmp_path / f"m{int(reference)}.json"
             assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 0
             docs.append(out.read_bytes())

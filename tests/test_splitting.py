@@ -453,6 +453,108 @@ def sse_instance(kind, seed, n=40):
     return x, y
 
 
+def reference_float_scan(v, ys, min_child):
+    """The observed-value ``sse`` scan on float values: ``v`` is a column
+    sorted, ``ys`` its responses in that order (overwritten).  Ties are
+    found between sorted floats and masked by boolean indexing.  Returns
+    ``(scan loss, n_left)``, or None when no cut is admissible."""
+    n = ys.size
+    low = max(min_child, 1)
+    if 2 * low > n:
+        return None
+    tied = v[low - 1:n - low] == v[low:n - low + 1]  # cut k lies between v[k - 1] and v[k]
+    if tied.all():
+        return None
+    cum = np.cumsum(ys)
+    cumsq = np.cumsum(np.multiply(ys, ys, out=ys))
+    s_l, q_l = cum[low - 1:n - low], cumsq[low - 1:n - low]
+    k = np.arange(float(low), float(n - low + 1))
+    loss = q_l / k
+    t = s_l / k
+    loss -= np.multiply(t, t, out=t)
+    np.maximum(loss, 0.0, out=loss)
+    nr = np.subtract(float(n), k, out=k)
+    var_r = np.subtract(cumsq[-1], q_l)
+    var_r /= nr
+    t = np.subtract(cum[-1], s_l, out=t)
+    t /= nr
+    var_r -= np.multiply(t, t, out=t)
+    loss += np.maximum(var_r, 0.0, out=var_r)
+    loss[tied] = np.inf
+    j = int(np.argmin(loss))
+    return float(loss[j]), low + j
+
+
+class TestRankKeyScan:
+    """The scan on rank keys gives the float-value scan's bits at every coordinate and ``min_child``."""
+
+    N = 24
+
+    @classmethod
+    def columns(cls, seed):
+        """A (N, 3, 2) stack: plain, tied, -0.0 beside 0.0, constant, all-tied-but-one-cut and +-0.0-only columns."""
+        rng = np.random.default_rng(seed)
+        n = cls.N
+        x = np.empty((n, 3, 2))
+        x[:, 0, 0] = rng.uniform(size=n)
+        x[:, 0, 1] = np.round(rng.normal(size=n) * 2) / 2
+        x[:, 1, 0] = np.array([-0.0, 0.0, -1.5, 0.5])[rng.integers(0, 4, n)]
+        x[:, 1, 1] = 0.75
+        x[:, 2, 0] = 1.0
+        x[rng.choice(n, 2, replace=False), 2, 0] = -2.0  # every cut but n_left = 2 ties
+        x[:, 2, 1] = np.array([-0.0, 0.0])[rng.integers(0, 2, n)]
+        return x
+
+    @staticmethod
+    def tables(x, seed):
+        """``(name, node x, node table)`` for a root, a child and a bootstrap draw of ``x``."""
+        rng = np.random.default_rng(seed)
+        n = x.shape[0]
+        child = np.flatnonzero(x[:, 0, 0] <= np.median(x[:, 0, 0]))
+        draw = rng.integers(0, n, size=n)
+        root = splitting._RankTable(x)
+        return [("root", x, root), ("child", x[child], root.take(child)),
+                ("bootstrap", x[draw], splitting._RankTable(x).take(draw))]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_float_scan_bit_for_bit(self, seed, offset):
+        x = self.columns(seed)
+        y_all = np.round(np.random.default_rng(seed + 10).normal(size=self.N), 1) + offset
+        for table_name, xs, table in self.tables(x, seed):
+            ys = y_all[table.rows] if table.rows is not None else y_all
+            n = xs.shape[0]
+            margin = splitting._margin(n, float(ys @ ys))
+            for min_child in range(n // 2 + 1):
+                counts = splitting._scan_counts(n, min_child)
+                for coords in np.ndindex(3, 2):
+                    got = splitting._eval_coord(xs, ys, coords, SSE, min_child, table, margin, None, counts)
+                    col = xs[(slice(None),) + coords]
+                    order = np.argsort(col, kind="stable")
+                    want = reference_float_scan(col[order], ys[order], min_child)
+                    case = (table_name, min_child, coords)
+                    if want is None:
+                        assert got == [], case
+                        continue
+                    [(loss, got_coords, threshold, n_left, *child_bounds)] = got
+                    assert (got_coords, n_left, child_bounds) == (coords, want[1], [0.0, 0.0]), case
+                    assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes(), case
+                    assert repr(threshold) == repr(float(col[order][n_left - 1])), case
+
+    def test_columns_cover_every_case(self):
+        # the property above is only as wide as its columns
+        x = self.columns(0)
+        _, _, boot = self.tables(x, 0)[2]
+        assert np.unique(boot.rows).size < self.N  # rows repeat
+        for coords in ((1, 0), (2, 1)):  # both signed zeros
+            col = x[(slice(None),) + coords]
+            zeros = col[col == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        counts = splitting._scan_counts(self.N, 3)
+        keys = splitting._RankTable(x).keyed_order((2, 0))[1]
+        assert splitting._sse_scan(keys, np.zeros(self.N), *counts) is None  # all tied from min_child 3
+
+
 class TestPresortedSse:
     KINDS = ["plain", "tied", "constant_column", "offset", "duplicate_columns", "signed_zeros",
              "window_ties"]
