@@ -18,6 +18,15 @@ the collapsed complexity does not exceed its children's summed cost.
 Fitted trees keep a reference to their training arrays (needed for the
 collapse refits); trees restored from serialized form, and trees inside
 ensembles, drop them, so they predict but cannot be pruned further.
+
+Prediction routes a batch's rows down the tree through a
+:class:`_ColumnTable` that lives for one predict call and is shared by
+every tree of an ensemble.  Besides the checked batch and the full
+columns read, it keeps the row partitions that the last tree's split
+nodes made, keyed by rule path; a node of the next tree on the same path
+takes them as they are, since a node's rows depend only on its path and
+the batch.  That saves boosting stages that repeat their rules a column
+read, a finiteness check and a partition per node, and changes no bit.
 """
 
 from __future__ import annotations
@@ -115,7 +124,7 @@ def _partition(rows: np.ndarray, go_left: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class _ColumnTable:
-    """The checked batch of one predict call and the full split columns read so far.
+    """The checked batch of one predict call, its full split columns and the last tree's partitions.
 
     The predict-time sibling of :class:`~tensortree.splitting._RankTable`:
     every tree of an ensemble (and every ensemble of a tensor-output model)
@@ -124,11 +133,23 @@ class _ColumnTable:
     every row reads its column in full and the table keeps it; any other
     node takes its rows from a kept column, or gathers them from the batch
     without keeping them.
+
+    ``partitions`` holds the ``(left, right)`` rows that each split node of
+    the last tree routed through the table made, keyed by the node's rule
+    path (see :meth:`TensorTree._route`).  A node's rows depend only on its
+    path and the batch, so a later tree's node on the same path takes the
+    kept pair: the same ascending arrays :func:`_partition` would build
+    again, from values the earlier tree already checked.  Each tree
+    replaces the kept pairs with its own, and one whose root rule differs
+    from the kept root rule drops them before it routes, so the table
+    holds no rows the current tree will not read and nothing outlives
+    the call.
     """
 
     def __init__(self, x):
         self.x = _check_array(x, "stacked input", STACKED_MODES)
         self._full: dict = {}
+        self.partitions: dict = {}
 
     def _read(self, coords: tuple[int, ...]) -> np.ndarray:
         """Column ``coords`` of every row, as a contiguous copy."""
@@ -146,6 +167,11 @@ class _ColumnTable:
                 full = self._full[coords] = self._read(coords)
             return full
         return self.x[(rows,) + coords] if full is None else full[rows]
+
+
+def _rule_key(node: SplitNode) -> tuple:
+    """``(coords, threshold)`` of the node's rule, one step of a rule path."""
+    return tuple(node.rule.coords), node.rule.threshold
 
 
 def _depth(node) -> int:
@@ -192,29 +218,45 @@ class TensorTree:
     def _route(self, table: _ColumnTable):
         """Yield ``(leaf, rows)`` for each leaf that rows of the table's batch reach.
 
-        Each split node reads its column through ``table`` and partitions
-        its rows with :func:`_partition` (``ndarray.compress``), which
-        keeps their order, so every leaf gets its rows in ascending order.
+        A split node's rule path is each ancestor's ``(coords, threshold)``
+        and the side taken, then its own ``(coords, threshold)``.  A node on
+        a path that the previous tree routed through ``table`` takes that
+        tree's partition from ``table.partitions``; any other split node
+        reads its column through ``table``, checks it and partitions its
+        rows with :func:`_partition` (``ndarray.compress``), which keeps
+        their order.  Either way every leaf gets its rows in ascending
+        order, the same bytes.  A tree whose root rule is not the kept one
+        drops the kept partitions first, and once the walk ends the table
+        keeps this tree's partitions in place of the previous tree's.
         Raises ``ValueError`` when the batch's feature shape is not the
         tree's, or when a value that a split routes on is not finite;
         values no split reads are not inspected.
         """
         x = _check_feature_shape(table.x, self.feature_shape)
-        stack = [(self.root, np.arange(x.shape[0]))]
+        root = self.root
+        if isinstance(root, LeafNode) or (_rule_key(root),) not in table.partitions:
+            table.partitions = {}
+        kept, made = table.partitions, {}
+        stack = [(root, (), np.arange(x.shape[0]))]
         while stack:
-            node, rows = stack.pop()
+            node, path, rows = stack.pop()
             if rows.size == 0:
                 continue
             if isinstance(node, LeafNode):
                 yield node, rows
                 continue
-            coords = tuple(node.rule.coords)
-            col = table.column(rows, coords)
-            if not np.isfinite(col).all():
-                raise ValueError(f"non-finite input at split coords {coords}")
-            left, right = _partition(rows, col <= node.rule.threshold)
-            stack.append((node.right, right))
-            stack.append((node.left, left))
+            key = path + (_rule_key(node),)
+            split = kept.get(key)
+            if split is None:
+                coords, threshold = key[-1]
+                col = table.column(rows, coords)
+                if not np.isfinite(col).all():
+                    raise ValueError(f"non-finite input at split coords {coords}")
+                split = _partition(rows, col <= threshold)
+            made[key] = split
+            stack.append((node.right, key + ("right",), split[1]))
+            stack.append((node.left, key + ("left",), split[0]))
+        table.partitions = made
 
     @_finite_predictions
     def predict(self, x) -> np.ndarray:
@@ -245,8 +287,17 @@ class TensorTree:
         return out
 
 
-def _make_leaf(x: np.ndarray, y: np.ndarray, indices: np.ndarray, spec: LeafModelSpec) -> LeafNode:
-    xs, ys = x[indices], y[indices]
+def _node_arrays(x: np.ndarray, y: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` at the rows ``indices`` of a node that :func:`_build` grows.
+
+    A node's rows are ascending and distinct, so only the root holds
+    every row, in order, and it reads ``x`` and ``y`` in place.
+    """
+    return (x, y) if indices.size == x.shape[0] else (x[indices], y[indices])
+
+
+def _make_leaf(xs: np.ndarray, ys: np.ndarray, indices: np.ndarray, spec: LeafModelSpec) -> LeafNode:
+    """A leaf fitted on ``xs`` and ``ys``, the inputs and responses at rows ``indices``."""
     model = fit_leaf(xs, ys, spec)
     resid = ys - predict_leaf(model, xs)
     return LeafNode(
@@ -267,11 +318,10 @@ def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, ranks: _RankTabl
     """The rule that splits rows ``indices`` and its left-row mask, or None for a leaf.
 
     A function of its own so that the node's row copies are freed before
-    its subtrees are grown.  Only the root holds every row, and in order,
-    so it reads ``x``, ``y`` and the rank table of ``x`` in place.
+    its subtrees are grown.  The root reads ``x``, ``y`` and the rank
+    table of ``x`` in place.
     """
-    root = indices.size == x.shape[0]
-    xs, ys = (x, y) if root else (x[indices], y[indices])
+    xs, ys = _node_arrays(x, y, indices)
     best = find_best_split(
         xs,
         ys,
@@ -279,7 +329,7 @@ def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, ranks: _RankTabl
         config.strategy,
         config.leaf,
         min_child=config.min_samples_leaf,
-        _ranks=ranks if root else ranks.take(indices),
+        _ranks=ranks if xs is x else ranks.take(indices),
     )
     if best is None:
         return None
@@ -309,7 +359,10 @@ def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec, rank
                 left=_build(x, y, left, depth + 1, config, spec, ranks),
                 right=_build(x, y, right, depth + 1, config, spec, ranks),
             )
-    return _make_leaf(x, y, indices, config.leaf)
+    # A CP or Tucker fit's bits can depend on its input's memory layout, which x and its row copy
+    # need not share, so only a mean leaf reads the root in place.
+    xs, ys = _node_arrays(x, y, indices) if config.leaf.kind == "mean" else (x[indices], y[indices])
+    return _make_leaf(xs, ys, indices, config.leaf)
 
 
 def grow(x, y, config: GrowConfig, *, _ranks: _RankTable | None = None) -> TensorTree:
@@ -359,7 +412,7 @@ def _prune(node, x: np.ndarray, y: np.ndarray, spec: LeafModelSpec, p: PruneConf
     n = int(rows.size)
     # Only tensor_loss needs the collapsed leaf's fit to price it; otherwise the leaf
     # is fitted only when the node collapses.
-    collapsed = _make_leaf(x, y, rows, spec) if p.quality == "tensor_loss" else None
+    collapsed = _make_leaf(x[rows], y[rows], rows, spec) if p.quality == "tensor_loss" else None
     if p.quality == "variance":
         quality = float(np.var(y[rows]))
     elif p.quality == "lae":
@@ -370,7 +423,7 @@ def _prune(node, x: np.ndarray, y: np.ndarray, spec: LeafModelSpec, p: PruneConf
     kept_cost = left_cost + right_cost
     if collapsed_cost <= kept_cost:
         if collapsed is None:
-            collapsed = _make_leaf(x, y, rows, spec)
+            collapsed = _make_leaf(x[rows], y[rows], rows, spec)
         return collapsed, collapsed_cost, rows
     return SplitNode(rule=node.rule, left=left, right=right), kept_cost, rows
 

@@ -114,6 +114,7 @@ def exhaustive_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_01_split_search_oracle_equivalence(exhaustive_results):
     start = time.perf_counter()
     checked = 0
@@ -133,6 +134,7 @@ def test_criterion_01_split_search_oracle_equivalence(exhaustive_results):
                 f"{N_INSTANCES} instances x 6 criterion modes ({checked} rules, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_02_reduction_identities(exhaustive_results):
     start = time.perf_counter()
     for (i, kind, vm), (x, y, rank, exhaustive) in exhaustive_results.items():

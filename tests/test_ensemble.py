@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tensortree import ensemble
+from tensortree import tree as tree_module
 from tensortree._rng import derive_seed, make_rng
 from tensortree.ensemble import (
     BoostedModel,
@@ -18,10 +19,10 @@ from tensortree.ensemble import (
     fit_boosting,
     fit_forest,
 )
-from tensortree.leaf_models import LeafModelSpec
+from tensortree.leaf_models import FittedLeafModel, LeafModelSpec
 from tensortree.serialize import dumps
-from tensortree.splitting import SearchStrategy, SplitCriterion
-from tensortree.tree import GrowConfig, LeafNode, PruneConfig, grow, prune
+from tensortree.splitting import SearchStrategy, SplitCriterion, SplitRule
+from tensortree.tree import GrowConfig, LeafNode, PruneConfig, SplitNode, TensorTree, grow, prune
 from tensortree.tree import _ColumnTable as ColumnTable
 
 from test_splitting import dense_ranks, record_ranking
@@ -392,6 +393,68 @@ def _ensembles_of(trees):
 ENSEMBLE_KINDS = ["boosting", "forest", "predict_tensor"]
 
 
+def _fresh_table_sums(trees, x):
+    """What :func:`_ensembles_of` predicts, from each tree's own predict (one table per tree)."""
+    each = [t.predict(x) for t in trees]
+    boosting = np.full(x.shape[0], 0.5)
+    forest = np.zeros(x.shape[0])
+    for out in each:
+        boosting += 0.3 * out
+        forest += out
+    return {
+        "boosting": boosting,
+        "forest": forest / len(trees),
+        "predict_tensor": np.column_stack([np.full(x.shape[0], 0.0) + 1.0 * out for out in each]),
+    }
+
+
+def _repeating_stages():
+    """Boosting trees on ``step_data`` inputs with two more steps; most stages repeat their rule paths."""
+    x, y = step_data(200, seed=42)
+    y = y + 1.5 * (x[:, 1, 1] >= 0.5) - 0.7 * (x[:, 2, 0] >= 0.4)
+    model = fit_boosting(x, y, BoostingConfig(n_estimators=6, learning_rate=0.1, tree=mean_tree(max_depth=3)))
+    return model.trees, x
+
+
+def _split_paths(node, path=()):
+    """The rule path of each split node under ``node``: every ancestor's rule and side, then its own rule."""
+    if isinstance(node, LeafNode):
+        return []
+    rule = (node.rule.coords, node.rule.threshold)
+    return ([path + (rule,)] + _split_paths(node.left, path + (rule, "left"))
+            + _split_paths(node.right, path + (rule, "right")))
+
+
+def _count_partitions(monkeypatch):
+    """A list that gets one entry per :func:`tree._partition` call from now on."""
+    calls = []
+    partition = tree_module._partition
+    monkeypatch.setattr(tree_module, "_partition",
+                        lambda rows, go_left: calls.append(rows.size) or partition(rows, go_left))
+    return calls
+
+
+def _mean_leaf(value):
+    return LeafNode(FittedLeafModel(kind="mean", feature_shape=(3, 3), n_samples=1, mean=value), None, 1, 0.0, 0.0)
+
+
+def _node(coords, threshold, left, right):
+    return SplitNode(SplitRule(coords, threshold), left, right)
+
+
+def _path_variants():
+    """A tree whose (1, 1) split sits left of a (0, 1) split under the root, and two near copies.
+
+    In one the (0, 1) split has another threshold, in the other the (1, 1)
+    split sits right of it; every leaf holds a distinct value.
+    """
+    inner = _node((1, 1), 0.5, _mean_leaf(1.0), _mean_leaf(2.0))
+    base = _node((0, 0), 0.5, _node((0, 1), 0.4, inner, _mean_leaf(3.0)), _mean_leaf(4.0))
+    threshold = _node((0, 0), 0.5, _node((0, 1), 0.6, inner, _mean_leaf(3.0)), _mean_leaf(4.0))
+    side = _node((0, 0), 0.5, _node((0, 1), 0.4, _mean_leaf(3.0), inner), _mean_leaf(4.0))
+    return [TensorTree(root, (3, 3), None) for root in (base, threshold, side)]
+
+
 class TestSharedColumnTable:
     """Every tree of a predict routes one checked batch as a single tree would."""
 
@@ -403,8 +466,9 @@ class TestSharedColumnTable:
         x_nan[row, 1, 1] = np.nan  # the row goes right at the root, where no split reads (1, 1)
         for t in (child, root):
             assert np.array_equal(t.predict(x_nan), t.predict(x))
-        predict = _ensembles_of([child, root])[kind]
-        assert np.array_equal(predict(x_nan), predict(x))
+        for trees in ([child, root], [child, child]):
+            predict = _ensembles_of(trees)[kind]
+            assert np.array_equal(predict(x_nan), predict(x))
 
     @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
     @pytest.mark.parametrize("coords", [(0, 0), (1, 1)], ids=["root", "reached-child"])
@@ -416,8 +480,9 @@ class TestSharedColumnTable:
         message = re.escape(f"non-finite input at split coords {coords}")
         with pytest.raises(ValueError, match=message):
             child.predict(x_nan)
-        with pytest.raises(ValueError, match=message):
-            _ensembles_of([child, root])[kind](x_nan)
+        for trees in ([child, root], [child, child]):
+            with pytest.raises(ValueError, match=message):
+                _ensembles_of(trees)[kind](x_nan)
 
     @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
     def test_trees_of_another_feature_shape_raise_value_error(self, kind):
@@ -443,3 +508,59 @@ class TestSharedColumnTable:
         for t in model.trees:
             expect += model.learning_rate * t.predict(x)
         assert out.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_repeated_paths_give_the_bytes_of_fresh_tables(self, kind):
+        trees, x = _repeating_stages()
+        for batch in (x, make_rng(43).uniform(size=(300, 3, 3))):
+            got = _ensembles_of(trees)[kind](batch)
+            assert got.tobytes() == _fresh_table_sums(trees, batch)[kind].tobytes()
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_each_path_is_partitioned_once_while_consecutive_trees_route_it(self, kind, monkeypatch):
+        trees, x = _repeating_stages()
+        paths = [_split_paths(t.root) for t in trees]
+        # Every split node of a tree grown on x holds rows of x, so each path is partitioned
+        # by the first of a run of consecutive trees that route it.
+        expect = sum(len(set(now) - set(before)) for before, now in zip([[]] + paths, paths))
+        assert len({p for ps in paths for p in ps}) < expect < sum(map(len, paths))
+        calls = _count_partitions(monkeypatch)
+        predict = _ensembles_of(trees)[kind]
+        for _ in range(2):  # nothing is kept from one call to the next
+            calls.clear()
+            predict(x)
+            assert len(calls) == expect
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_paths_that_differ_in_an_ancestor_share_no_rows(self, kind, monkeypatch):
+        base, threshold, side = _path_variants()
+        x = make_rng(44).uniform(size=(400, 3, 3))
+        calls = _count_partitions(monkeypatch)
+        # the root is shared; the threshold variant re-partitions (0, 1) and (1, 1), the side variant (1, 1)
+        for variant, partitions in ((threshold, 5), (side, 4)):
+            calls.clear()
+            got = _ensembles_of([base, variant])[kind](x)
+            count = len(calls)
+            assert got.tobytes() == _fresh_table_sums([base, variant], x)[kind].tobytes()
+            assert count == partitions
+
+    def test_a_tree_drops_the_kept_partitions_unless_it_has_the_kept_root_rule(self):
+        base, threshold, _ = _path_variants()
+        other_root = TensorTree(_node((0, 0), 0.6, _mean_leaf(1.0), _mean_leaf(2.0)), (3, 3), None)
+        single_leaf = TensorTree(_mean_leaf(5.0), (3, 3), None)
+        table = ColumnTable(make_rng(45).uniform(size=(400, 3, 3)))
+        list(base._route(table))
+        kept = set(table.partitions)
+        assert len(kept) == 3
+        walk = threshold._route(table)
+        next(walk)
+        assert set(table.partitions) == kept  # the same root rule: the walk may reuse them
+        list(walk)
+        assert len(table.partitions) == 3 and set(table.partitions) != kept
+        for tree in (other_root, single_leaf):
+            list(base._route(table))
+            walk = tree._route(table)
+            next(walk)
+            assert table.partitions == {}  # dropped before the first leaf is reached
+            list(walk)
+        assert table.partitions == {}

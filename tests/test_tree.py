@@ -10,8 +10,9 @@ from tensortree._rng import make_rng
 from tensortree.decomposition import AlsConfig
 from tensortree.ensemble import BoostingConfig, fit_boosting
 from tensortree.leaf_models import LeafModelSpec, fit_leaf, predict_leaf
+from tensortree.serialize import dumps
 from tensortree.splitting import SearchStrategy, SplitCriterion
-from tensortree.tree import GrowConfig, PruneConfig, complexity, grow, prune
+from tensortree.tree import GrowConfig, PruneConfig, TensorTree, complexity, grow, prune
 
 
 def piecewise_data(n, seed, sigma=np.sqrt(0.1)):
@@ -144,6 +145,27 @@ def test_root_search_reads_the_input_in_place(monkeypatch):
     (root_x, root_y), *children = searched
     assert root_x is x and np.shares_memory(root_y, y)
     assert not any(np.shares_memory(xs, x) for xs, _ in children)
+
+
+@pytest.mark.parametrize("spec", [LeafModelSpec(kind="mean"), LeafModelSpec(kind="cp", rank=2),
+                                  LeafModelSpec(kind="tucker", rank=1)], ids=["mean", "cp", "tucker"])
+def test_root_leaf_gives_the_bytes_of_a_fit_on_the_row_copy(monkeypatch, spec):
+    x, y, _ = piecewise_data(80, seed=4)
+    x_fortran = np.asfortranarray(x)
+    config = GrowConfig(max_depth=0, leaf=spec)
+    rows = np.arange(x.shape[0])
+    want = [dumps(TensorTree(tree_module._make_leaf(xs[rows], y[rows], rows, spec), x.shape[1:], config))
+            for xs in (x, x_fortran)]
+    fitted = []
+    fit = tree_module.fit_leaf
+    monkeypatch.setattr(tree_module, "fit_leaf", lambda xs, ys, s: fitted.append(xs) or fit(xs, ys, s))
+    assert [dumps(grow(xs, y, config)) for xs in (x, x_fortran)] == want
+    # A mean leaf's bits do not depend on the input's layout, so it reads the root in place.
+    # A CP or Tucker fit's bits can depend on the input's layout (these two do here, on the
+    # row copy too), so such a leaf keeps the copy.
+    assert [a is b for a, b in zip(fitted, (x, x_fortran))] == [spec.kind == "mean"] * 2
+    if spec.kind == "mean":
+        assert want[1] == want[0]
 
 
 class TestPredictApply:
