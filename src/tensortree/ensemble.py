@@ -73,8 +73,9 @@ class BoostedModel:
     def predict(self, x) -> np.ndarray:
         """``f0`` plus the learning rate times each tree's prediction, summed in tree order.
 
-        Checks ``x`` once, and every tree routes it through one column
-        table; only the sum is checked, and a non-finite one raises
+        Checks ``x`` once, and every tree with a split routes it through
+        one column table; a tree that is one mean leaf adds its mean with
+        no walk.  Only the sum is checked, and a non-finite one raises
         ``ValueError``.
         """
         return self._predict(_ColumnTable(x))
@@ -99,8 +100,9 @@ class ForestModel:
     def predict(self, x) -> np.ndarray:
         """The mean of the trees' predictions, summed in tree order.
 
-        Checks ``x`` once, and every tree routes it through one column
-        table; only the mean is checked, and a non-finite one raises
+        Checks ``x`` once, and every tree with a split routes it through
+        one column table; a tree that is one mean leaf adds its mean with
+        no walk.  Only the mean is checked, and a non-finite one raises
         ``ValueError``.
         """
         return self._predict(_ColumnTable(x))

@@ -199,8 +199,9 @@ def reconstruct_from_observation_factor(model: TensorOutputModel, obs_factor: np
 def predict_tensor(model: TensorOutputModel, x) -> np.ndarray:
     """Predict a stacked output tensor of shape ``(n,) + output_shape``.
 
-    Checks ``x`` once, and every tree of every ensemble routes it through
-    one column table.  Only the output tensor is checked, and a
+    Checks ``x`` once, and every tree with a split, in every ensemble,
+    routes it through one column table; a tree that is one mean leaf adds
+    its mean with no walk.  Only the output tensor is checked, and a
     non-finite one raises ``ValueError``.
     """
     table = _ColumnTable(x)

@@ -21,12 +21,15 @@ ensembles, drop them, so they predict but cannot be pruned further.
 
 Prediction routes a batch's rows down the tree through a
 :class:`_ColumnTable` that lives for one predict call and is shared by
-every tree of an ensemble.  Besides the checked batch and the full
-columns read, it keeps the row partitions that the last tree's split
-nodes made, keyed by rule path; a node of the next tree on the same path
-takes them as they are, since a node's rows depend only on its path and
-the batch.  That saves boosting stages that repeat their rules a column
-read, a finiteness check and a partition per node, and changes no bit.
+every tree of an ensemble.  Besides the checked batch, its row index and
+the full columns read, it keeps the row partitions that the last routed
+tree's split nodes made, keyed by rule path; a node of the next tree on
+the same path takes them as they are, since a node's rows depend only on
+its path and the batch.  That saves boosting stages that repeat their
+rules a column read, a finiteness check and a partition per node, and
+changes no bit.  A tree that is one mean leaf routes nothing: it checks
+the batch's feature shape and gives its mean as a float, which an
+ensemble adds to every row.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ class _ColumnTable:
 
     The predict-time sibling of :class:`~tensortree.splitting._RankTable`:
     every tree of an ensemble (and every ensemble of a tensor-output model)
-    routes one batch through one table, so the batch is checked once and
+    that routes the batch routes it through one table, so the batch is
+    checked once, ``rows`` (every row index, ascending) is built once and
     a column that several roots split on is read once.  A node that holds
     every row reads its column in full and the table keeps it; any other
     node takes its rows from a kept column, or gathers them from the batch
@@ -139,15 +143,17 @@ class _ColumnTable:
     path (see :meth:`TensorTree._route`).  A node's rows depend only on its
     path and the batch, so a later tree's node on the same path takes the
     kept pair: the same ascending arrays :func:`_partition` would build
-    again, from values the earlier tree already checked.  Each tree
-    replaces the kept pairs with its own, and one whose root rule differs
-    from the kept root rule drops them before it routes, so the table
-    holds no rows the current tree will not read and nothing outlives
-    the call.
+    again, from values the earlier tree already checked.  Each tree that
+    routes replaces the kept pairs with its own, and one whose root rule
+    differs from the kept root rule drops them before it routes, so the
+    table holds no rows the current tree will not read and nothing
+    outlives the call.  A tree that is one mean leaf does not route, so
+    it leaves the pairs to the next tree.
     """
 
     def __init__(self, x):
         self.x = _check_array(x, "stacked input", STACKED_MODES)
+        self.rows = np.arange(self.x.shape[0])
         self._full: dict = {}
         self.partitions: dict = {}
 
@@ -218,16 +224,18 @@ class TensorTree:
     def _route(self, table: _ColumnTable):
         """Yield ``(leaf, rows)`` for each leaf that rows of the table's batch reach.
 
-        A split node's rule path is each ancestor's ``(coords, threshold)``
-        and the side taken, then its own ``(coords, threshold)``.  A node on
-        a path that the previous tree routed through ``table`` takes that
-        tree's partition from ``table.partitions``; any other split node
-        reads its column through ``table``, checks it and partitions its
-        rows with :func:`_partition` (``ndarray.compress``), which keeps
-        their order.  Either way every leaf gets its rows in ascending
-        order, the same bytes.  A tree whose root rule is not the kept one
-        drops the kept partitions first, and once the walk ends the table
-        keeps this tree's partitions in place of the previous tree's.
+        The root starts from ``table.rows``.  A split node's rule path is
+        each ancestor's ``(coords, threshold)`` and the side taken, then
+        its own ``(coords, threshold)``.  A node on a path that the
+        previous routed tree took through ``table`` takes that tree's
+        partition from ``table.partitions``; any other split node reads
+        its column through ``table``, checks it and partitions its rows
+        with :func:`_partition` (``ndarray.compress``), which keeps their
+        order.  Either way every leaf gets its rows in ascending order, the
+        same bytes.  A tree whose root is a leaf or whose root rule is not
+        the kept one drops the kept partitions first, and once the walk
+        ends the table keeps this tree's partitions in place of the
+        previous tree's.
         Raises ``ValueError`` when the batch's feature shape is not the
         tree's, or when a value that a split routes on is not finite;
         values no split reads are not inspected.
@@ -237,7 +245,7 @@ class TensorTree:
         if isinstance(root, LeafNode) or (_rule_key(root),) not in table.partitions:
             table.partitions = {}
         kept, made = table.partitions, {}
-        stack = [(root, (), np.arange(x.shape[0]))]
+        stack = [(root, (), table.rows)]
         while stack:
             node, path, rows = stack.pop()
             if rows.size == 0:
@@ -266,10 +274,21 @@ class TensorTree:
         than return a non-finite prediction, such as a mean leaf built in
         memory with ``inf``.
         """
-        return self._predict(_ColumnTable(x))
+        table = _ColumnTable(x)
+        out = self._predict(table)
+        return np.full(table.x.shape[0], out, dtype=np.float64) if isinstance(out, float) else out
 
-    def _predict(self, table: _ColumnTable) -> np.ndarray:
-        """:meth:`predict` on the table's checked batch, with no output check."""
+    def _predict(self, table: _ColumnTable) -> np.ndarray | float:
+        """:meth:`predict` on the table's checked batch, with no output check.
+
+        A tree that is one mean leaf returns its mean as a float, with no
+        walk: an ensemble adds it to every row, which gives the bits of
+        adding an array of it, and the table's partitions stay as they were.
+        """
+        root = self.root
+        if isinstance(root, LeafNode) and root.model.kind == "mean":
+            _check_feature_shape(table.x, self.feature_shape)
+            return float(root.model.mean)
         x = table.x
         out = np.empty(x.shape[0], dtype=np.float64)
         for leaf, rows in self._route(table):

@@ -317,6 +317,33 @@ def _zero_factor_meets_inf_column():
     return fitted, x
 
 
+def _constant_inf_tree(kind):
+    """A tree, boosting, forest, entrywise or low-rank model with a tree that is one mean leaf of ``inf``.
+
+    Such a tree adds its mean with no walk, so these show that its output
+    still reaches the one check of the result.
+    """
+    from tensortree.tensor_output import OutputConfig, TensorOutputModel, fit_lowrank
+
+    x, y = step_data(40, 3)
+    split = grow(x, y, GrowConfig(max_depth=1))
+    constant = _constant(math.inf)
+    if kind == "tree":
+        return constant, x
+    if kind == "boosting":
+        return BoostedModel(0.5, 0.1, [split, constant]), x
+    if kind == "forest":
+        return ForestModel([split, constant]), x
+    if kind == "entrywise":
+        ensembles = [BoostedModel(0.0, 1.0, [split]), BoostedModel(0.0, 1.0, [constant, split])]
+        return TensorOutputModel("entrywise", (2,), ensembles), x
+    boost = BoostingConfig(n_estimators=1, tree=GrowConfig(max_depth=1))
+    config = OutputConfig(approach="lowrank", rank=2, boosting=boost)
+    fitted = fit_lowrank(x, np.column_stack([y, -y, 2 * y]), config)
+    fitted.ensembles[1].trees.append(constant)
+    return fitted, x
+
+
 OVERFLOWING_MODELS = {
     "tree": lambda: _overflowing("tree"),
     "boosting": lambda: _overflowing("boosting"),
@@ -326,6 +353,8 @@ OVERFLOWING_MODELS = {
        for kind in ("boosting", "forest", "entrywise")
        for name, value in (("inf", math.inf), ("nan", math.nan))},
     "lowrank-zero-factor-inf-column": _zero_factor_meets_inf_column,
+    **{f"{kind}-constant-inf-tree": lambda kind=kind: _constant_inf_tree(kind)
+       for kind in ("tree", "boosting", "forest", "entrywise", "lowrank")},
 }
 
 
@@ -438,6 +467,11 @@ def _mean_leaf(value):
     return LeafNode(FittedLeafModel(kind="mean", feature_shape=(3, 3), n_samples=1, mean=value), None, 1, 0.0, 0.0)
 
 
+def _constant(value):
+    """A tree that is one mean leaf of ``value``."""
+    return TensorTree(_mean_leaf(value), (3, 3), None)
+
+
 def _node(coords, threshold, left, right):
     return SplitNode(SplitRule(coords, threshold), left, right)
 
@@ -490,8 +524,11 @@ class TestSharedColumnTable:
         x4 = make_rng(41).uniform(size=(100, 4, 4))
         wide = grow(x4, 3.0 * (x4[:, 3, 3] > 0.5), mean_tree(max_depth=1))
         assert wide.root.rule.coords == (3, 3)  # out of range on a (3, 3) batch
-        with pytest.raises(ValueError, match="feature shape"):
-            _ensembles_of([child, wide])[kind](x)
+        wide_leaf = grow(x4, x4[:, 0, 0], mean_tree(max_depth=0))
+        assert isinstance(wide_leaf.root, LeafNode)  # it routes nothing, yet it checks the batch
+        for other in (wide, wide_leaf):
+            with pytest.raises(ValueError, match="feature shape"):
+                _ensembles_of([child, other])[kind](x)
 
     def test_roots_on_one_coordinate_read_its_column_once_per_predict(self, monkeypatch):
         x, y = step_data(200, seed=42)
@@ -512,9 +549,14 @@ class TestSharedColumnTable:
     @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
     def test_repeated_paths_give_the_bytes_of_fresh_tables(self, kind):
         trees, x = _repeating_stages()
-        for batch in (x, make_rng(43).uniform(size=(300, 3, 3))):
-            got = _ensembles_of(trees)[kind](batch)
-            assert got.tobytes() == _fresh_table_sums(trees, batch)[kind].tobytes()
+        fitted = grow(x, x[:, 2, 2] / 3, mean_tree(max_depth=0))
+        assert isinstance(fitted.root, LeafNode)
+        # constant trees add their means with no walk, between trees that split
+        mixed = [fitted, trees[0], _constant(-1.7), trees[1], trees[2], _constant(1 / 3)]
+        for stages in (trees, mixed):
+            for batch in (x, make_rng(43).uniform(size=(300, 3, 3))):
+                got = _ensembles_of(stages)[kind](batch)
+                assert got.tobytes() == _fresh_table_sums(stages, batch)[kind].tobytes()
 
     @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
     def test_each_path_is_partitioned_once_while_consecutive_trees_route_it(self, kind, monkeypatch):
@@ -544,6 +586,18 @@ class TestSharedColumnTable:
             assert got.tobytes() == _fresh_table_sums([base, variant], x)[kind].tobytes()
             assert count == partitions
 
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_a_constant_tree_leaves_the_kept_partitions_to_the_next_tree(self, kind, monkeypatch):
+        base, threshold, _ = _path_variants()
+        x = make_rng(44).uniform(size=(400, 3, 3))
+        calls = _count_partitions(monkeypatch)
+        for trees in ([base, threshold], [base, _constant(5.0), threshold]):
+            calls.clear()
+            got = _ensembles_of(trees)[kind](x)
+            count = len(calls)
+            assert got.tobytes() == _fresh_table_sums(trees, x)[kind].tobytes()
+            assert count == 5  # the threshold variant reuses the root's rows across the constant tree
+
     def test_a_tree_drops_the_kept_partitions_unless_it_has_the_kept_root_rule(self):
         base, threshold, _ = _path_variants()
         other_root = TensorTree(_node((0, 0), 0.6, _mean_leaf(1.0), _mean_leaf(2.0)), (3, 3), None)
@@ -564,3 +618,42 @@ class TestSharedColumnTable:
             assert table.partitions == {}  # dropped before the first leaf is reached
             list(walk)
         assert table.partitions == {}
+
+
+class TestConstantTrees:
+    """A tree that is one mean leaf adds its mean with no walk, and no byte moves."""
+
+    @pytest.mark.parametrize("approach", ["entrywise", "lowrank"])
+    def test_predict_tensor_gives_the_bytes_of_its_columns(self, approach):
+        from tensortree.tensor_output import (OutputConfig, fit_entrywise, fit_lowrank,
+                                              reconstruct_from_observation_factor)
+
+        x, y = step_data(120, seed=46)
+        # a constant column grows only single-leaf trees; the step columns split
+        y = np.column_stack([y, np.full(y.size, 0.1), x[:, 1, 1] - y])
+        boost = BoostingConfig(n_estimators=3, learning_rate=0.3, tree=mean_tree())
+        if approach == "entrywise":
+            model = fit_entrywise(x, y, OutputConfig(boosting=boost))
+        else:
+            model = fit_lowrank(x, y, OutputConfig(approach="lowrank", rank=2, boosting=boost))
+            model.ensembles[0].trees.insert(1, _constant(0.25))
+        trees = [t for ens in model.ensembles for t in ens.trees]
+        assert {isinstance(t.root, LeafNode) for t in trees} == {True, False}
+        for batch in (x, make_rng(47).uniform(size=(90, 3, 3))):
+            columns = np.column_stack([ens.predict(batch) for ens in model.ensembles])
+            if approach == "entrywise":
+                expect = columns.reshape((batch.shape[0],) + model.output_shape)
+            else:
+                expect = reconstruct_from_observation_factor(model, columns)
+            assert model.predict(batch).tobytes() == expect.tobytes()
+
+    def test_an_int_mean_predicts_float64(self):
+        out = _constant(3).predict(np.zeros((4, 3, 3)))
+        assert out.dtype == np.float64 and out.tolist() == [3.0] * 4
+
+    def test_an_empty_batch_predicts_no_rows(self):
+        trees, _ = _repeating_stages()
+        empty = np.zeros((0, 3, 3))
+        assert _constant(2.0).predict(empty).shape == (0,)
+        for kind in ("boosting", "forest"):
+            assert _ensembles_of([_constant(2.0), trees[0]])[kind](empty).shape == (0,)
