@@ -10,9 +10,9 @@ bound), ``_check_bool``, ``_check_choice`` (one of some strings),
 only code that turns an argument into an array: float64, real values,
 no mask, a mode count in range), ``_check_arrays`` (a sequence of
 such arrays, of a length in range), ``_check_squares`` (finite values whose
-squares sum to a finite value), ``_check_stacked`` (stacked inputs and
-responses), ``_check_features`` (stacked inputs of a feature shape;
-``_check_feature_shape`` compares the shape alone), ``_check_output``,
+squares sum to a finite value), ``_check_stacked`` (a fit's stacked inputs
+and responses, C-ordered), ``_check_features`` (stacked inputs of a feature
+shape; ``_check_feature_shape`` compares the shape alone), ``_check_output``,
 ``_check_coords`` (one cell of a feature shape), ``_check_ranks`` (a
 grow config's tuple ranks), ``_check_keys`` (a config object's keys),
 ``_finite_array`` (a model document's numbers) and
@@ -131,9 +131,9 @@ def _check_array(a, name: str, modes: tuple[int, int]) -> np.ndarray:
     """``a`` as a float64 ndarray of ``modes[0]`` to ``modes[1]`` modes, or ``ValueError``.
 
     The one place where an argument becomes an array.  A float64 ndarray
-    is returned as it is, with no copy and no change of layout, since
-    :func:`~tensortree.tensor_ops.mode_product`'s bits depend on its
-    operands' layouts.  Bool, int, uint and float values are converted.
+    is returned as it is, with no copy and no change of layout: a predict
+    reads the caller's layout, and :func:`_check_stacked` makes a fit's
+    input C-ordered.  Bool, int, uint and float values are converted.
     Complex, string, bytes, object, datetime and void values are refused,
     and so is a masked array, whose mask a conversion would drop.
     """
@@ -181,15 +181,16 @@ def _check_squares(values: np.ndarray, total: float, name: str) -> None:
 
 
 def _check_stacked(x, y=_NO_RESPONSES) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stacked inputs ``x`` (and responses ``y``, flattened) as float64, validated.
+    """Stacked inputs ``x`` (and responses ``y``, flattened) as C-ordered float64, validated.
 
     ``x`` needs 2 or 3 feature modes, at least one sample and only finite
     values, and ``y`` one value per sample that passes
     :func:`_check_squares`, so that no mean, residual or variance a fit
     takes of them overflows.  Without ``y`` the responses returned are
-    None; a ``y`` of None is refused, like any other non-array.
+    None; a ``y`` of None is refused, like any other non-array.  An ``x``
+    that is not C-ordered is copied, since BLAS bits can follow layout.
     """
-    x = _check_array(x, "stacked input", STACKED_MODES)
+    x = np.ascontiguousarray(_check_array(x, "stacked input", STACKED_MODES))
     if x.shape[0] == 0:
         raise ValueError("need at least one sample")
     if not np.isfinite(x).all():

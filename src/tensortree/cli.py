@@ -144,9 +144,8 @@ def _validate_fit_config(cfg: dict, allowed: set = _RUN_KEYS) -> None:
 
 def _load_array(path: str) -> np.ndarray:
     # An OSError names the path; the error for an empty, non-NPY or non-numeric file does not.
-    # Arrays are C-ordered, whatever the file's layout, so that fits read the same bits.
     try:
-        return np.ascontiguousarray(_check_array(np.load(path), "the array", (1, MAX_MODES)))
+        return _check_array(np.load(path), "the array", (1, MAX_MODES))
     except (EOFError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
 

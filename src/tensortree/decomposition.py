@@ -157,8 +157,8 @@ def _normalize_columns(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.n
 
 
 def _als_input(tensor) -> tuple[np.ndarray, float]:
-    """``tensor`` checked as :func:`cp_als` describes it, and its Frobenius norm."""
-    t = _check_array(tensor, "tensor", (2, MAX_MODES))
+    """``tensor`` checked as :func:`cp_als` describes it, C-ordered, and its Frobenius norm."""
+    t = np.ascontiguousarray(_check_array(tensor, "tensor", (2, MAX_MODES)))
     if t.size == 0:
         raise ValueError(f"cannot decompose a tensor with an empty mode, got shape {t.shape}")
     with np.errstate(over="ignore"):
@@ -175,7 +175,7 @@ def cp_als(tensor, rank: int, config: AlsConfig | None = None) -> tuple[CPDecomp
     tensor : ndarray
         2- to 4-mode array of finite real numbers, with no empty mode,
         whose squares sum to a finite value; else ``ValueError`` before
-        any solve.
+        any solve.  One that is not C-ordered is copied first.
     rank : int
         Number of rank-one components, >= 1.
     config : AlsConfig, optional

@@ -310,7 +310,8 @@ def _node_arrays(x: np.ndarray, y: np.ndarray, indices: np.ndarray) -> tuple[np.
     """``x`` and ``y`` at the rows ``indices`` of a node that :func:`_build` grows.
 
     A node's rows are ascending and distinct, so only the root holds
-    every row, in order, and it reads ``x`` and ``y`` in place.
+    every row, in order, and it reads ``x`` and ``y`` in place.  Checked
+    inputs are C-ordered, like a row copy, so either gives a fit the same bits.
     """
     return (x, y) if indices.size == x.shape[0] else (x[indices], y[indices])
 
@@ -378,10 +379,7 @@ def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec, rank
                 left=_build(x, y, left, depth + 1, config, spec, ranks),
                 right=_build(x, y, right, depth + 1, config, spec, ranks),
             )
-    # A CP or Tucker fit's bits can depend on its input's memory layout, which x and its row copy
-    # need not share, so only a mean leaf reads the root in place.
-    xs, ys = _node_arrays(x, y, indices) if config.leaf.kind == "mean" else (x[indices], y[indices])
-    return _make_leaf(xs, ys, indices, config.leaf)
+    return _make_leaf(*_node_arrays(x, y, indices), indices, config.leaf)
 
 
 def grow(x, y, config: GrowConfig, *, _ranks: _RankTable | None = None) -> TensorTree:

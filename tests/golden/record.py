@@ -186,17 +186,22 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def case_digest(name: str) -> dict[str, str]:
-    """The ``model`` (dumps) and ``predictions`` digests of case ``name``."""
+def case_digest(name: str, layout=np.asarray) -> dict[str, str]:
+    """The ``model`` (dumps) and ``predictions`` digests of case ``name``.
+
+    ``layout`` makes the copy of each fit input (the inputs, the responses
+    or output, a decomposition's tensor) that the fit reads; the predict
+    batch stays C-ordered.
+    """
     if name in DECOMPOSITIONS:
         shape, fit = DECOMPOSITIONS[name]
-        decomp = fit(np.random.default_rng(13).uniform(size=shape))
+        decomp = fit(layout(np.random.default_rng(13).uniform(size=shape)))
         arrays = [getattr(decomp, "weights", None), getattr(decomp, "core", None), *decomp.factors]
         return {"model": _sha(b"".join(a.tobytes() for a in arrays if a is not None)),
                 "predictions": _sha(decomp.to_tensor().tobytes())}
     data, kind, fit = CASES[name]
     x, y = data(kind)
-    model = fit(x, y)
+    model = fit(layout(x), layout(y))
     batch = np.random.default_rng(11).uniform(-0.2, 1.2, size=(50,) + x.shape[1:])
     return {"model": _sha(dumps(model).encode("utf-8")),
             "predictions": _sha(np.ascontiguousarray(model.predict(batch)).tobytes())}

@@ -8,6 +8,7 @@ or passed, must now raise ``ValueError``.  A table of odd arrays (complex,
 string, masked, wrong-rank and others) runs through every array argument
 of the public functions, constructors and predicts: each is refused with
 ``ValueError`` or gives a result, with no other exception and no warning.
+Every fitter gives the same bytes on other layouts of the same values.
 """
 
 import ast
@@ -318,3 +319,54 @@ def test_odd_arrays_are_refused_with_value_error_or_accepted(argument):
             except Exception as exc:  # report the odd array that broke the contract
                 raise AssertionError(f"{argument} on {odd}: {type(exc).__name__}: {exc}") from exc
         assert allowed in (outcome, "either"), f"{argument} on {odd}: {outcome}, expected {allowed}"
+
+
+LAYOUT_ALS = AlsConfig(max_iterations=5, rel_tolerance=1e-7, seed=0)
+CP_LEAF = LeafModelSpec(kind="cp", rank=2, als=LAYOUT_ALS)
+TUCKER_TREE = GrowConfig(max_depth=1, min_samples_leaf=8, leaf=LeafModelSpec(kind="tucker", rank=1, als=LAYOUT_ALS))
+LRE = SplitCriterion(kind="lre", split_rank=1, als=LAYOUT_ALS)
+
+
+def _array_bytes(*arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def _output_fit(fit, approach, n_threads):
+    boosting = BoostingConfig(n_estimators=2, tree=GrowConfig(max_depth=1, min_samples_leaf=4), seed=1)
+    config = OutputConfig(approach=approach, rank=None if approach == "entrywise" else 2,
+                          boosting=boosting, als=LAYOUT_ALS)
+    return lambda x, y: dumps(fit(x, y, config, n_threads=n_threads))
+
+
+# fitter -> the bytes of its fit on stacked inputs x and a stacked (2, 2) output y
+LAYOUT_FITS = {
+    "grow cp leaves": lambda x, y: dumps(grow(x, y[:, 0, 0], GrowConfig(max_depth=1, leaf=CP_LEAF))),
+    "grow tucker leaves": lambda x, y: dumps(grow(x, y[:, 0, 0], TUCKER_TREE)),
+    "fit_boosting": lambda x, y: dumps(fit_boosting(x, y[:, 0, 0], BoostingConfig(
+        n_estimators=3, tree=TUCKER_TREE, seed=2))),
+    "fit_forest": lambda x, y: dumps(fit_forest(x, y[:, 0, 0], ForestConfig(
+        n_trees=2, tree=TUCKER_TREE, seed=3))),
+    "fit_leaf": lambda x, y: _array_bytes(fit_leaf(x, y[:, 0, 0], CP_LEAF).coefficient_tensor()),
+    "find_best_split lre": lambda x, y: repr(find_best_split(
+        x, y[:, 0, 0], LRE, SearchStrategy(), CP_LEAF, min_child=8)).encode(),
+    "cp_als": lambda x, y: _array_bytes(*cp_als(x, 2, LAYOUT_ALS)[0].factors),
+    "tucker_als": lambda x, y: _array_bytes(*tucker_als(x, (2, 2, 2), LAYOUT_ALS)[0].factors),
+    "fit_entrywise 1 worker": _output_fit(fit_entrywise, "entrywise", 1),
+    "fit_entrywise 2 workers": _output_fit(fit_entrywise, "entrywise", 2),
+    "fit_lowrank 1 worker": _output_fit(fit_lowrank, "lowrank", 1),
+    "fit_lowrank 2 workers": _output_fit(fit_lowrank, "lowrank", 2),
+}
+
+LAYOUTS = {"Fortran-ordered": np.asfortranarray, "strided": _strided,
+           "negative-stride": lambda a: a[::-1].copy()[::-1]}
+
+
+@pytest.mark.parametrize("fitter", list(LAYOUT_FITS))
+def test_fits_on_other_layouts_give_the_bytes_of_the_c_ordered_fit(fitter):
+    rng = make_rng(8)
+    x = rng.uniform(size=(60, 4, 3))
+    y = np.stack([x[:, 0, 0] + x[:, 1, 2] * x[:, 3, 1], x[:, 2, 2], np.sin(3 * x[:, 1, 0]),
+                  x[:, 0, 1] > 0.5], axis=1).reshape(60, 2, 2) + 0.1 * rng.normal(size=(60, 2, 2))
+    fit = LAYOUT_FITS[fitter]
+    want = fit(x, y)
+    assert [name for name, copy in LAYOUTS.items() if fit(copy(x), copy(y)) != want] == []

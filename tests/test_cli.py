@@ -12,7 +12,7 @@ import pytest
 
 from tensortree import cli, serialize, splitting, tensor_output
 from tensortree._rng import make_rng
-from tensortree.data import GENERATORS
+from tensortree.data import GENERATORS, SyntheticSpec, generate
 from tensortree.decomposition import AlsConfig
 from tensortree.ensemble import BoostingConfig, ForestConfig
 from tensortree.leaf_models import LeafModelSpec
@@ -362,6 +362,38 @@ class TestWorkerProcesses:
         assert err == "error: residuals overflowed\n"
         assert not out.exists()
         assert multiprocessing.active_children() == []
+
+
+LAYOUT_RUNS = {
+    "cp-tree": ("prune_fn", 300, None, {
+        "model": "tree", "max_depth": 2, "min_samples_leaf": 8, "leaf_model": "cp", "CP_reg_rank": 1}),
+    "lowrank-cp": ("table2_nonlinear", 120, (2, 3), {
+        "model": "lowrank", "output_decomp": "cp", "output_rank": 2, "n_estimators": 3,
+        "max_depth": 2, "min_samples_leaf": 3}),
+}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_RUNS))
+def test_fortran_saved_inputs_give_the_bytes_of_c_saved_ones(tmp_path, capsys, name):
+    generator, n, output_shape, run = LAYOUT_RUNS[name]
+    x, y = generate(SyntheticSpec(generator=generator, n=n, seed=1))
+    y = y if output_shape is None else y.reshape((n,) + output_shape)
+    runs = set()
+    for order in ("C", "F"):
+        np.save(tmp_path / "X.npy", np.asarray(x, order=order))
+        np.save(tmp_path / "Y.npy", np.asarray(y, order=order))
+        cfg = write_config(tmp_path / "cfg.json", {
+            **run, "seed": 2, "als": {"max_iterations": 5, "rel_tolerance": 1e-7, "seed": 0},
+            "data": {"x": str(tmp_path / "X.npy"), "y": str(tmp_path / "Y.npy")},
+        })
+        for threads in (1, 2):
+            model, pred = tmp_path / "m.json", tmp_path / "p.npy"
+            assert cli.main(["fit", "--config", cfg, "--out", str(model), "--threads", str(threads)]) == 0
+            assert cli.main(["predict", "--model", str(model), "--x", str(tmp_path / "X.npy"),
+                             "--out", str(pred)]) == 0, capsys.readouterr().err
+            runs.add((model.read_bytes(), pred.read_bytes()))
+    assert np.load(tmp_path / "X.npy", mmap_mode="r").flags["F_CONTIGUOUS"]
+    assert len(runs) == 1
 
 
 class TestRankAndRoutingErrors:

@@ -151,21 +151,17 @@ def test_root_search_reads_the_input_in_place(monkeypatch):
                                   LeafModelSpec(kind="tucker", rank=1)], ids=["mean", "cp", "tucker"])
 def test_root_leaf_gives_the_bytes_of_a_fit_on_the_row_copy(monkeypatch, spec):
     x, y, _ = piecewise_data(80, seed=4)
-    x_fortran = np.asfortranarray(x)
     config = GrowConfig(max_depth=0, leaf=spec)
     rows = np.arange(x.shape[0])
-    want = [dumps(TensorTree(tree_module._make_leaf(xs[rows], y[rows], rows, spec), x.shape[1:], config))
-            for xs in (x, x_fortran)]
+    want = dumps(TensorTree(tree_module._make_leaf(x[rows], y[rows], rows, spec), x.shape[1:], config))
     fitted = []
     fit = tree_module.fit_leaf
     monkeypatch.setattr(tree_module, "fit_leaf", lambda xs, ys, s: fitted.append(xs) or fit(xs, ys, s))
-    assert [dumps(grow(xs, y, config)) for xs in (x, x_fortran)] == want
-    # A mean leaf's bits do not depend on the input's layout, so it reads the root in place.
-    # A CP or Tucker fit's bits can depend on the input's layout (these two do here, on the
-    # row copy too), so such a leaf keeps the copy.
-    assert [a is b for a, b in zip(fitted, (x, x_fortran))] == [spec.kind == "mean"] * 2
-    if spec.kind == "mean":
-        assert want[1] == want[0]
+    # Every leaf kind reads a C-ordered root in place, and a fit on a Fortran-ordered
+    # copy of the same values gives the same bytes.
+    assert dumps(grow(x, y, config)) == want
+    assert fitted[0] is x
+    assert dumps(grow(np.asfortranarray(x), y, config)) == want
 
 
 class TestPredictApply:
