@@ -123,9 +123,12 @@ def fit_boosting(x, y, config: BoostingConfig, *, _ranks: _RankTable | None = No
     weights start uniform and are updated by ``exp(|residual|)`` after
     every resampled stage.  Per-tree pruning is applied before the model
     update when a prune config is given.  Every stage reads one rank table
-    of ``x``, so the fit ranks each column at most once.  ``_ranks`` is
-    such a table whose rows are exactly this ``x``'s, as for
-    :func:`~tensortree.tree.grow`, shared by other fits on the same input.
+    of ``x``, so the fit ranks each column at most once.  Without
+    resampling every stage grows on the whole table, so a stage's node on
+    a rule path the previous stage also searched reuses that node's sort
+    orders (see :func:`~tensortree.tree.grow`).  ``_ranks`` is such a
+    table whose rows are exactly this ``x``'s, shared by other fits on the
+    same input.
     """
     x, y = _check_stacked(x, y)
     n = y.size
@@ -166,7 +169,9 @@ def fit_forest(x, y, config: ForestConfig) -> ForestModel:
     when ``config.bootstrap`` is set and searches splits with a
     leverage-score strategy at fraction ``config.tau``, re-seeded per
     tree from the forest seed.  The trees read one rank table of ``x``,
-    so the forest ranks each column at most once.
+    so the forest ranks each column at most once.  Without bootstrap a
+    tree's node on a rule path the previous tree also searched reuses
+    that node's sort orders (see :func:`~tensortree.tree.grow`).
     """
     x, y = _check_stacked(x, y)
     n = y.size

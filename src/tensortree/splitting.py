@@ -79,14 +79,17 @@ each input column, computed the first time a search reads the column
 a rank and larger values get larger ranks, so the stable argsort of a
 node's ranks is the stable argsort of its values, and for uint16 a radix
 sort.  The ranks in that order are equal exactly where the sorted values
-are, so they give the ``sse`` scan its ties.  Every node argsorts the
-ranks of its own rows of the table's input.  The table also keeps each
-ranked column's order over the whole input, which the roots of trees
-grown on all of it read: boosting stages
-without resampling, forest trees without bootstrap, and the per-entry or
-per-column jobs of a tensor-output fit.  Trees grown on row resamples
-(bootstrap forests, resampled boosting) share the ranks.  ``lae`` and
-mean-value ``sse`` sort a copy of the column and rank nothing.
+are, so they give the ``sse`` scan its ties.  A node argsorts the
+ranks of its own rows of the table's input.  Trees grown on all of the
+input share a table that keeps what they sort: boosting stages without
+resampling, forest trees without bootstrap, and the per-entry or
+per-column jobs of a tensor-output fit.  It keeps each column's order
+over the whole input, which every root reads, and the orders of the
+last tree's searched nodes by rule path, which the next tree's node on
+the same path reads when it holds the same rows (:meth:`_RankTable.node`).
+Trees grown on row resamples (bootstrap forests, resampled boosting)
+share the ranks only.  ``lae`` and mean-value ``sse`` sort a copy of
+the column and rank nothing.
 """
 
 from __future__ import annotations
@@ -453,22 +456,58 @@ class _RankTable:
     """Dense ranks of the columns of one stacked input ``x``, each ranked the first time a search reads it.
 
     The table serves a fit or node that holds rows ``rows`` of ``x``, in
-    that order; None means every row in order, and then each column's
-    order is kept for later readers.  :meth:`take` gives the table of a
-    subset of those rows, which shares the ranks.  :meth:`keyed_order`
-    gives a column's order over the served rows with their ranks in that
-    order, both from one gather of the served rows' ranks; equal sorted
-    ranks are the ties an ``sse`` scan masks.
+    that order; None means every row in order.  :meth:`take` gives the
+    table of a subset of those rows, which shares the ranks.
+    :meth:`keyed_order` gives a column's order over the served rows with
+    their ranks in that order, both from one gather of the served rows'
+    ranks; equal sorted ranks are the ties an ``sse`` scan masks.
+
+    A table that serves every row also keeps, in ``nodes``, the tables of
+    the searched non-root nodes of the last tree grown on it, keyed by
+    rule path (see :meth:`node`).  It and its node tables keep each order
+    they compute, with the sorted ranks, in ``orders`` and ``keys``, so a
+    later tree that reads them sorts nothing again.  A table made with
+    ``keep=False`` keeps nothing: the tables :meth:`take` gives (a row
+    resample's among them, and every table under one) and the table of a
+    lone tree or search.
     """
 
-    def __init__(self, x: np.ndarray, rows: np.ndarray | None = None, ranks: dict | None = None):
+    def __init__(self, x: np.ndarray, rows: np.ndarray | None = None, ranks: dict | None = None,
+                 keep: bool = True):
         self.x, self.rows = x, rows
         self.ranks = {} if ranks is None else ranks
+        self.keep = keep
         self.orders: dict = {}
+        self.keys: dict = {}
+        self.nodes: dict = {}
+        self._grown: dict = {}
 
     def take(self, rows: np.ndarray) -> _RankTable:
-        """The table of the served rows at positions ``rows``."""
-        return _RankTable(self.x, rows if self.rows is None else self.rows[rows], self.ranks)
+        """The table of the served rows at positions ``rows``, which keeps nothing."""
+        return _RankTable(self.x, rows if self.rows is None else self.rows[rows], self.ranks, keep=False)
+
+    def node(self, path: tuple, rows: np.ndarray) -> _RankTable:
+        """The table of the searched node at rule ``path`` of the tree being grown, which holds the served rows ``rows``.
+
+        A path is each ancestor's ``(coords, threshold)`` and side, as in
+        :meth:`~tensortree.tree.TensorTree._route`.  A keeping table that
+        serves every row gives the last tree's table on ``path``, with the
+        orders it kept, when that table's rows equal ``rows``, and a new
+        keeping table of ``rows`` otherwise; either one is kept for the
+        next tree at :meth:`end_tree`.  Any other table gives :meth:`take`
+        of ``rows``.  Each gives the same orders.
+        """
+        if self.rows is not None or not self.keep:
+            return self.take(rows)
+        table = self.nodes.get(path)
+        if table is None or not np.array_equal(table.rows, rows):
+            table = _RankTable(self.x, rows, self.ranks)
+        self._grown[path] = table
+        return table
+
+    def end_tree(self) -> None:
+        """Keep the node tables of the tree just grown, in place of the previous tree's."""
+        self.nodes, self._grown = self._grown, {}
 
     def order(self, coords: tuple[int, ...]) -> np.ndarray:
         """The stable argsort of column ``coords`` over the served rows."""
@@ -480,18 +519,19 @@ class _RankTable:
         The sorted ranks ascend, and two of them are equal exactly when
         their rows' values are.
         """
+        order = self.orders.get(coords)
+        if order is not None:
+            return order, self.keys[coords]
         ranks = self.ranks.get(coords)
         if ranks is None:
             inverse = np.unique(_column(self.x, coords), return_inverse=True)[1]
             ranks = self.ranks[coords] = inverse.astype(_rank_dtype(inverse.size))
-        if self.rows is None:
-            order = self.orders.get(coords)
-            if order is None:
-                order = self.orders[coords] = np.argsort(ranks, kind="stable")
-            return order, ranks.take(order)
-        keys = ranks.take(self.rows)
+        keys = ranks if self.rows is None else ranks.take(self.rows)
         order = np.argsort(keys, kind="stable")
-        return order, keys.take(order)
+        keys = keys.take(order)
+        if self.keep:
+            self.orders[coords], self.keys[coords] = order, keys
+        return order, keys
 
 
 def _prefix_moments(rows: np.ndarray, counts: np.ndarray):
@@ -727,7 +767,7 @@ def _search(x, y, criterion, strategy, leaf, min_child, ranks=None) -> SplitEval
     if x.shape[0] < 2:
         raise ValueError("need at least two samples to split")
     if ranks is None:
-        ranks = _RankTable(x)
+        ranks = _RankTable(x, keep=False)
     if strategy.kind == "exhaustive":
         order = np.ndindex(*x.shape[1:])
     elif strategy.kind == "leverage":

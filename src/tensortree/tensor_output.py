@@ -116,12 +116,14 @@ def _fit_columns(x, targets: np.ndarray, boosting: BoostingConfig,
     """One boosted ensemble per column of ``targets``, in column order.
 
     The columns' fits share one rank table of ``x``, so a process ranks
-    and sorts each column of ``x`` at most once.  Up to ``n_threads``
-    forked workers fit the columns.  A forked worker inherits ``x``,
-    ``targets``, ``boosting`` and the table from this process (and fills
-    its own copy of the table), so a job sends only its column index; a
-    spawned worker would start a fresh interpreter and re-import NumPy,
-    which costs more than a whole fit.
+    and sorts each column of ``x`` at most once, and a tree's node takes
+    the sort orders of the previous tree's node on the same rule path,
+    even one of another column's fit, when the two hold the same rows.
+    Up to ``n_threads`` forked workers fit the columns.  A forked worker
+    inherits ``x``, ``targets``, ``boosting`` and the table from this
+    process (and fills its own copy of the table), so a job sends only its
+    column index; a spawned worker would start a fresh interpreter and
+    re-import NumPy, which costs more than a whole fit.
     """
     columns = targets.shape[1]
     workers = min(n_threads, columns)

@@ -175,9 +175,9 @@ class _ColumnTable:
         return self.x[(rows,) + coords] if full is None else full[rows]
 
 
-def _rule_key(node: SplitNode) -> tuple:
-    """``(coords, threshold)`` of the node's rule, one step of a rule path."""
-    return tuple(node.rule.coords), node.rule.threshold
+def _rule_key(rule: SplitRule) -> tuple:
+    """``(coords, threshold)`` of a split node's rule, one step of a rule path."""
+    return tuple(rule.coords), rule.threshold
 
 
 def _depth(node) -> int:
@@ -242,7 +242,7 @@ class TensorTree:
         """
         x = _check_feature_shape(table.x, self.feature_shape)
         root = self.root
-        if isinstance(root, LeafNode) or (_rule_key(root),) not in table.partitions:
+        if isinstance(root, LeafNode) or (_rule_key(root.rule),) not in table.partitions:
             table.partitions = {}
         kept, made = table.partitions, {}
         stack = [(root, (), table.rows)]
@@ -253,7 +253,7 @@ class TensorTree:
             if isinstance(node, LeafNode):
                 yield node, rows
                 continue
-            key = path + (_rule_key(node),)
+            key = path + (_rule_key(node.rule),)
             split = kept.get(key)
             if split is None:
                 coords, threshold = key[-1]
@@ -334,12 +334,14 @@ def _searches(n: int, depth: int, config: GrowConfig) -> bool:
     return depth < config.max_depth and n >= max(2, 2 * config.min_samples_leaf)
 
 
-def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, ranks: _RankTable):
-    """The rule that splits rows ``indices`` and its left-row mask, or None for a leaf.
+def _split(x, y, indices: np.ndarray, path: tuple, config: GrowConfig, spec, ranks: _RankTable):
+    """The rule that splits rows ``indices`` and its left-row mask, or the node's leaf.
 
-    A function of its own so that the node's row copies are freed before
+    A node that does not split fits its leaf on the row copies its search
+    read.  A node that splits returns no copies, so they are freed before
     its subtrees are grown.  The root reads ``x``, ``y`` and the rank
-    table of ``x`` in place.
+    table of ``x`` in place; any other node takes its table from
+    :meth:`~tensortree.splitting._RankTable.node` at its rule ``path``.
     """
     xs, ys = _node_arrays(x, y, indices)
     best = find_best_split(
@@ -349,37 +351,38 @@ def _split(x, y, indices: np.ndarray, config: GrowConfig, spec, ranks: _RankTabl
         config.strategy,
         config.leaf,
         min_child=config.min_samples_leaf,
-        _ranks=ranks if xs is x else ranks.take(indices),
+        _ranks=ranks if xs is x else ranks.node(path, indices),
     )
-    if best is None:
-        return None
     # The search already scored the winning rule's children.
-    gain = _group_loss(xs, ys, config.criterion, spec) - best.loss
-    if gain <= GAIN_TOLERANCE:
-        return None
+    if best is None or _group_loss(xs, ys, config.criterion, spec) - best.loss <= GAIN_TOLERANCE:
+        return _make_leaf(xs, ys, indices, config.leaf)
     return best.rule, _split_mask(xs, best.rule)
 
 
-def _build(x, y, indices: np.ndarray, depth: int, config: GrowConfig, spec, ranks: _RankTable):
-    """The subtree grown on rows ``indices`` of checked inputs, ``depth`` levels down.
+def _build(x, y, indices: np.ndarray, path: tuple, config: GrowConfig, spec, ranks: _RankTable):
+    """The subtree grown on rows ``indices`` of checked inputs, at rule ``path``.
 
-    ``ranks`` is the rank table of ``x``, which every node's search reads
-    at the node's rows.  A module-level function rather than a closure in
-    :func:`grow`: a recursive closure is a reference cycle, which would
-    keep each tree's training arrays alive until the next garbage
-    collection.
+    A node's rule path is each ancestor's ``(coords, threshold)`` and the
+    side taken, as in :meth:`TensorTree._route`, so the root's is ``()``
+    and a node is ``len(path) // 2`` levels down.  ``ranks`` is the rank
+    table of ``x``, which every node's search reads at the node's rows.
+    A module-level function rather than a closure in :func:`grow`: a
+    recursive closure is a reference cycle, which would keep each tree's
+    training arrays alive until the next garbage collection.
     """
-    if _searches(indices.size, depth, config):
-        split = _split(x, y, indices, config, spec, ranks)
-        if split is not None:
-            rule, go_left = split
-            left, right = _partition(indices, go_left)
-            return SplitNode(
-                rule=rule,
-                left=_build(x, y, left, depth + 1, config, spec, ranks),
-                right=_build(x, y, right, depth + 1, config, spec, ranks),
-            )
-    return _make_leaf(*_node_arrays(x, y, indices), indices, config.leaf)
+    if not _searches(indices.size, len(path) // 2, config):
+        return _make_leaf(*_node_arrays(x, y, indices), indices, config.leaf)
+    split = _split(x, y, indices, path, config, spec, ranks)
+    if isinstance(split, LeafNode):
+        return split
+    rule, go_left = split
+    left, right = _partition(indices, go_left)
+    key = path + (_rule_key(rule),)
+    return SplitNode(
+        rule=rule,
+        left=_build(x, y, left, key + ("left",), config, spec, ranks),
+        right=_build(x, y, right, key + ("right",), config, spec, ranks),
+    )
 
 
 def grow(x, y, config: GrowConfig, *, _ranks: _RankTable | None = None) -> TensorTree:
@@ -387,13 +390,18 @@ def grow(x, y, config: GrowConfig, *, _ranks: _RankTable | None = None) -> Tenso
 
     ``_ranks`` is a rank table whose rows are exactly this ``x``'s (see
     :class:`~tensortree.splitting._RankTable`), shared by fits on the same
-    input; without it the tree ranks ``x`` itself.  It saves ranking only
-    and never changes the tree.
+    input; without it the tree ranks ``x`` itself and keeps no orders.  A
+    table that serves every row of its input takes the node tables that
+    the previous tree grown on it kept, on the rule paths this tree
+    repeats, and then keeps this tree's.  It saves ranking and sorting
+    only and never changes the tree.
     """
     x, y = _check_stacked(x, y)
     spec = _lre_spec(config.criterion, config.leaf)
     _check_ranks(config.criterion, (config.leaf, spec), x.shape[1:])
-    root = _build(x, y, np.arange(x.shape[0]), 0, config, spec, _RankTable(x) if _ranks is None else _ranks)
+    ranks = _RankTable(x, keep=False) if _ranks is None else _ranks
+    root = _build(x, y, np.arange(x.shape[0]), (), config, spec, ranks)
+    ranks.end_tree()
     return TensorTree(root, x.shape[1:], config, x_train=x, y_train=y)
 
 

@@ -10,10 +10,11 @@ The cases cover the sort paths of the split search (plain inputs, inputs
 with ties between distinct rows, and columns holding both -0.0 and 0.0)
 through single trees under each search strategy and value mode, forests
 with and without bootstrap, boosting with and without resampling and
-pruning, ``sse`` trees with CP and Tucker leaves, trees pruned under each
-quality, ``lre`` and ``lae`` trees, and entrywise and low-rank tensor
-outputs on one and two worker processes, plus ALS fits on 2-, 3- and
-4-mode tensors.
+pruning (among them ``sse`` boosting on a step, whose stages repeat
+their rules, and ``lre`` boosting), ``sse`` trees with CP and Tucker
+leaves, trees pruned under each quality, ``lre`` and ``lae`` trees, and
+entrywise and low-rank tensor outputs on one and two worker processes,
+plus ALS fits on 2-, 3- and 4-mode tensors.
 
 Re-record only from a commit whose models are known to be right, and
 name each re-record in ``CHANGES.md``::
@@ -89,9 +90,17 @@ def _forest(bootstrap, tree=TREE, n_trees=4):
         n_trees=n_trees, bootstrap=bootstrap, tau=0.5, tree=tree, seed=5))
 
 
-def _boosting(p_resample, prune_config=None, tree=SHALLOW, stages=5):
+def _step(kind="plain", n=300, seed=4):
+    """``prune_fn`` inputs with a step response plus a little noise: boosting stages repeat their rules."""
+    x, y = generate(SyntheticSpec(generator="prune_fn", n=n, seed=seed))
+    noise = y - piecewise_target(x)
+    x = _variant(x, kind)
+    return x, 2 * (x[:, 0, 0, 0] > 0.6) + (x[:, 1, 2, 1] > 0.3) + 0.1 * noise
+
+
+def _boosting(p_resample, prune_config=None, tree=SHALLOW, stages=5, learning_rate=0.3):
     return lambda x, y: fit_boosting(x, y, BoostingConfig(
-        n_estimators=stages, learning_rate=0.3, p_resample=p_resample, tree=tree,
+        n_estimators=stages, learning_rate=learning_rate, p_resample=p_resample, tree=tree,
         prune=prune_config, seed=6))
 
 
@@ -154,10 +163,12 @@ CASES = {
     "boosting_resampled_zeros": (_prune_fn, "zeros", _boosting(0.6)),
     "boosting_pruned": (_prune_fn, "zeros", _boosting(0.0, PRUNE)),
     "boosting_resampled_pruned": (_prune_fn, "tied", _boosting(0.6, PRUNE)),
+    "boosting_repeated_paths": (_step, "plain", _boosting(0.0, stages=10, learning_rate=0.05)),
     "lre_tree_cp": (_fig5, "plain", _tree(_lre("cp"))),
     "lre_tree_tucker_bb_tied": (_fig5, "tied", _tree(_lre("tucker", SearchStrategy("bb", xi=0)))),
     "lre_forest_bootstrap": (_fig5, "zeros", _forest(True, _lre("cp"), n_trees=2)),
     "lre_boosting_resampled": (_fig5, "tied", _boosting(0.6, tree=_lre("cp"), stages=2)),
+    "lre_boosting_plain": (_fig5, "plain", _boosting(0.0, tree=_lre("cp"), stages=3)),
     "lae_tree_cp_observed": (_fig5, "tied", _tree(_lae("cp", "observed"))),
     "lae_tree_tucker_mean_leverage": (_fig5, "plain", _tree(
         _lae("tucker", "mean", SearchStrategy("leverage", tau=0.5, seed=1)))),
